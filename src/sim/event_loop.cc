@@ -40,6 +40,7 @@ void EventLoop::fire_slot(Slot& slot, std::uint64_t id, TimeNs t) {
 void EventLoop::release_slot(std::uint32_t s) {
   Slot& slot = slot_ref(s);
   slot.pending_id = 0;
+  slot.anchor_id = 0;  // a pending anchor entry becomes a tombstone
   slot.extracted = false;
   slot.cb.reset();  // free for inline callables (no destructor work)
   slot.next_free = free_head_;
@@ -94,17 +95,19 @@ std::uint64_t EventLoop::next_nonempty_bucket() const {
   return pos >= start ? base + pos : base + pos + kWheelSize;
 }
 
-// Eagerly unlinks the pending entry for `slot` if it lives in the wheel
-// (far-heap entries are left behind as lazy tombstones — pull and pop drop
-// them).  Keeping buckets tombstone-free bounds the drain scan by the real
+// Eagerly unlinks the pending entry for `slot` if it lives in the wheel.
+// A far event's heap entry (its own, or its slot's anchor) is left behind
+// as a lazy tombstone that pull drops.  Far tombstones stay rare: a
+// re-arm to a later far deadline keeps the anchor instead of making one
+// (see reschedule), so only earlier moves and cancels leave them.
+// Keeping buckets tombstone-free bounds the drain scan by the real
 // per-bucket concurrency: without this, a flow's per-ACK RTO rearms pile
 // thousands of dead entries into one deadline bucket and the drain's
 // min-scan degenerates quadratically.
 void EventLoop::wheel_unlink_if_near(const Slot& slot, std::uint64_t id) {
-  const std::uint64_t ab =
-      std::max(slot.time >> kBucketShift, cursor_);
-  if (ab >= cursor_ + kWheelSize) return;  // in the far heap
-  const std::uint64_t b = ab & kWheelMask;
+  if (in_far_heap(slot.time)) return;
+  const std::uint64_t b =
+      std::max(slot.time >> kBucketShift, cursor_) & kWheelMask;
   std::uint32_t prev = kNilNode;
   for (std::uint32_t cur = bucket_head_[b]; cur != kNilNode;
        prev = cur, cur = pool_[cur].next) {
@@ -133,9 +136,15 @@ void EventLoop::pull_far_into_window() {
     const auto id = static_cast<std::uint64_t>(heap_[0].key);
     heap_pop_min();
     // Drop far tombstones here instead of carrying them into a bucket.
-    if (slot_ref(static_cast<std::uint32_t>(id & kSlotMask)).pending_id ==
-        id) {
+    Slot& slot = slot_ref(static_cast<std::uint32_t>(id & kSlotMask));
+    if (slot.pending_id == id) {
       wheel_insert(t, id, ab);
+    } else if (slot.anchor_id == id) {
+      // The anchor stood in for a later (or equal) deadline: enqueue the
+      // real key now — into the wheel, or back into the heap if it is
+      // still beyond the window.
+      slot.anchor_id = 0;
+      enqueue_entry(static_cast<TimeNs>(slot.time), slot.pending_id);
     }
   }
 }
@@ -194,12 +203,25 @@ EventId EventLoop::reschedule(EventId id, TimeNs t) {
                        slot_ref(s).pending_id == id,
                    "reschedule of a fired or cancelled event");
   Slot& slot = slot_ref(s);
+  const EventId nid = make_event_id(s);
   if (slot.extracted) {
     slot.extracted = false;  // batch entry: already off the wheel
+  } else if (in_far_heap(slot.time) &&
+             static_cast<std::uint64_t>(t) >= slot.time) {
+    // O(1) far re-arm: the heap entry already queued for this slot (the
+    // pending one, or an earlier anchor) becomes / stays the anchor.  Its
+    // time is <= t, so pull_far_into_window reaches it before t's bucket
+    // and enqueues (t, nid) then — the key an eager push would carry.
+    if (slot.anchor_id == 0) slot.anchor_id = id;
+    slot.pending_id = nid;
+    slot.time = static_cast<std::uint64_t>(t);
+    return nid;
   } else {
-    wheel_unlink_if_near(slot, id);  // far entries become lazy tombstones
+    // Near entries are unlinked; a far entry (or anchor) becomes a lazy
+    // tombstone.
+    wheel_unlink_if_near(slot, id);
+    slot.anchor_id = 0;
   }
-  const EventId nid = make_event_id(s);
   slot.pending_id = nid;
   slot.time = static_cast<std::uint64_t>(t);
   enqueue_entry(t, nid);

@@ -34,6 +34,18 @@
 //  * Timer has a rearm fast path: while armed, re-arming keeps the slot
 //    and the trampoline callback and only re-enqueues the 16-byte entry
 //    (reschedule()), so per-ACK RTO rearming touches no callback storage.
+//  * Re-arming a far event to a deadline no earlier than its current one
+//    is O(1): the slot's existing far-heap entry stays put as its
+//    *anchor* and reschedule() only updates the slot's pending id and
+//    deadline.  When the window slide pulls the anchor, the slot's real
+//    (deadline, seq) key is enqueued in its place.  The anchor's time
+//    never exceeds the real deadline, so the real key reaches the wheel
+//    before its bucket drains, and it is exactly the key an eager
+//    re-push would have carried: firing order is unchanged.  A per-ACK
+//    RTO (min_rto 200 ms, past the horizon) thus costs one heap entry
+//    per window slide instead of a heap push and a tombstone per ACK.
+//    Near or earlier deadlines, drain-batch events and cancel() keep the
+//    eager path.
 #pragma once
 
 #include <array>
@@ -186,6 +198,7 @@ class EventLoop {
   /// Moves a *pending* event to a new time, keeping its slot and callback.
   /// Returns the replacement id (the old id becomes invalid).  The event
   /// takes a fresh FIFO position, exactly as cancel() + schedule() would.
+  /// A far event moved no earlier is re-armed in O(1) through its anchor.
   EventId reschedule(EventId id, TimeNs t);
 
   /// Runs events until the queue empties or the next event is past `t_end`;
@@ -265,6 +278,10 @@ class EventLoop {
     Callback cb;
     std::uint64_t pending_id = 0;    // 0 = empty/free
     std::uint64_t time = 0;          // deadline of the pending event
+    // Id of the far-heap entry standing in for the pending event, or 0.
+    // Nonzero only while the pending (time, id) key itself is in neither
+    // the wheel nor the heap; the anchor's time is <= `time`.
+    std::uint64_t anchor_id = 0;
     std::uint32_t next_free = kNoSlot;
     // True while the event sits in the drain batch (unlinked from its
     // bucket but not yet fired): cancel/reschedule must not try to unlink
@@ -314,6 +331,11 @@ class EventLoop {
 
   // --- ready queue (wheel + far heap) ---
   void enqueue_entry(TimeNs t, std::uint64_t id);
+  // True if a pending event due at `t` lives in the far heap (directly or
+  // through its slot's anchor) rather than in the wheel.
+  bool in_far_heap(std::uint64_t t) const {
+    return (t >> kBucketShift) >= cursor_ + kWheelSize;
+  }
   void wheel_insert(TimeNs t, std::uint64_t id, std::uint64_t abs_bucket);
   void wheel_unlink_if_near(const Slot& slot, std::uint64_t id);
   std::uint64_t next_nonempty_bucket() const;  // needs wheel_count_ > 0

@@ -3,14 +3,17 @@
 // steady-state zero-allocation guarantee (via a counting operator-new
 // hook), and a golden-value regression pinning simulation output to the
 // seed implementation bit for bit.
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <functional>
 #include <new>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "exp/scenario.h"
+#include "obs/metrics.h"
 #include "sim/event_loop.h"
 #include "util/rng.h"
 
@@ -272,44 +275,143 @@ TEST(TimerTest, RearmFromInsideCallback) {
 }
 
 TEST(TimerTest, CancelRearmStress) {
-  // Deterministic stress: per round, every timer gets a random sequence of
-  // arm/rearm/cancel ops with deadlines inside the round; exactly the
-  // timers whose last op was an arm fire, once each.
+  // Deterministic stress on both sides of the wheel horizon (~134 ms):
+  // near rounds (deadlines <= 90 ms, 100 ms rounds) and far rounds
+  // (deadlines <= 900 ms, 1 s rounds).  Random arm/rearm/cancel ops hit
+  // random timers at the round start and again mid-round, so re-arms move
+  // deadlines both later (the far-anchor path) and earlier (the eager
+  // fallback), across the horizon in both directions, and while the
+  // window slide has already pulled some anchors.  Deadlines sit on a
+  // coarse grid so ties are common.  Every firing's time and position
+  // must match a reference model: the timers armed when the clock passes
+  // their deadline fire in (final deadline, order of last arm) order.
   constexpr int kTimers = 16;
-  constexpr int kRounds = 200;
+  constexpr int kRoundsPerRange = 100;
+  struct ModelTimer {
+    bool armed = false;
+    TimeNs deadline = 0;
+    std::uint64_t arm_order = 0;
+  };
+  struct Firing {
+    int timer;
+    TimeNs at;
+    bool operator==(const Firing& o) const {
+      return timer == o.timer && at == o.at;
+    }
+  };
   EventLoop loop;
   util::Rng rng(1234);
   std::vector<std::unique_ptr<Timer>> timers;
-  std::vector<int> fires(kTimers, 0);
   for (int i = 0; i < kTimers; ++i) {
     timers.push_back(std::make_unique<Timer>(&loop));
   }
-  int expected_total = 0;
-  for (int round = 0; round < kRounds; ++round) {
-    const TimeNs round_end = loop.now() + from_ms(100);
-    for (int i = 0; i < kTimers; ++i) {
-      const int ops = 1 + static_cast<int>(rng.uniform() * 3);
-      bool armed = false;
-      for (int op = 0; op < ops; ++op) {
-        if (rng.uniform() < 0.3) {
-          timers[static_cast<std::size_t>(i)]->cancel();
-          armed = false;
-        } else {
-          const TimeNs delay =
-              1 + static_cast<TimeNs>(rng.uniform() * to_sec(from_ms(90)) *
-                                      static_cast<double>(kNanosPerSec));
-          timers[static_cast<std::size_t>(i)]->arm_in(
-              delay, [&fires, i]() { ++fires[static_cast<std::size_t>(i)]; });
-          armed = true;
-        }
+  std::vector<ModelTimer> model(kTimers);
+  std::vector<Firing> fired;
+  std::vector<Firing> expected;
+  std::uint64_t arms = 0;
+
+  const auto random_ops = [&](int count, TimeNs max_delay, TimeNs grid) {
+    for (int op = 0; op < count; ++op) {
+      const auto i = static_cast<std::size_t>(rng.uniform_int(0, kTimers - 1));
+      if (rng.uniform() < 0.3) {
+        timers[i]->cancel();
+        model[i].armed = false;
+        continue;
       }
-      if (armed) ++expected_total;
+      const TimeNs delay = grid * rng.uniform_int(1, max_delay / grid);
+      timers[i]->arm_in(delay, [&fired, &loop, i]() {
+        fired.push_back({static_cast<int>(i), loop.now()});
+      });
+      model[i] = {true, loop.now() + delay, ++arms};
     }
-    loop.run_until(round_end);
+  };
+  const auto run_until_expecting = [&](TimeNs t_end) {
+    std::vector<int> due;
+    for (int i = 0; i < kTimers; ++i) {
+      const ModelTimer& m = model[static_cast<std::size_t>(i)];
+      if (m.armed && m.deadline <= t_end) due.push_back(i);
+    }
+    std::sort(due.begin(), due.end(), [&model](int a, int b) {
+      const ModelTimer& ma = model[static_cast<std::size_t>(a)];
+      const ModelTimer& mb = model[static_cast<std::size_t>(b)];
+      return ma.deadline != mb.deadline ? ma.deadline < mb.deadline
+                                        : ma.arm_order < mb.arm_order;
+    });
+    for (int i : due) {
+      expected.push_back({i, model[static_cast<std::size_t>(i)].deadline});
+      model[static_cast<std::size_t>(i)].armed = false;
+    }
+    loop.run_until(t_end);
+  };
+
+  for (const TimeNs range : {from_ms(90), from_ms(900)}) {
+    const TimeNs round_len = range == from_ms(90) ? from_ms(100) : from_sec(1);
+    const TimeNs grid = range / 18;
+    for (int round = 0; round < kRoundsPerRange; ++round) {
+      const TimeNs start = loop.now();
+      random_ops(48, range, grid);
+      run_until_expecting(start + round_len / 2);
+      // Mid-round deadlines still land inside the round.
+      random_ops(16, range / 2, grid);
+      run_until_expecting(start + round_len);
+    }
   }
-  int total = 0;
-  for (int f : fires) total += f;
-  EXPECT_EQ(total, expected_total);
+  ASSERT_EQ(fired.size(), expected.size());
+  for (std::size_t k = 0; k < fired.size(); ++k) {
+    ASSERT_EQ(fired[k], expected[k]) << "firing #" << k;
+  }
+  EXPECT_GT(fired.size(), 1000u);
+  EXPECT_EQ(loop.pending_events(), 0u);
+}
+
+TEST(TimerTest, FarRearmKeepsOneHeapAnchor) {
+  // Pins the O(1) far re-arm: an RTO-like timer re-armed 200 ms out (past
+  // the ~134 ms wheel horizon) on every "ACK" of a 100 us ACK clock must
+  // not cost a far-heap push per re-arm.  Its first far entry stays as the
+  // anchor and is re-pushed only when the window slide reaches it — about
+  // once per (200 - 134) ms of simulated time, ~16 times over the 1 s run.
+  // Mid-sequence the timer is cancelled and its slot reused by another far
+  // event, so the old anchor is left behind as a tombstone.
+  constexpr int kAcks = 10000;
+  constexpr TimeNs kAckGap = 100 * kNanosPerUs;
+  EventLoop loop;
+  obs::MetricsRegistry metrics;
+  loop.attach_metrics(&metrics);
+  const obs::Counter heap_inserts = metrics.counter("loop.far_heap_inserts");
+
+  Timer rto(&loop);
+  int rto_fires = 0;
+  TimeNs rto_fired_at = -1;
+  int other_fires = 0;
+  TimeNs other_fired_at = -1;
+  TimeNs other_deadline = 0;
+  TimeNs last_deadline = 0;
+  int acks = 0;
+  std::function<void()> on_ack = [&]() {
+    if (++acks < kAcks) loop.schedule_in(kAckGap, [&on_ack]() { on_ack(); });
+    if (acks == kAcks / 2) {
+      rto.cancel();  // frees the slot; the free list hands it out next
+      other_deadline = loop.now() + from_ms(300);
+      loop.schedule(other_deadline, [&]() {
+        ++other_fires;
+        other_fired_at = loop.now();
+      });
+    }
+    rto.arm_in(from_ms(200), [&]() {
+      ++rto_fires;
+      rto_fired_at = loop.now();
+    });
+    last_deadline = rto.deadline();
+  };
+  loop.schedule_in(kAckGap, [&on_ack]() { on_ack(); });
+  loop.run_until(from_sec(2));
+
+  EXPECT_EQ(acks, kAcks);
+  EXPECT_LE(*heap_inserts.v, 20u);  // one per re-arm would be 10000
+  EXPECT_EQ(rto_fires, 1);
+  EXPECT_EQ(rto_fired_at, last_deadline);
+  EXPECT_EQ(other_fires, 1);
+  EXPECT_EQ(other_fired_at, other_deadline);
   EXPECT_EQ(loop.pending_events(), 0u);
 }
 
