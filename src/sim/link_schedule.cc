@@ -1,7 +1,6 @@
 #include "sim/link_schedule.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -145,39 +144,75 @@ class RandomWalkSchedule final : public RateSchedule {
   mutable std::vector<double> rates_;
 };
 
-class TraceSchedule final : public RateSchedule {
+// Bins non-decreasing opportunity timestamps into per-bucket counts in
+// one incremental pass.  A running bucket boundary replaces the per-
+// opportunity `(t % period) / bucket`: only opening a new bucket divides.
+// finish() rounds the looping period up to whole buckets and folds the
+// one bucket that can lie past it (opportunities at exactly a bucket-
+// aligned final timestamp) onto bucket 0 — the counts the modulo gives.
+class TraceFold {
  public:
-  TraceSchedule(const std::vector<std::int64_t>& opportunities_ms,
-                const RateSchedule::TraceConfig& cfg,
-                const std::string& origin)
-      : bucket_(cfg.bucket) {
-    NIMBUS_CHECK_MSG(!opportunities_ms.empty(),
-                     ("empty trace: " + origin).c_str());
+  TraceFold(const RateSchedule::TraceConfig& cfg, const std::string& origin)
+      : bucket_(cfg.bucket), origin_(origin) {
     NIMBUS_CHECK_MSG(cfg.bucket > 0 && cfg.bytes_per_opportunity > 0 &&
                          cfg.scale > 0,
                      "trace config: bucket, opportunity bytes, and scale "
                      "must be > 0");
-    const std::int64_t last_ms = opportunities_ms.back();
-    NIMBUS_CHECK_MSG(last_ms > 0,
-                     ("trace looping period is zero (last timestamp must "
-                      "be > 0): " + origin).c_str());
-    // Mahimahi semantics: the final timestamp is the looping period.  We
-    // round the period up to a whole number of buckets and fold every
-    // opportunity in by `time mod period` (an opportunity at exactly the
-    // period lands at the start of the next cycle).
-    const TimeNs last = last_ms * kNanosPerMs;
-    period_ = ((last + bucket_ - 1) / bucket_) * bucket_;
-    std::vector<std::int64_t> counts(
-        static_cast<std::size_t>(period_ / bucket_), 0);
-    std::int64_t prev = 0;
-    for (std::int64_t ms : opportunities_ms) {
-      NIMBUS_CHECK_MSG(ms >= prev,
-                       ("trace timestamps must be non-decreasing: " + origin)
-                           .c_str());
-      prev = ms;
-      const TimeNs t = (ms * kNanosPerMs) % period_;
-      counts[static_cast<std::size_t>(t / bucket_)]++;
+  }
+
+  void add(std::int64_t ms) {
+    NIMBUS_CHECK_MSG(ms >= last_ms_,
+                     ("trace timestamps must be non-decreasing: " + origin_)
+                         .c_str());
+    NIMBUS_CHECK_MSG(ms <= kMaxMs,
+                     ("trace timestamp out of range: " + origin_).c_str());
+    last_ms_ = ms;
+    const TimeNs t = ms * kNanosPerMs;
+    if (t >= boundary_) {
+      const TimeNs index = t / bucket_;
+      counts_.resize(static_cast<std::size_t>(index) + 1, 0);
+      boundary_ = (index + 1) * bucket_;
     }
+    ++counts_.back();
+  }
+
+  /// Moves out the counts, one per bucket across the looping period, and
+  /// sets `*period`.
+  std::vector<std::int64_t> finish(TimeNs* period) {
+    NIMBUS_CHECK_MSG(!counts_.empty(), ("empty trace: " + origin_).c_str());
+    NIMBUS_CHECK_MSG(last_ms_ > 0,
+                     ("trace looping period is zero (last timestamp must "
+                      "be > 0): " + origin_).c_str());
+    // Mahimahi semantics: the final timestamp is the looping period,
+    // rounded up to whole buckets; an opportunity at exactly the period
+    // lands at the start of the next cycle.
+    const TimeNs last = last_ms_ * kNanosPerMs;
+    *period = ((last + bucket_ - 1) / bucket_) * bucket_;
+    const auto n = static_cast<std::size_t>(*period / bucket_);
+    if (counts_.size() > n) {
+      counts_[0] += counts_[n];
+      counts_.pop_back();
+    }
+    return std::move(counts_);
+  }
+
+ private:
+  // Largest timestamp whose nanosecond value fits a TimeNs.
+  static constexpr std::int64_t kMaxMs =
+      std::numeric_limits<TimeNs>::max() / kNanosPerMs;
+
+  TimeNs bucket_;
+  const std::string& origin_;
+  std::int64_t last_ms_ = 0;
+  TimeNs boundary_ = 0;  // end of the last opened bucket
+  std::vector<std::int64_t> counts_;
+};
+
+class TraceSchedule final : public RateSchedule {
+ public:
+  TraceSchedule(TraceFold& fold, const RateSchedule::TraceConfig& cfg)
+      : bucket_(cfg.bucket) {
+    const std::vector<std::int64_t> counts = fold.finish(&period_);
     const double opp_bits = static_cast<double>(cfg.bytes_per_opportunity) * 8.0;
     const double bucket_sec = to_sec(bucket_);
     // Floor: one opportunity per bucket, so a trace outage slows the link
@@ -216,6 +251,87 @@ class TraceSchedule final : public RateSchedule {
   double mean_ = 0.0;
 };
 
+// C-locale std::isspace minus '\n' (which ends a line): ' ', \t \v \f \r.
+inline bool is_blank(unsigned char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r' && c != '\n');
+}
+
+[[noreturn]] void malformed_line(std::size_t lineno, const std::string& path) {
+  char msg[256];
+  std::snprintf(msg, sizeof(msg),
+                "malformed trace line %zu in %s: expected a "
+                "non-negative integer millisecond timestamp",
+                lineno, path.c_str());
+  NIMBUS_CHECK_MSG(false, msg);
+}
+
+// Streams a Mahimahi trace file through `on_ms` in one pass over fixed
+// chunks read into one buffer.  A per-line state machine carries across
+// chunk boundaries: leading blanks, then either a '#' comment, digits
+// (overflow-guarded before each multiply) and trailing blanks, or
+// nothing.  Anything else on a line is malformed.
+template <typename Sink>
+void scan_trace_file(const std::string& path, Sink&& on_ms) {
+  const std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(
+      std::fopen(path.c_str(), "rb"), &std::fclose);
+  NIMBUS_CHECK_MSG(f != nullptr, ("cannot open trace file: " + path).c_str());
+  enum class State { kLead, kDigits, kTrail, kComment };
+  State state = State::kLead;
+  std::int64_t ms = 0;
+  std::size_t lineno = 1;  // the line being scanned
+  std::vector<unsigned char> buf(kTraceReadChunk);
+  std::size_t n;
+  while ((n = std::fread(buf.data(), 1, buf.size(), f.get())) > 0) {
+    for (const unsigned char* p = buf.data(); p != buf.data() + n; ++p) {
+      const unsigned char c = *p;
+      const unsigned digit = c - static_cast<unsigned>('0');
+      if (state == State::kDigits && digit <= 9) {
+        // Overflow guard before the multiply (post-hoc sign checks are UB
+        // and can wrap back to an accepted positive value).
+        if (ms > (std::numeric_limits<std::int64_t>::max() - 9) / 10) {
+          malformed_line(lineno, path);
+        }
+        ms = ms * 10 + digit;
+        continue;
+      }
+      if (c == '\n') {
+        if (state == State::kDigits || state == State::kTrail) on_ms(ms);
+        state = State::kLead;
+        ++lineno;
+        continue;
+      }
+      switch (state) {
+        case State::kLead:
+          if (digit <= 9) {
+            ms = digit;
+            state = State::kDigits;
+          } else if (c == '#') {
+            state = State::kComment;
+          } else if (!is_blank(c)) {
+            malformed_line(lineno, path);
+          }
+          break;
+        case State::kDigits:
+          if (is_blank(c)) {
+            state = State::kTrail;
+          } else {
+            malformed_line(lineno, path);
+          }
+          break;
+        case State::kTrail:
+          if (!is_blank(c)) malformed_line(lineno, path);
+          break;
+        case State::kComment:
+          break;
+      }
+    }
+  }
+  NIMBUS_CHECK_MSG(std::ferror(f.get()) == 0,
+                   ("cannot read trace file: " + path).c_str());
+  // A final line without a trailing newline.
+  if (state == State::kDigits || state == State::kTrail) on_ms(ms);
+}
+
 }  // namespace
 
 std::unique_ptr<RateSchedule> RateSchedule::constant(double rate_bps) {
@@ -245,62 +361,26 @@ std::unique_ptr<RateSchedule> RateSchedule::random_walk(
 std::unique_ptr<RateSchedule> RateSchedule::from_trace_ms(
     const std::vector<std::int64_t>& opportunities_ms, const TraceConfig& cfg,
     const std::string& origin) {
-  return std::make_unique<TraceSchedule>(opportunities_ms, cfg, origin);
+  TraceFold fold(cfg, origin);
+  for (std::int64_t ms : opportunities_ms) fold.add(ms);
+  return std::make_unique<TraceSchedule>(fold, cfg);
 }
 
 std::unique_ptr<RateSchedule> RateSchedule::from_trace_file(
     const std::string& path, const TraceConfig& cfg) {
-  return from_trace_ms(parse_trace_file(path), cfg, path);
+  TraceFold fold(cfg, path);
+  scan_trace_file(path, [&](std::int64_t ms) { fold.add(ms); });
+  return std::make_unique<TraceSchedule>(fold, cfg);
 }
 
 std::vector<std::int64_t> parse_trace_file(const std::string& path) {
-  std::ifstream in(path);
-  NIMBUS_CHECK_MSG(in.good(), ("cannot open trace file: " + path).c_str());
   std::vector<std::int64_t> out;
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    // Strip trailing CR (traces edited on other platforms) and whitespace.
-    std::size_t end = line.size();
-    while (end > 0 && std::isspace(static_cast<unsigned char>(line[end - 1]))) {
-      --end;
-    }
-    std::size_t begin = 0;
-    while (begin < end &&
-           std::isspace(static_cast<unsigned char>(line[begin]))) {
-      ++begin;
-    }
-    if (begin == end || line[begin] == '#') continue;
-    std::int64_t ms = 0;
-    bool ok = true;
-    for (std::size_t i = begin; i < end; ++i) {
-      const char c = line[i];
-      if (c < '0' || c > '9') {
-        ok = false;
-        break;
-      }
-      // Overflow guard before the multiply (post-hoc sign checks are UB
-      // and can wrap back to an accepted positive value).
-      if (ms > (std::numeric_limits<std::int64_t>::max() - 9) / 10) {
-        ok = false;
-        break;
-      }
-      ms = ms * 10 + (c - '0');
-    }
-    if (!ok) {
-      char msg[256];
-      std::snprintf(msg, sizeof(msg),
-                    "malformed trace line %zu in %s: expected a "
-                    "non-negative integer millisecond timestamp",
-                    lineno, path.c_str());
-      NIMBUS_CHECK_MSG(false, msg);
-    }
+  scan_trace_file(path, [&](std::int64_t ms) {
     NIMBUS_CHECK_MSG(out.empty() || ms >= out.back(),
                      ("trace timestamps must be non-decreasing: " + path)
                          .c_str());
     out.push_back(ms);
-  }
+  });
   NIMBUS_CHECK_MSG(!out.empty(), ("empty trace: " + path).c_str());
   return out;
 }

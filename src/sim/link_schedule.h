@@ -37,6 +37,7 @@
 // threads.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -123,12 +124,16 @@ class RateSchedule {
   using TraceConfig = TraceScheduleConfig;
 
   /// Loads a Mahimahi .trace file (see the header comment for the format
-  /// and bucketing semantics).  CHECK-fails on unreadable files, malformed
-  /// lines, decreasing timestamps, or an empty/zero-length trace.
+  /// and bucketing semantics) in a single chunked pass: the parse_trace_file
+  /// scanner feeds each timestamp straight into the bucket counts, with no
+  /// intermediate timestamp vector.  CHECK-fails exactly as parse_trace_file
+  /// does, and on a decreasing, zero-length or out-of-range (timestamp
+  /// past the TimeNs range) trace or a bad config.
   static std::unique_ptr<RateSchedule> from_trace_file(
       const std::string& path, const TraceConfig& cfg = TraceConfig());
 
-  /// Same, from already-parsed opportunity timestamps (milliseconds).
+  /// Same, from already-parsed opportunity timestamps (milliseconds);
+  /// bit-identical to from_trace_file on the file they were parsed from.
   /// `origin` names the source in error messages.
   static std::unique_ptr<RateSchedule> from_trace_ms(
       const std::vector<std::int64_t>& opportunities_ms,
@@ -136,9 +141,19 @@ class RateSchedule {
       const std::string& origin = "<memory>");
 };
 
-/// Parses a Mahimahi trace file into opportunity timestamps (ms).
-/// Skips blank lines and '#' comments; CHECK-fails on anything else that
-/// is not a non-negative integer, or if timestamps decrease.
+/// Read size of the trace scanner: files are read in chunks of this many
+/// bytes into one reused buffer, and lines may straddle chunks.
+inline constexpr std::size_t kTraceReadChunk = 64 * 1024;
+
+/// Parses a Mahimahi trace file into opportunity timestamps (ms) in one
+/// chunked byte pass.  Each line is trimmed of C-locale whitespace (space
+/// and \t \n \v \f \r, so CRLF files load); blank lines and lines whose
+/// first non-blank byte is '#' are skipped.  CHECK-fails with
+/// "cannot open trace file" if the file cannot be opened, "cannot read
+/// trace file" on a read error (a directory, an I/O error mid-file),
+/// "malformed trace line N" on any other line that is not a non-negative
+/// decimal integer fitting int64, "non-decreasing" if timestamps decrease,
+/// and "empty trace" if no timestamp remains.
 std::vector<std::int64_t> parse_trace_file(const std::string& path);
 
 /// Writes opportunity timestamps in Mahimahi format (one ms per line) —

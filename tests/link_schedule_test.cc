@@ -3,7 +3,10 @@
 //   * per-kind schedule semantics (constant/steps/sine/random-walk/trace)
 //     and validation death tests;
 //   * trace-file round-trip (write -> parse), comment/whitespace
-//     tolerance, and malformed-input death tests;
+//     tolerance, lines straddling read chunks, malformed-input and
+//     read-error death tests with exact line numbers;
+//   * the streamed file fold == the parsed-vector fold == the modulo
+//     definition, bit for bit, on the checked-in traces;
 //   * random-walk determinism under exp::derive_seed, including
 //     random-access == sequential-access memoisation;
 //   * the checked-in data/traces/ files (loadable, sane means);
@@ -14,7 +17,10 @@
 //     outputs byte-identically.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -31,6 +37,21 @@ using sim::RateStep;
 
 std::string temp_trace_path(const std::string& name) {
   return testing::TempDir() + "/" + name;
+}
+
+// Writes `content` verbatim (embedded NULs included) and returns the path.
+std::string write_raw(const std::string& name, const std::string& content) {
+  const std::string path = temp_trace_path(name);
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  std::fwrite(content.data(), 1, content.size(), f);
+  std::fclose(f);
+  return path;
+}
+
+std::uint64_t bits(double v) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
 }
 
 // --- schedule kinds ------------------------------------------------------
@@ -159,6 +180,73 @@ TEST(TraceParseTest, MalformedInputsDie) {
   EXPECT_DEATH(RateSchedule::from_trace_ms({0}), "period is zero");
 }
 
+TEST(TraceParseTest, DirectoryIsAReadError) {
+  // fopen succeeds on a directory; the first read fails (EISDIR).
+  EXPECT_DEATH(sim::parse_trace_file(testing::TempDir()),
+               "cannot read trace file");
+  EXPECT_DEATH(RateSchedule::from_trace_file(testing::TempDir()),
+               "cannot read trace file");
+}
+
+// The scanner reads kTraceReadChunk-byte chunks; a line's state must carry
+// across every boundary it straddles.
+TEST(TraceParseTest, LinesStraddlingReadChunks) {
+  const std::size_t chunk = sim::kTraceReadChunk;
+  // A comment filling the first chunk but its last 2 bytes, so "12345"
+  // splits "12" | "345".
+  const std::string filler = "#" + std::string(chunk - 4, 'x') + "\n";
+  EXPECT_EQ(sim::parse_trace_file(write_raw("split-digits.trace",
+                                            filler + "12345\n67890\n")),
+            (std::vector<std::int64_t>{12345, 67890}));
+  // CR at the end of one chunk, its LF at the start of the next.
+  EXPECT_EQ(sim::parse_trace_file(write_raw(
+                "split-crlf.trace", std::string(chunk - 2, ' ') + "8\r\n9")),
+            (std::vector<std::int64_t>{8, 9}));
+  // Single lines longer than a chunk: leading zeros, leading blanks, a
+  // comment.
+  const std::string zeros = std::string(chunk + 100, '0') + "42\n";
+  const std::string blanks = std::string(2 * chunk, ' ') + "43\t\n";
+  const std::string comment = "#" + std::string(chunk + 7, '9') + "\n44";
+  EXPECT_EQ(
+      sim::parse_trace_file(write_raw("long.trace", zeros + blanks + comment)),
+      (std::vector<std::int64_t>{42, 43, 44}));
+}
+
+TEST(TraceParseTest, CLocaleWhitespaceCommentsAndLastLine) {
+  // \t \v \f \r and space trim on either side; '#' after leading blanks
+  // is a comment; the last line needs no newline.
+  EXPECT_EQ(sim::parse_trace_file(write_raw(
+                "ws.trace", "\t5\v\n\f6\f\r\n7\r\n \t# 8\n\v\f\r\n 9 \t")),
+            (std::vector<std::int64_t>{5, 6, 7, 9}));
+  EXPECT_EQ(sim::parse_trace_file(write_raw("no-newline.trace", "5\n10")),
+            (std::vector<std::int64_t>{5, 10}));
+}
+
+TEST(TraceParseTest, MalformedLineNumbers) {
+  // An embedded NUL is neither a digit nor whitespace.
+  EXPECT_DEATH(sim::parse_trace_file(
+                   write_raw("nul.trace", std::string("5\n6\0\n7\n", 7))),
+               "malformed trace line 2 in");
+  EXPECT_DEATH(
+      sim::parse_trace_file(write_raw("nul-only.trace", std::string("\0", 1))),
+      "malformed trace line 1 in");
+  // Interior whitespace and a trailing comment are malformed too.
+  EXPECT_DEATH(sim::parse_trace_file(write_raw("gap.trace", "5\n6 7\n")),
+               "malformed trace line 2 in");
+  EXPECT_DEATH(sim::parse_trace_file(write_raw("tail.trace", "5 # c\n")),
+               "malformed trace line 1 in");
+  // Line numbers keep counting across chunks: 20000 five-byte lines fill
+  // more than one chunk before the bad line.
+  std::string many;
+  for (int i = 0; i < 20000; ++i) many += "1000\n";
+  ASSERT_GT(many.size(), sim::kTraceReadChunk);
+  EXPECT_DEATH(sim::parse_trace_file(write_raw("late.trace", many + "12a\n")),
+               "malformed trace line 20001 in");
+  EXPECT_DEATH(
+      RateSchedule::from_trace_file(write_raw("late2.trace", many + "\n-1")),
+      "malformed trace line 20002 in");
+}
+
 TEST(TraceScheduleTest, BucketedRatesAndLooping) {
   // 8 opportunities in the first 10 ms bucket, none in the second; period
   // 20 ms.  One opportunity = 1504 bytes.
@@ -182,6 +270,82 @@ TEST(TraceScheduleTest, BucketedRatesAndLooping) {
   scaled.scale = 2.0;
   EXPECT_DOUBLE_EQ(RateSchedule::from_trace_ms(ms, scaled)->rate_at(0),
                    18 * opp_bps);
+}
+
+// Several opportunities at a bucket-aligned final timestamp fold onto
+// bucket 0 of the next cycle, whether loaded from a file or a vector.
+TEST(TraceScheduleTest, AlignedFinalTimestampFoldsFromFile) {
+  const std::vector<std::int64_t> ms = {0, 1, 5, 20, 20, 20};
+  const std::string path = temp_trace_path("aligned.trace");
+  sim::write_trace_file(path, ms);
+  RateSchedule::TraceConfig cfg;
+  cfg.bucket = from_ms(10);
+  const auto s = RateSchedule::from_trace_file(path, cfg);
+  const double opp_bps = 1504 * 8 / to_sec(from_ms(10));
+  EXPECT_EQ(s->rate_at(0), 6 * opp_bps);            // 3 + the folded 3
+  EXPECT_EQ(s->rate_at(from_ms(10)), opp_bps);      // empty: the floor
+  EXPECT_EQ(s->rate_at(from_ms(20)), 6 * opp_bps);  // period 20 ms
+  EXPECT_EQ(s->mean_rate_bps(), (6 * opp_bps + opp_bps) / 2.0);
+  const auto v = RateSchedule::from_trace_ms(ms, cfg);
+  for (TimeNs t = 0; t < from_ms(40); t += from_ms(10)) {
+    EXPECT_EQ(bits(s->rate_at(t)), bits(v->rate_at(t)));
+  }
+}
+
+// The per-bucket rates from_trace_ms must give: every opportunity binned
+// at (ms·1e6 mod period) / bucket, period = last ms rounded up to whole
+// buckets — the definition the incremental fold reproduces without a
+// per-opportunity modulo.
+std::vector<double> reference_rates(const std::vector<std::int64_t>& ms,
+                                    const RateSchedule::TraceConfig& cfg) {
+  const TimeNs last = ms.back() * kNanosPerMs;
+  const TimeNs period = ((last + cfg.bucket - 1) / cfg.bucket) * cfg.bucket;
+  std::vector<std::int64_t> counts(
+      static_cast<std::size_t>(period / cfg.bucket), 0);
+  for (std::int64_t m : ms) {
+    counts[static_cast<std::size_t>(((m * kNanosPerMs) % period) /
+                                    cfg.bucket)]++;
+  }
+  const double opp_bits = static_cast<double>(cfg.bytes_per_opportunity) * 8.0;
+  const double bucket_sec = to_sec(cfg.bucket);
+  std::vector<double> rates;
+  for (std::int64_t c : counts) {
+    rates.push_back(std::max(static_cast<double>(c) * opp_bits / bucket_sec *
+                                 cfg.scale,
+                             opp_bits / bucket_sec));
+  }
+  return rates;
+}
+
+// Streaming a file into the fold equals parsing it to a vector first, and
+// both equal the modulo definition — bit for bit, for every bucket of the
+// period and the mean, at bucket widths that do and do not divide 1 s.
+TEST(TraceScheduleTest, StreamedFileEqualsParsedVectorBitForBit) {
+  const std::string dir = std::string(NIMBUS_SOURCE_DIR) + "/data/traces";
+  for (const char* name : {"cellular.trace", "wifi.trace"}) {
+    const std::string path = dir + "/" + name;
+    const std::vector<std::int64_t> ms = sim::parse_trace_file(path);
+    for (TimeNs bucket : {from_ms(10), from_sec(1), from_ms(7)}) {
+      RateSchedule::TraceConfig cfg;
+      cfg.bucket = bucket;
+      const auto streamed = RateSchedule::from_trace_file(path, cfg);
+      const auto parsed = RateSchedule::from_trace_ms(ms, cfg);
+      const std::vector<double> want = reference_rates(ms, cfg);
+      double sum = 0.0;
+      for (double r : want) sum += r;
+      const double mean = sum / static_cast<double>(want.size());
+      EXPECT_EQ(bits(streamed->mean_rate_bps()), bits(mean)) << name;
+      EXPECT_EQ(bits(parsed->mean_rate_bps()), bits(mean)) << name;
+      for (std::size_t k = 0; k <= want.size(); ++k) {
+        const TimeNs t = static_cast<TimeNs>(k) * bucket;
+        const double w = want[k % want.size()];  // k == size: wrapped
+        ASSERT_EQ(bits(streamed->rate_at(t)), bits(w))
+            << name << " bucket " << bucket << " k " << k;
+        ASSERT_EQ(bits(parsed->rate_at(t)), bits(w))
+            << name << " bucket " << bucket << " k " << k;
+      }
+    }
+  }
 }
 
 TEST(TraceScheduleTest, CheckedInTracesLoad) {

@@ -411,6 +411,48 @@ TEST(ByteCounterTest, BucketedStillRejectsTimeTravel) {
   EXPECT_DEATH(c.add(from_ms(3), 100), "time-ordered");
 }
 
+// The overwrite fast path (same bucket as the last sample) must store
+// exactly what the division formula gives: stamp (t / b) * b + b - 1 and
+// the cumulative after the last add in that bucket.  Adds land on bucket
+// edges t = 0, k*b - 1 and k*b, where an off-by-one in the fast-path
+// range would merge two buckets or split one.
+TEST(ByteCounterTest, BucketedStampsMatchTheFormula) {
+  const TimeNs b = 1000;
+  const std::vector<TimeNs> adds = {0,         0,         b - 1,     b,
+                                    2 * b - 1, 2 * b,     2 * b,     3 * b - 1,
+                                    5 * b - 1, 5 * b,     5 * b + 1, 6 * b - 1,
+                                    9 * b,     10 * b - 1};
+  util::ByteCounter c(b);
+  std::vector<TimeNs> stamps;
+  std::vector<std::int64_t> cumulative;
+  std::int64_t total = 0;
+  for (std::size_t i = 0; i < adds.size(); ++i) {
+    const std::int64_t bytes = std::int64_t{1} << i;  // distinct: no sum hides a merge
+    c.add(adds[i], bytes);
+    total += bytes;
+    const TimeNs stamp = (adds[i] / b) * b + b - 1;
+    if (stamps.empty() || stamps.back() != stamp) {
+      stamps.push_back(stamp);
+      cumulative.push_back(total);
+    } else {
+      cumulative.back() = total;
+    }
+  }
+  EXPECT_EQ(c.total(), total);
+  ASSERT_EQ(c.samples(), stamps.size());
+  // A sample stamped s counts in [0, s + 1) but not in [0, s).
+  std::int64_t before = 0;
+  for (std::size_t i = 0; i < stamps.size(); ++i) {
+    EXPECT_EQ(c.bytes_in(0, stamps[i]), before) << "stamp " << stamps[i];
+    EXPECT_EQ(c.bytes_in(0, stamps[i] + 1), cumulative[i])
+        << "stamp " << stamps[i];
+    before = cumulative[i];
+  }
+  // One nanosecond before the last bucket opened is time travel, not an
+  // overwrite.
+  EXPECT_DEATH(c.add(9 * b - 1, 1), "time-ordered");
+}
+
 // --- csv ---
 
 TEST(CsvTest, FormatNum) {
