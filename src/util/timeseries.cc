@@ -97,12 +97,6 @@ void TimeSeries::clear() {
 
 void ByteCounter::add(TimeNs t, std::int64_t bytes) {
   total_ += bytes;
-  // Same bucket as the last sample: overwrite its cumulative without
-  // recomputing the stamp (two compares instead of a division).
-  if (t >= bucket_lo_ && !times_.empty() && t <= times_.back()) {
-    cumulative_.back() = total_;
-    return;
-  }
   // Bucketed mode stamps the sample at the bucket's last nanosecond, so a
   // bucket-aligned boundary B sees exactly the packets delivered before B
   // (their stamps are <= B-1) — the same answer the exact mode gives.
@@ -115,9 +109,6 @@ void ByteCounter::add(TimeNs t, std::int64_t bytes) {
                    "ByteCounter samples must be time-ordered");
   times_.push_back(stamp);
   cumulative_.push_back(total_);
-  // Every t >= 0 in [stamp - bucket + 1, stamp] maps to this stamp (a
-  // negative t truncates toward zero, so the fast path skips it).
-  if (bucket_ > 0) bucket_lo_ = std::max<TimeNs>(stamp - bucket_ + 1, 0);
 }
 
 std::int64_t ByteCounter::bytes_in(TimeNs t0, TimeNs t1) const {

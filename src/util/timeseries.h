@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstddef>
-#include <limits>
 #include <optional>
 #include <vector>
 
@@ -101,9 +100,6 @@ class ByteCounter {
   std::vector<std::int64_t> cumulative_;  // cumulative bytes after the event
   std::int64_t total_ = 0;
   TimeNs bucket_ = 0;  // 0 = exact per-add samples
-  // First nanosecond of the bucket stamped times_.back(); adds in
-  // [bucket_lo_, times_.back()] only overwrite.  Never set in exact mode.
-  TimeNs bucket_lo_ = std::numeric_limits<TimeNs>::max();
 };
 
 }  // namespace nimbus::util

@@ -411,11 +411,10 @@ TEST(ByteCounterTest, BucketedStillRejectsTimeTravel) {
   EXPECT_DEATH(c.add(from_ms(3), 100), "time-ordered");
 }
 
-// The overwrite fast path (same bucket as the last sample) must store
-// exactly what the division formula gives: stamp (t / b) * b + b - 1 and
-// the cumulative after the last add in that bucket.  Adds land on bucket
-// edges t = 0, k*b - 1 and k*b, where an off-by-one in the fast-path
-// range would merge two buckets or split one.
+// Bucketed mode stores exactly what the division formula gives: stamp
+// (t / b) * b + b - 1 and the cumulative after the last add in that
+// bucket.  Adds land on bucket edges t = 0, k*b - 1 and k*b, where an
+// off-by-one in the bucketing would merge two buckets or split one.
 TEST(ByteCounterTest, BucketedStampsMatchTheFormula) {
   const TimeNs b = 1000;
   const std::vector<TimeNs> adds = {0,         0,         b - 1,     b,
