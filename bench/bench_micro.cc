@@ -542,7 +542,8 @@ struct LegacyMapRecorder {
 };
 
 // Interleaved deliveries + RTT samples across 8 flows (one tracked), the
-// mix Network feeds the recorder.  Each iteration records one recorder
+// mix Network feeds the recorder (the current recorder keeps an RTT series
+// for the tracked flow only; the legacy one kept all eight).  Each iteration records one recorder
 // lifetime (fresh object, 32k deliveries) so successive iterations measure
 // the same state shape.  Items = deliveries.
 template <typename Rec>

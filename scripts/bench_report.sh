@@ -22,7 +22,7 @@
 #               host-independent.  Pairs marked gated are the structural
 #               rewrites, whose speedups dwarf measurement noise; parity
 #               pairs are reported but not gated.)
-#   output      defaults to BENCH_PR13.json in the repo root
+#   output      defaults to BENCH_PR14.json in the repo root
 #
 # The "before" numbers come from the same binary: bench_micro runs every
 # workload against a verbatim copy of the previous implementation
@@ -35,7 +35,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 QUICK=0
-OUT=BENCH_PR13.json
+OUT=BENCH_PR14.json
 COMPARE=""
 while [ $# -gt 0 ]; do
   case "$1" in
@@ -165,7 +165,7 @@ cubic = by_name.get("BM_SimulatedSecondCubic")
 scenario = by_name.get("BM_SimulatedSecondScenario")
 
 report = {
-    "pr": 13,
+    "pr": 14,
     "generated_by": "scripts/bench_report.sh"
                     + (" --quick" if os.environ["QUICK"] == "1" else ""),
     "host": micro.get("context", {}),

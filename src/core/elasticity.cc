@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "spectral/fft.h"
 #include "spectral/goertzel.h"
@@ -65,15 +66,48 @@ BinSpan evaluate_span(double f_hz, std::size_t n, double fs, double tol) {
   return {std::min(num_lo, den_lo), std::max(num_hi, den_hi)};
 }
 
+/// Squared-magnitude proxy of a source that has no cheap one: an infinite
+/// square never lets BandMax skip a bin.
+constexpr auto kNoPower = [](std::size_t) {
+  return std::numeric_limits<double>::infinity();
+};
+
+/// Running max of bin magnitudes that pays for a bin's magnitude (a hypot
+/// or a Goertzel sweep) only when the bin's squared-magnitude proxy comes
+/// within a relative 1e-9 of the held bin's.  The proxy and the magnitude
+/// each carry a few ulps of rounding, so a bin further below cannot reach
+/// the held magnitude: skipping it leaves the max, its bin and the winner
+/// of a tie exactly as a scan that takes every magnitude.  A held proxy
+/// that is not a normal number (zero, subnormal, or kNoPower's infinity)
+/// disables the skip.
+struct BandMax {
+  double mag = 0.0;
+  double power = 0.0;  // proxy of the bin that holds mag
+
+  /// Offers a bin; true when its magnitude strictly exceeds the held one.
+  template <typename MagFn>
+  bool offer(double bin_power, MagFn&& bin_mag) {
+    if (std::isnormal(power) && bin_power < power * (1.0 - 1e-9)) {
+      return false;
+    }
+    const double m = bin_mag();
+    if (!(m > mag)) return false;
+    mag = m;
+    power = bin_power;
+    return true;
+  }
+};
+
 /// Eq. (3) band scan over any per-bin magnitude source.  The scan shape —
 /// loop bounds, tolerance tests, tie-breaking by max — is shared verbatim
-/// by the reference recompute (mag = Goertzel over the windowed snapshot)
-/// and the incremental engine (mag = O(1) sliding-DFT band lookup), so the
-/// two paths can only differ in per-bin floating-point error, never in
-/// which bins they consider.
-template <typename MagFn>
+/// by the reference recompute (mag = Goertzel over the windowed snapshot,
+/// no proxy) and the incremental engine (mag = O(1) sliding-DFT band
+/// lookup, power = its hypot-free square), so the two paths can only
+/// differ in per-bin floating-point error, never in which bins they
+/// consider.
+template <typename PowerFn, typename MagFn>
 DetectorResult evaluate_band(const DetectorConfig& cfg, std::size_t n,
-                             double f_pulse_hz, MagFn&& mag) {
+                             double f_pulse_hz, PowerFn&& power, MagFn&& mag) {
   DetectorResult r;
   r.valid = true;
   const double fs = cfg.sample_rate_hz;
@@ -83,45 +117,42 @@ DetectorResult evaluate_band(const DetectorConfig& cfg, std::size_t n,
 
   // Numerator: strongest bin within tolerance of f_p.
   const std::size_t center = spectral::frequency_bin(f_pulse_hz, n, fs);
-  double num = 0.0;
+  BandMax num;
   for (std::size_t k = (center > 2 ? center - 2 : 1); k <= center + 2; ++k) {
     if (std::abs(bin_freq(k) - f_pulse_hz) <= cfg.tolerance_hz + 1e-9) {
-      num = std::max(num, mag(k));
+      num.offer(power(k), [&] { return mag(k); });
     }
   }
-  r.pulse_magnitude = num;
+  r.pulse_magnitude = num.mag;
 
   // Denominator: peak strictly inside (f_p + tol, 2 f_p).
   const std::size_t lo =
       spectral::frequency_bin(f_pulse_hz + cfg.tolerance_hz, n, fs);
   const std::size_t hi = spectral::frequency_bin(2.0 * f_pulse_hz, n, fs);
-  double denom = 0.0;
+  BandMax den;
   for (std::size_t k = std::max<std::size_t>(lo, 1); k <= hi; ++k) {
     const double f = bin_freq(k);
-    if (f > f_pulse_hz + cfg.tolerance_hz && f < 2.0 * f_pulse_hz) {
-      const double m = mag(k);
-      if (m > denom) {
-        denom = m;
-        r.band_max_bin = k;
-      }
+    if (f > f_pulse_hz + cfg.tolerance_hz && f < 2.0 * f_pulse_hz &&
+        den.offer(power(k), [&] { return mag(k); })) {
+      r.band_max_bin = k;
     }
   }
-  r.band_max_magnitude = denom;
+  r.band_max_magnitude = den.mag;
 
-  r.eta = denom > 0.0 ? num / denom : (num > 0.0 ? 1e9 : 0.0);
+  r.eta = den.mag > 0.0 ? num.mag / den.mag : (num.mag > 0.0 ? 1e9 : 0.0);
   r.elastic = r.eta >= cfg.eta_threshold;
   return r;
 }
 
-template <typename MagFn>
+template <typename PowerFn, typename MagFn>
 double magnitude_near_band(std::size_t n, double fs, double f_hz,
-                           MagFn&& mag) {
+                           PowerFn&& power, MagFn&& mag) {
   const std::size_t center = spectral::frequency_bin(f_hz, n, fs);
-  double best = 0.0;
+  BandMax best;
   for (std::size_t k = (center > 1 ? center - 1 : 1); k <= center + 1; ++k) {
-    best = std::max(best, mag(k));
+    best.offer(power(k), [&] { return mag(k); });
   }
-  return best;
+  return best.mag;
 }
 
 }  // namespace
@@ -156,15 +187,16 @@ ReferenceElasticityDetector::Result ReferenceElasticityDetector::evaluate(
     double f_pulse_hz) const {
   if (!ready()) return Result();
   const std::vector<double>& x = windowed_snapshot();
-  return evaluate_band(cfg_, x.size(), f_pulse_hz, [&x](std::size_t k) {
-    return spectral::goertzel_magnitude(x, k);
-  });
+  return evaluate_band(cfg_, x.size(), f_pulse_hz, kNoPower,
+                       [&x](std::size_t k) {
+                         return spectral::goertzel_magnitude(x, k);
+                       });
 }
 
 double ReferenceElasticityDetector::magnitude_near(double f_hz) const {
   if (!ready()) return 0.0;
   const std::vector<double>& x = windowed_snapshot();
-  return magnitude_near_band(x.size(), cfg_.sample_rate_hz, f_hz,
+  return magnitude_near_band(x.size(), cfg_.sample_rate_hz, f_hz, kNoPower,
                              [&x](std::size_t k) {
                                return spectral::goertzel_magnitude(x, k);
                              });
@@ -224,9 +256,10 @@ ElasticityDetector::Result ElasticityDetector::evaluate(
     return ref_.evaluate(f_pulse_hz);
   }
   const spectral::SlidingDft& dft = *dft_;
-  return evaluate_band(cfg_, n, f_pulse_hz, [&dft](std::size_t k) {
-    return dft.hann_magnitude(k);
-  });
+  return evaluate_band(
+      cfg_, n, f_pulse_hz,
+      [&dft](std::size_t k) { return dft.hann_power(k); },
+      [&dft](std::size_t k) { return dft.hann_magnitude(k); });
 }
 
 double ElasticityDetector::magnitude_near(double f_hz) const {
@@ -237,10 +270,10 @@ double ElasticityDetector::magnitude_near(double f_hz) const {
   const std::size_t lo = center > 1 ? center - 1 : 1;
   if (!engine_covers(lo, center + 1)) return ref_.magnitude_near(f_hz);
   const spectral::SlidingDft& dft = *dft_;
-  return magnitude_near_band(n, cfg_.sample_rate_hz, f_hz,
-                             [&dft](std::size_t k) {
-                               return dft.hann_magnitude(k);
-                             });
+  return magnitude_near_band(
+      n, cfg_.sample_rate_hz, f_hz,
+      [&dft](std::size_t k) { return dft.hann_power(k); },
+      [&dft](std::size_t k) { return dft.hann_magnitude(k); });
 }
 
 }  // namespace nimbus::core

@@ -470,7 +470,11 @@ void Nimbus::on_report(sim::CcContext& ctx, const sim::CcReport& report) {
   }
   detector_.add_sample(last_z_);
   z_mean_filter_.add(report.now, last_z_);
-  recv_watch_.add_sample(report.rates_valid ? report.recv_rate_bps : 0.0);
+  // Only the multi-flow role logic (watcher_logic, pulser_conflict_check)
+  // reads the receive-rate spectrum.
+  if (cfg_.multiflow) {
+    recv_watch_.add_sample(report.rates_valid ? report.recv_rate_bps : 0.0);
+  }
 
   // Delay-mode rate rule runs on the report cadence.  A watcher feeds the
   // rule low-passed measurements: reacting to the pulser's f_p oscillation

@@ -184,6 +184,7 @@ class Nimbus final : public sim::CcAlgorithm {
   AsymmetricPulse pulse_;
   ElasticityDetector detector_;   // of z(t)
   ElasticityDetector recv_watch_; // of R(t): watcher + conflict detection
+                                  // (fed in multi-flow mode only)
   MuEstimator mu_est_;
 
   // Inner algorithms.

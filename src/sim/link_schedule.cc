@@ -270,8 +270,14 @@ inline bool is_blank(unsigned char c) {
 // chunk boundaries: leading blanks, then either a '#' comment, digits
 // (overflow-guarded before each multiply) and trailing blanks, or
 // nothing.  Anything else on a line is malformed.
+//
+// Out of line and 64-byte aligned: the per-byte loop's speed depends on
+// where it falls relative to cache-line boundaries, and inlined into its
+// caller it moved with every unrelated code-size change elsewhere in the
+// binary (~20% of perfbench varlink set-up from layout alone).
 template <typename Sink>
-void scan_trace_file(const std::string& path, Sink&& on_ms) {
+__attribute__((noinline, aligned(64))) void scan_trace_file(
+    const std::string& path, Sink&& on_ms) {
   const std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(
       std::fopen(path.c_str(), "rb"), &std::fclose);
   NIMBUS_CHECK_MSG(f != nullptr, ("cannot open trace file: " + path).c_str());

@@ -8,8 +8,10 @@
 // cross-traffic estimator (Eq. 1) depends on.  n is one window's worth of
 // packets (section 3.4: "our implementation measures S and R over one RTT").
 //
-// rates() is queried on every ACK (Nimbus and BBR both read it through
-// CcContext::send_rate_bps/recv_rate_bps), so the implementation is a
+// The transport computes rates() lazily, when a reader asks: once per
+// 10 ms report for Nimbus and the other report-driven algorithms, and on
+// every ACK for BBR, which reads CcContext::send_rate_bps/recv_rate_bps
+// in on_ack.  Reads must stay cheap, so the implementation is a
 // power-of-two ring indexed by the global ack count, and each sample
 // carries the running total of acked bytes: n_bytes over any window is one
 // subtraction of two exact integer prefix sums instead of the reference

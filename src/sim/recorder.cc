@@ -63,14 +63,27 @@ void Recorder::on_drop(const Packet& p) {
   ++total_drops_;
 }
 
+void Recorder::track_flow(FlowId id) {
+  if (id >= tracked_.size()) tracked_.resize(id + 1, kUntracked);
+  NIMBUS_CHECK_MSG(tracked_[id] != kWiredUntracked,
+                   "track_flow after Network::add_flow: the flow's RTT "
+                   "series would stay empty; track it before adding it");
+  tracked_[id] = kTracked;
+}
+
 util::TimeSeries* Recorder::rtt_series(FlowId id) {
+  if (!is_tracked(id)) {
+    if (id >= tracked_.size()) tracked_.resize(id + 1, kUntracked);
+    tracked_[id] = kWiredUntracked;
+    return nullptr;
+  }
   if (id >= rtt_.size()) rtt_.resize(id + 1);
   if (!rtt_[id]) rtt_[id] = std::make_unique<util::TimeSeries>();
   return rtt_[id].get();
 }
 
 void Recorder::on_rtt_sample(FlowId id, TimeNs now, TimeNs rtt) {
-  rtt_series(id)->add(now, to_ms(rtt));
+  if (is_tracked(id)) rtt_series(id)->add(now, to_ms(rtt));
 }
 
 void Recorder::on_completion(FlowId id, TimeNs when, TimeNs fct,

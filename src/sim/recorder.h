@@ -1,14 +1,20 @@
-// Experiment measurement: per-flow delivered bytes, RTT samples, per-packet
-// queueing delay for tracked flows, sampled queue state, drops, and flow
-// completion times.
+// Experiment measurement: per-flow delivered bytes, RTT samples and
+// per-packet queueing delay for tracked flows, sampled queue state, drops,
+// and flow completion times.
+//
+// Tracked-only rule: RTT and queueing-delay series exist only for flows
+// registered with track_flow (experiment protagonists).  Every other flow
+// gets byte counters and drop counts, which are cheap; its rtt_samples()
+// and queue_delay() are empty.  A flow's tracking must be registered
+// before Network::add_flow wires its ACK handler.
 //
 // Flow ids are small and dense (the Network allocates them sequentially),
 // so all per-flow state is held in flat vectors indexed by FlowId instead
 // of the PR 2-era std::map/std::set — the per-delivery and per-ACK hooks
 // are branch + array-index instead of a tree walk.  RTT series live behind
-// stable unique_ptr cells so Network can hand each TransportFlow's ACK
-// handler a direct TimeSeries pointer (rtt_series()) that survives later
-// flow registrations.
+// stable unique_ptr cells so Network can hand each tracked TransportFlow's
+// ACK handler a direct TimeSeries pointer (rtt_series()) that survives
+// later flow registrations.
 #pragma once
 
 #include <cstdint>
@@ -36,12 +42,11 @@ class Recorder {
   /// never reallocates).
   void expect_duration(TimeNs duration);
 
-  /// Tracked flows get per-packet queueing-delay series (others only get
-  /// byte counters, which are cheap).
-  void track_flow(FlowId id) {
-    if (id >= tracked_.size()) tracked_.resize(id + 1, 0);
-    tracked_[id] = 1;
-  }
+  /// Tracked flows get per-packet queueing-delay and RTT series (others
+  /// only get byte counters, which are cheap).  Call before the flow is
+  /// added to the Network: tracking a flow whose ACK handler was already
+  /// wired untracked CHECK-fails rather than silently record nothing.
+  void track_flow(FlowId id);
 
   // --- hooks called by Network ---
   void on_delivery(const Packet& p, TimeNs dequeue_done);
@@ -50,9 +55,11 @@ class Recorder {
   void on_completion(FlowId id, TimeNs when, TimeNs fct,
                      std::int64_t flow_bytes);
 
-  /// Stable per-flow RTT series cell (created on first use): Network wires
-  /// each flow's ACK handler to this pointer, so the per-ACK hot path adds
-  /// a sample with zero lookups.
+  /// Stable RTT series cell of a tracked flow (created on first use), or
+  /// nullptr for an untracked one.  Network::add_flow wires each tracked
+  /// flow's ACK handler to this pointer, so the per-ACK hot path adds a
+  /// sample with zero lookups; untracked flows get no handler at all.
+  /// Fixes the flow's tracking state (see track_flow).
   util::TimeSeries* rtt_series(FlowId id);
 
   // --- accessors ---
@@ -63,7 +70,7 @@ class Recorder {
                             TimeNs t1) const;
   /// Per-packet queueing delay (tracked flows only).
   const util::TimeSeries& queue_delay(FlowId id) const;
-  /// RTT samples per flow (only for flows wired via rtt handler).
+  /// RTT samples per flow (tracked flows only).
   const util::TimeSeries& rtt_samples(FlowId id) const;
   /// Queue delay sampled by the periodic probe (all traffic).
   const util::TimeSeries& probed_queue_delay() const { return probe_qdelay_; }
@@ -85,15 +92,18 @@ class Recorder {
  private:
   void probe_tick();
   void ensure_flow(FlowId id);
+  // Per-flow tracking state: a flow whose ACK handler was wired untracked
+  // can no longer be tracked.
+  enum : char { kUntracked = 0, kTracked = 1, kWiredUntracked = 2 };
   bool is_tracked(FlowId id) const {
-    return id < tracked_.size() && tracked_[id] != 0;
+    return id < tracked_.size() && tracked_[id] == kTracked;
   }
 
   EventLoop* loop_ = nullptr;
   BottleneckLink* link_ = nullptr;
   TimeNs probe_interval_ = 0;
 
-  std::vector<char> tracked_;                 // indexed by FlowId
+  std::vector<char> tracked_;                 // indexed by FlowId; k* above
   std::vector<char> seen_;                    // had a delivery
   std::vector<util::ByteCounter> delivered_;  // sized together with seen_
   std::vector<std::uint64_t> drops_;

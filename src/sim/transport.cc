@@ -229,8 +229,8 @@ void TransportFlow::handle_ack(const Ack& ack) {
   acked_bytes_total_ += newly_acked;
   ++acked_since_report_;
   sampler_.on_ack(ack.data_sent_at, t, ack.bytes);
-  cached_rates_ = sampler_.rates_over_window(
-      rate_window_bytes_ > 0 ? rate_window_bytes_ : cwnd_bytes_, cfg_.mss);
+  rate_window_at_ack_ =
+      rate_window_bytes_ > 0 ? rate_window_bytes_ : cwnd_bytes_;
   if (on_rtt_sample_) on_rtt_sample_(cfg_.id, t, latest_rtt_);
 
   detect_losses();
@@ -366,9 +366,10 @@ void TransportFlow::report_tick() {
   if (completed_) return;
   CcReport r;
   r.now = loop_->now();
-  r.send_rate_bps = cached_rates_.send_bps;
-  r.recv_rate_bps = cached_rates_.recv_bps;
-  r.rates_valid = cached_rates_.valid;
+  const RateSampler::Rates eq2 = rates();
+  r.send_rate_bps = eq2.send_bps;
+  r.recv_rate_bps = eq2.recv_bps;
+  r.rates_valid = eq2.valid;
   r.srtt = srtt_;
   r.latest_rtt = latest_rtt_;
   r.min_rtt = have_rtt_ ? min_rtt_ : 0;

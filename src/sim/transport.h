@@ -82,7 +82,8 @@ class TransportFlow : public CcContext {
 
   /// (flow, completion_time, fct) when a finite flow is fully acknowledged.
   using CompletionHandler = std::function<void(FlowId, TimeNs, TimeNs)>;
-  /// (flow, now, rtt_sample) on every ACK, for experiment recording.
+  /// (flow, now, rtt_sample) on every ACK, for experiment recording
+  /// (Network installs one for flows the recorder tracks).
   using RttSampleHandler = std::function<void(FlowId, TimeNs, TimeNs)>;
 
   TransportFlow(EventLoop* loop, BottleneckLink* link, Config config,
@@ -139,9 +140,9 @@ class TransportFlow : public CcContext {
   TimeNs min_rtt() const override { return min_rtt_; }
   std::int64_t bytes_in_flight() const override;
   bool is_app_limited() const override;
-  double send_rate_bps() const override { return cached_rates_.send_bps; }
-  double recv_rate_bps() const override { return cached_rates_.recv_bps; }
-  bool rates_valid() const override { return cached_rates_.valid; }
+  double send_rate_bps() const override { return rates().send_bps; }
+  double recv_rate_bps() const override { return rates().recv_bps; }
+  bool rates_valid() const override { return rates().valid; }
   void set_rate_window_bytes(double bytes) override {
     rate_window_bytes_ = bytes;
   }
@@ -174,6 +175,11 @@ class TransportFlow : public CcContext {
   void arm_or_cancel_rto();
   void on_rto_fired();
   void report_tick();
+  /// Eq. 2 rates as of the latest ACK, computed on read: the sampler only
+  /// changes on an ACK, and the window is the one in force at that ACK.
+  RateSampler::Rates rates() const {
+    return sampler_.rates_over_window(rate_window_at_ack_, cfg_.mss);
+  }
   void check_completion();
   std::uint64_t total_packets() const;  // finite flows only
 
@@ -222,8 +228,9 @@ class TransportFlow : public CcContext {
   int rto_backoff_ = 0;
 
   RateSampler sampler_;
-  RateSampler::Rates cached_rates_;
   double rate_window_bytes_ = 0;  // 0: use cwnd
+  // Rate window at the latest ACK, taken before cc_->on_ack may move it.
+  double rate_window_at_ack_ = 0;
 
   // Report-interval counters.
   std::uint32_t acked_since_report_ = 0;

@@ -91,15 +91,23 @@ Complex SlidingDft::centered_bin(std::size_t k) const {
   return bins_[k - ilo_];
 }
 
-double SlidingDft::hann_magnitude(std::size_t k) const {
+Complex SlidingDft::hann_bin(std::size_t k) const {
   // k = 0 is the (windowed) DC bin; the detector never asks for it, and
   // the k-1 neighbour would wrap to N-1, which the band does not maintain.
   NIMBUS_CHECK(tracks(k) && k >= 1);
   // DFT of (x - mean) * periodic_hann at bin k: the window contributes
   // only bins k-1, k, k+1, and mean removal only zeroes bin 0 (mod N).
-  const Complex c = 0.5 * centered_bin(k) - 0.25 * centered_bin(k - 1) -
-                    0.25 * centered_bin(k + 1);
-  return std::abs(c) / static_cast<double>(n_);
+  return 0.5 * centered_bin(k) - 0.25 * centered_bin(k - 1) -
+         0.25 * centered_bin(k + 1);
+}
+
+double SlidingDft::hann_magnitude(std::size_t k) const {
+  return std::abs(hann_bin(k)) / static_cast<double>(n_);
+}
+
+double SlidingDft::hann_power(std::size_t k) const {
+  const Complex c = hann_bin(k);
+  return c.real() * c.real() + c.imag() * c.imag();
 }
 // NIMBUS_HOT_PATH end
 

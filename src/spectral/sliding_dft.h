@@ -78,6 +78,13 @@ class SlidingDft {
   /// detector's windowed snapshot (up to floating-point error).  O(1).
   double hann_magnitude(std::size_t k) const;
 
+  /// re^2 + im^2 of the same coefficient before the 1/N normalization: an
+  /// ordering proxy for hann_magnitude that skips the hypot (written out,
+  /// because libstdc++'s std::norm computes abs()^2).  The detector's band
+  /// scan takes hann_magnitude only for bins whose proxy comes near the
+  /// running maximum.  O(1).
+  double hann_power(std::size_t k) const;
+
   /// Full recomputes performed so far (for tests/diagnostics).
   std::uint64_t resyncs() const { return resyncs_; }
 
@@ -92,6 +99,8 @@ class SlidingDft {
   // Mean-removed coefficient: bin 0 (mod N) of the mean-removed signal is
   // identically zero; every other bin is untouched by mean removal.
   Complex centered_bin(std::size_t k) const;
+  // Unnormalized DFT of the mean-removed, periodic-Hann-windowed window.
+  Complex hann_bin(std::size_t k) const;
 
   std::size_t n_;                // window length N
   std::size_t lo_, hi_;          // queryable band

@@ -6,9 +6,12 @@
 //  * O(1) reset / refill semantics,
 //  * golden eta pins for a fig08-style pulsed-elastic signal (re-baselined
 //    when the detector switched from symmetric to periodic Hann),
+//  * bit equality of the detector's Eq. 3 band scan with a plain per-bin
+//    hann_magnitude scan (random, all-zero and tied-bin windows),
 //  * zero-allocation guarantees for the detector band queries and for the
 //    full Nimbus on_report spectral path, via the same counting
 //    operator-new hook as transport_ring_test.cc.
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -20,6 +23,7 @@
 #include "core/elasticity.h"
 #include "core/nimbus.h"
 #include "sim/cc_interface.h"
+#include "spectral/fft.h"
 #include "spectral/goertzel.h"
 #include "spectral/sliding_dft.h"
 #include "spectral/window.h"
@@ -246,6 +250,113 @@ TEST(SlidingDftDetectorTest, EngineMatchesReferenceDetector) {
               1e-3);
   EXPECT_NEAR(engine.magnitude_near(6.0), reference.magnitude_near(6.0),
               1e-3);
+}
+
+// Eq. 3 written out bin by bin over the engine's hann_magnitude, with no
+// squared-magnitude shortcut: the detector's band scan must return exactly
+// these fields.
+core::DetectorResult per_bin_scan(const core::ElasticityDetector& d,
+                                  double f_p) {
+  const spectral::SlidingDft& dft = *d.engine();
+  const core::DetectorConfig& cfg = d.config();
+  const std::size_t n = d.window_samples();
+  const double fs = cfg.sample_rate_hz;
+  core::DetectorResult r;
+  r.valid = true;
+  const std::size_t center = spectral::frequency_bin(f_p, n, fs);
+  for (std::size_t k = center > 2 ? center - 2 : 1; k <= center + 2; ++k) {
+    const double f = spectral::bin_frequency(k, n, fs);
+    if (std::abs(f - f_p) <= cfg.tolerance_hz + 1e-9) {
+      r.pulse_magnitude = std::max(r.pulse_magnitude, dft.hann_magnitude(k));
+    }
+  }
+  const std::size_t hi = spectral::frequency_bin(2.0 * f_p, n, fs);
+  for (std::size_t k = spectral::frequency_bin(f_p + cfg.tolerance_hz, n, fs);
+       k <= hi; ++k) {
+    const double f = spectral::bin_frequency(k, n, fs);
+    if (f > f_p + cfg.tolerance_hz && f < 2.0 * f_p &&
+        dft.hann_magnitude(k) > r.band_max_magnitude) {
+      r.band_max_magnitude = dft.hann_magnitude(k);
+      r.band_max_bin = k;
+    }
+  }
+  const double num = r.pulse_magnitude, den = r.band_max_magnitude;
+  r.eta = den > 0.0 ? num / den : (num > 0.0 ? 1e9 : 0.0);
+  r.elastic = r.eta >= cfg.eta_threshold;
+  return r;
+}
+
+double per_bin_near(const core::ElasticityDetector& d, double f) {
+  const std::size_t center = spectral::frequency_bin(
+      f, d.window_samples(), d.config().sample_rate_hz);
+  double best = 0.0;
+  for (std::size_t k = center - 1; k <= center + 1; ++k) {
+    best = std::max(best, d.engine()->hann_magnitude(k));
+  }
+  return best;
+}
+
+void expect_scan_bit_equal(const core::ElasticityDetector& d) {
+  for (double f : {5.0, 6.0}) {
+    const core::DetectorResult got = d.evaluate(f);
+    const core::DetectorResult want = per_bin_scan(d, f);
+    EXPECT_EQ(got.eta, want.eta) << "f=" << f;
+    EXPECT_EQ(got.elastic, want.elastic) << "f=" << f;
+    EXPECT_EQ(got.pulse_magnitude, want.pulse_magnitude) << "f=" << f;
+    EXPECT_EQ(got.band_max_bin, want.band_max_bin) << "f=" << f;
+    EXPECT_EQ(got.band_max_magnitude, want.band_max_magnitude) << "f=" << f;
+    EXPECT_EQ(d.magnitude_near(f), per_bin_near(d, f)) << "f=" << f;
+  }
+}
+
+TEST(SlidingDftDetectorTest, BandScanBitEqualToPerBinMagnitudes) {
+  core::ElasticityDetector d{core::DetectorConfig{}};
+  ASSERT_NE(d.engine(), nullptr);
+  util::Rng rng(2024);
+  // Random windows: noise of drifting scale plus a weak 5 Hz tone, checked
+  // at many offsets as the window slides.
+  for (int i = 0; i < 3000; ++i) {
+    const double t = i / 100.0;
+    const double scale = 1e5 * (1.0 + 50.0 * rng.uniform());
+    d.add_sample(rng.normal(0.0, scale) + 3e5 * std::sin(2.0 * M_PI * 5.0 * t));
+    if (d.ready() && i % 7 == 0) expect_scan_bit_equal(d);
+  }
+}
+
+TEST(SlidingDftDetectorTest, BandScanBitEqualOnAllZeroWindow) {
+  core::ElasticityDetector d{core::DetectorConfig{}};
+  for (std::size_t i = 0; i < d.window_samples(); ++i) d.add_sample(0.0);
+  ASSERT_TRUE(d.ready());
+  expect_scan_bit_equal(d);
+  const core::DetectorResult r = d.evaluate(5.0);
+  EXPECT_EQ(r.eta, 0.0);
+  EXPECT_EQ(r.band_max_bin, 0u);
+  EXPECT_EQ(r.band_max_magnitude, 0.0);
+}
+
+TEST(SlidingDftDetectorTest, BandScanBitEqualOnTiedDenominatorBins) {
+  // Equal-amplitude tones on exact bins 35 and 45 (7 and 9 Hz), both
+  // inside f_p = 5 Hz's (5.25, 10) Hz denominator band: their magnitudes
+  // agree to rounding, so the scan must resolve the tie on |c| itself.
+  // The 9 Hz tone is also skewed a hair either way (far inside the 1e-9
+  // proxy margin), so the later bin must win exactly when it is larger.
+  for (double skew : {0.0, 1e-12, -1e-12}) {
+    core::ElasticityDetector d{core::DetectorConfig{}};
+    for (std::size_t i = 0; i < d.window_samples() + 123; ++i) {
+      const double t = static_cast<double>(i) / 100.0;
+      d.add_sample(1e6 * (std::sin(2.0 * M_PI * 7.0 * t) +
+                          (1.0 + skew) * std::sin(2.0 * M_PI * 9.0 * t)));
+    }
+    const spectral::SlidingDft& dft = *d.engine();
+    const double m35 = dft.hann_magnitude(35), m45 = dft.hann_magnitude(45);
+    ASSERT_NEAR(m35, m45, 1e-10 * m35) << "skew=" << skew;
+    expect_scan_bit_equal(d);
+    const std::size_t bin = d.evaluate(5.0).band_max_bin;
+    EXPECT_EQ(bin, m45 > m35 ? 45u : 35u) << "skew=" << skew;
+    if (skew != 0.0) {
+      EXPECT_EQ(bin, skew > 0.0 ? 45u : 35u);
+    }
+  }
 }
 
 TEST(SlidingDftDetectorTest, UntrackedFrequencyFallsBackToReference) {

@@ -3,12 +3,16 @@
 // equivalence, golden transport regressions (loss, retransmit, RTO
 // backoff, finite-flow completion, window growth past the initial ring
 // capacity) pinned to values captured from the PR 2 std::map/std::set
-// implementation, and the steady-state zero-allocation guarantee (via the
-// same counting operator-new hook as event_loop_test.cc).
+// implementation, a pinned hash of every Eq. 2 rate read a CC can make,
+// and the steady-state zero-allocation guarantee (via the same counting
+// operator-new hook as event_loop_test.cc).
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -295,6 +299,107 @@ TEST(TransportRingGoldenTest, WindowGrowthPastRingCapacityMatchesSeed) {
   EXPECT_EQ(flow->lost_packets(), 3990u);
   EXPECT_EQ(flow->rto_count(), 0u);
   EXPECT_EQ(flow->acked_bytes(), 293980500);
+}
+
+// --- Eq. 2 rate reads ---------------------------------------------------
+
+std::uint64_t double_bits(double v) {
+  std::uint64_t b;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+// A window CC that reads the Eq. 2 rates wherever an algorithm can: in
+// every on_ack (as BBR does), on losses and RTOs, and on every report.  It
+// moves cwnd inside on_ack and the rate window inside on_report, then
+// reads again: a read must keep using the window that was in force when
+// the latest ACK arrived, before the algorithm's on_ack ran.
+class RateProbe final : public CcAlgorithm {
+ public:
+  explicit RateProbe(Fnv* fnv) : fnv_(fnv) {}
+
+  std::string name() const override { return "rate-probe"; }
+  void init(CcContext& ctx) override {
+    ctx.set_cwnd_bytes(10.0 * ctx.mss());
+    ctx.set_pacing_rate_bps(0);
+  }
+  void on_ack(CcContext& ctx, const AckInfo&) override {
+    const std::uint64_t before = read(ctx);
+    // Additive increase of four packets per window, reset past 300.
+    const double mss = ctx.mss();
+    const double next = ctx.cwnd_bytes() + 4.0 * mss * mss / ctx.cwnd_bytes();
+    ctx.set_cwnd_bytes(next > 300.0 * mss ? 10.0 * mss : next);
+    if (read(ctx) != before) ++moved_reads;
+  }
+  void on_loss(CcContext& ctx, const LossInfo& loss) override {
+    read(ctx);
+    if (loss.new_congestion_event) {
+      ctx.set_cwnd_bytes(std::max(ctx.cwnd_bytes() / 2.0, 4.0 * ctx.mss()));
+    }
+  }
+  void on_rto(CcContext& ctx) override {
+    read(ctx);
+    ctx.set_cwnd_bytes(2.0 * ctx.mss());
+  }
+  void on_report(CcContext& ctx, const CcReport& r) override {
+    mix(r.send_rate_bps, r.recv_rate_bps, r.rates_valid);
+    const std::uint64_t before = read(ctx);
+    // Cycle the rate window through cwnd (0) and fixed sizes around it.
+    ++reports_;
+    ctx.set_rate_window_bytes(static_cast<double>(reports_ % 7) * 12.0 *
+                              ctx.mss());
+    if (read(ctx) != before) ++moved_reads;
+  }
+
+  std::uint64_t reads = 0;
+  std::uint64_t valid_reads = 0;
+  std::uint64_t moved_reads = 0;  // a read changed without a new ACK
+
+ private:
+  // Folds one (S, R, valid) triple into the shared hash and returns the
+  // triple's own hash, so paired reads can be compared.
+  std::uint64_t mix(double send, double recv, bool valid) {
+    Fnv one;
+    for (std::uint64_t v : {double_bits(send), double_bits(recv),
+                            std::uint64_t{valid}}) {
+      fnv_->mix(v);
+      one.mix(v);
+    }
+    return one.h;
+  }
+  std::uint64_t read(CcContext& ctx) {
+    ++reads;
+    if (ctx.rates_valid()) ++valid_reads;
+    return mix(ctx.send_rate_bps(), ctx.recv_rate_bps(), ctx.rates_valid());
+  }
+
+  Fnv* fnv_;
+  std::uint64_t reports_ = 0;
+};
+
+TEST(TransportRingGoldenTest, RateReadsMatchSeed) {
+  // Random loss plus a competing window flow keep S and R moving.
+  Network net(24e6, 60 * 1500);
+  net.link().set_random_loss(0.002, 41);
+  Fnv fnv;
+  TransportFlow::Config cfg;
+  cfg.id = 1;
+  cfg.rtt_prop = from_ms(30);
+  auto probe_cc = std::make_unique<RateProbe>(&fnv);
+  RateProbe* probe = probe_cc.get();
+  TransportFlow* flow = net.add_flow(cfg, std::move(probe_cc));
+  TransportFlow::Config cross;
+  cross.id = 2;
+  cross.rtt_prop = from_ms(45);
+  cross.start_time = from_sec(2);
+  net.add_flow(cross, std::make_unique<cc::ConstWindow>(60));
+  net.run_until(from_sec(8));
+  EXPECT_EQ(probe->moved_reads, 0u);
+  EXPECT_GT(probe->valid_reads, 10000u);
+  EXPECT_LT(probe->valid_reads, probe->reads);  // reads before any ACK
+  EXPECT_GT(flow->lost_packets(), 0u);
+  // Captured from the eager build, which cached the rates on every ACK.
+  EXPECT_EQ(fnv.h, 1622973303972625042ULL);
 }
 
 // --- zero-allocation guarantee ------------------------------------------

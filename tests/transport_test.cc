@@ -1,6 +1,10 @@
 // Tests for the reliable transport: ACK clocking, RTT measurement, loss
 // detection and retransmission, RTO recovery, pacing, app-limited flows,
-// and flow completion.
+// flow completion, and the recorder's tracked-only RTT series.
+#include <cstring>
+#include <initializer_list>
+#include <memory>
+
 #include <gtest/gtest.h>
 
 #include "cc/const_window.h"
@@ -213,6 +217,71 @@ TEST(TransportTest, ReportsCarryRates) {
   // Link-saturating flow: S ~= R ~= link rate.
   EXPECT_NEAR(flow->send_rate_bps(), kRate, 0.1 * kRate);
   EXPECT_NEAR(flow->recv_rate_bps(), kRate, 0.1 * kRate);
+}
+
+// --- recorder RTT series: tracked flows only ---------------------------
+
+// Two Reno flows share the link; `tracked` lists the flows registered with
+// the recorder before they are added.
+std::unique_ptr<Network> two_flow_net(std::initializer_list<FlowId> tracked) {
+  auto net = std::make_unique<Network>(kRate, 40 * 1500);
+  for (FlowId id : tracked) net->recorder().track_flow(id);
+  for (FlowId id : {FlowId{1}, FlowId{2}}) {
+    TransportFlow::Config cfg;
+    cfg.id = id;
+    cfg.rtt_prop = from_ms(20 + 15 * id);
+    net->add_flow(cfg, std::make_unique<cc::Reno>());
+  }
+  net->run_until(from_sec(4));
+  return net;
+}
+
+std::uint64_t series_hash(const util::TimeSeries& s) {
+  std::uint64_t h = 1469598103934665603ULL;
+  auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 1099511628211ULL;
+    }
+  };
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    mix(static_cast<std::uint64_t>(s.times()[i]));
+    std::uint64_t bits;
+    std::memcpy(&bits, &s.values()[i], sizeof bits);
+    mix(bits);
+  }
+  return h;
+}
+
+TEST(RecorderRttTest, UntrackedFlowRecordsNoRttSeries) {
+  const auto both = two_flow_net({1, 2});
+  const auto one = two_flow_net({1});
+  const util::TimeSeries& tracked = one->recorder().rtt_samples(1);
+  EXPECT_TRUE(one->recorder().rtt_samples(2).empty());
+  EXPECT_FALSE(both->recorder().rtt_samples(2).empty());
+  // Flow 1's series does not depend on whether flow 2 is recorded, and
+  // matches the series recorded when every flow kept one.
+  EXPECT_EQ(tracked.times(), both->recorder().rtt_samples(1).times());
+  EXPECT_EQ(tracked.values(), both->recorder().rtt_samples(1).values());
+  // Captured when every flow recorded an RTT series.
+  EXPECT_EQ(tracked.size(), 2270u);
+  EXPECT_EQ(series_hash(tracked), 10001060662958231116ULL);
+}
+
+TEST(RecorderRttTest, TrackingAfterAddFlowFailsLoudly) {
+  Network net(kRate, 1 << 20);
+  TransportFlow::Config cfg;
+  cfg.id = 1;
+  net.add_flow(cfg, std::make_unique<cc::Reno>());
+  EXPECT_DEATH(net.recorder().track_flow(1), "track it before adding it");
+  // Re-registering a flow that was tracked in time is harmless.
+  net.recorder().track_flow(2);
+  cfg.id = 2;
+  net.add_flow(cfg, std::make_unique<cc::Reno>());
+  net.recorder().track_flow(2);
+  net.run_until(from_sec(1));
+  EXPECT_FALSE(net.recorder().rtt_samples(2).empty());
+  EXPECT_TRUE(net.recorder().rtt_samples(1).empty());
 }
 
 }  // namespace
