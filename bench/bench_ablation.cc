@@ -5,8 +5,9 @@
 //   4. the 5 s rate reset when switching to competitive mode.
 //
 // Experiments 1, 3, and 4 are independent scenario batches, each run
-// through the ParallelRunner.
+// through run_scenarios_cached.
 #include <complex>
+#include <map>
 
 #include "common.h"
 
@@ -31,17 +32,13 @@ exp::ScenarioSpec xcorr_spec(const std::string& kind, TimeNs duration) {
   return spec;
 }
 
-double xcorr_detector(const exp::ScenarioSpec& spec) {
-  auto built = exp::build_network(spec);
-  util::TimeSeries s, z;
-  built.nimbus->set_status_handler([&](const core::Nimbus::Status& st) {
-    s.add(st.now, st.base_rate_bps);
-    z.add(st.now, st.z_bps);
-  });
-  built.net->run_until(spec.duration);
-  // Max |correlation| of the last 5 s over lags 0..300 ms.
-  const auto sv = s.resample(spec.duration - from_sec(5), from_ms(10), 500);
-  const auto zv = z.resample(spec.duration - from_sec(5), from_ms(10), 500);
+// The protagonist's S(t) and z(t), recorded by the setup hook below.
+struct StatusTrace { util::TimeSeries s, z; };
+
+// Max |correlation| of the last 5 s of S and z over lags 0..300 ms.
+double xcorr_detector(const StatusTrace& trace, TimeNs duration) {
+  const auto sv = trace.s.resample(duration - from_sec(5), from_ms(10), 500);
+  const auto zv = trace.z.resample(duration - from_sec(5), from_ms(10), 500);
   auto centered = [](std::vector<double> v) {
     double m = 0;
     for (double x : v) m += x;
@@ -94,17 +91,32 @@ exp::ScenarioSpec reset_spec(bool enable_reset, TimeNs duration) {
 
 int main() {
   const TimeNs duration = dur(60, 30);
-  exp::ParallelRunner runner;
 
   // 1. Frequency vs time domain.
   std::printf("ablation,experiment,variant,value\n");
   const std::vector<exp::ScenarioSpec> xcorr_specs = {
       xcorr_spec("elastic", duration), xcorr_spec("inelastic", duration)};
-  const auto xcorr = runner.map<double>(
-      xcorr_specs.size(),
-      [&](std::size_t i) { return xcorr_detector(xcorr_specs[i]); });
-  const double xc_e = xcorr[0];
-  const double xc_i = xcorr[1];
+  // One trace per cell, keyed by spec name and inserted up front: each
+  // worker touches only its own cell's entry.
+  std::map<std::string, StatusTrace> traces;
+  for (const auto& spec : xcorr_specs) traces[spec.name];
+  const auto xcorr = exp::run_scenarios_cached(
+      xcorr_specs,
+      [&](const exp::ScenarioSpec& spec, exp::ScenarioRun&) {
+        return exp::CellResult::scalar(
+            xcorr_detector(traces.at(spec.name), spec.duration));
+      },
+      {}, nullptr,
+      [&](const exp::ScenarioSpec& spec, exp::BuiltScenario& built) {
+        StatusTrace& t = traces.at(spec.name);
+        built.nimbus->set_status_handler(
+            [&t](const core::Nimbus::Status& st) {
+              t.s.add(st.now, st.base_rate_bps);
+              t.z.add(st.now, st.z_bps);
+            });
+      });
+  const double xc_e = xcorr[0].value();
+  const double xc_i = xcorr[1].value();
   row("ablation", "xcorr,elastic", {xc_e});
   row("ablation", "xcorr,inelastic", {xc_i});
   // The point of the ablation (section 3.3's rejected first design): the

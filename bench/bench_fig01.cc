@@ -6,12 +6,10 @@
 //       collapse vs elastic.
 //   (c) Nimbus: fair rate vs elastic AND low delay vs inelastic.
 //
-// Declarative form: one ScenarioSpec per scheme batched through the
-// ParallelRunner; rows print in scheme order from the in-order result
-// callback.  Verified byte-identical to the imperative make_net /
+// Declarative form: one ScenarioSpec per scheme batched through
+// run_scenarios_cached; rows print in scheme order from the in-order
+// result callback.  Verified byte-identical to the imperative make_net /
 // add_*_cross version it replaces.
-#include <array>
-
 #include "common.h"
 
 using namespace nimbus;
@@ -19,11 +17,10 @@ using namespace nimbus::bench;
 
 namespace {
 
-struct Result {
-  std::vector<std::array<double, 3>> seconds;  // second, rate_mbps, qdelay
-  double rate_elastic, delay_elastic;
-  double rate_inelastic, delay_inelastic;
-};
+// Cell layout: the two phases' (rate, delay) summaries, then one
+// (second, rate_mbps, qdelay_ms) row per second.
+enum : std::size_t { kRateElastic, kDelayElastic, kRateInelastic,
+                     kDelayInelastic, kSeconds };
 
 exp::ScenarioSpec make_spec(const std::string& scheme) {
   exp::ScenarioSpec spec;
@@ -38,28 +35,28 @@ exp::ScenarioSpec make_spec(const std::string& scheme) {
   return spec;
 }
 
-Result collect(const exp::ScenarioSpec& spec, exp::ScenarioRun& run) {
+exp::CellResult collect(const exp::ScenarioSpec& spec,
+                        exp::ScenarioRun& run) {
   const TimeNs end = spec.duration;
   auto& rec = run.built.net->recorder();
-  Result s{};
+  auto r = exp::CellResult::vec(
+      {rec.delivered(1).rate_bps(from_sec(40), from_sec(90)) / 1e6,
+       rec.probed_queue_delay()
+           .mean_in(from_sec(40), from_sec(90))
+           .value_or(0.0),
+       rec.delivered(1).rate_bps(from_sec(100), from_sec(150)) / 1e6,
+       rec.probed_queue_delay()
+           .mean_in(from_sec(100), from_sec(150))
+           .value_or(0.0)});
   // Per-second series the figure plots.
   const auto rates = rec.delivered(1).bucket_rates_bps(0, end, from_sec(1));
   const auto delays =
       rec.probed_queue_delay().bucket_means(0, end, from_sec(1));
   for (std::size_t i = 0; i < rates.size(); ++i) {
-    s.seconds.push_back(
-        {static_cast<double>(i), rates[i] / 1e6, delays[i]});
+    r.values.insert(r.values.end(),
+                    {static_cast<double>(i), rates[i] / 1e6, delays[i]});
   }
-  s.rate_elastic = rec.delivered(1).rate_bps(from_sec(40), from_sec(90)) / 1e6;
-  s.delay_elastic = rec.probed_queue_delay()
-                        .mean_in(from_sec(40), from_sec(90))
-                        .value_or(0.0);
-  s.rate_inelastic =
-      rec.delivered(1).rate_bps(from_sec(100), from_sec(150)) / 1e6;
-  s.delay_inelastic = rec.probed_queue_delay()
-                          .mean_in(from_sec(100), from_sec(150))
-                          .value_or(0.0);
-  return s;
+  return r;
 }
 
 }  // namespace
@@ -71,37 +68,35 @@ int main() {
   std::vector<exp::ScenarioSpec> specs;
   for (const auto& s : schemes) specs.push_back(make_spec(s));
 
-  const auto results = exp::run_scenarios<Result>(
-      specs, collect, {},
-      [&](std::size_t i, Result& r) {
-        for (const auto& sec : r.seconds) {
-          row("fig01", schemes[i], {sec[0], sec[1], sec[2]});
+  const auto results = exp::run_scenarios_cached(
+      specs, collect, {}, [&](std::size_t i, exp::CellResult& r) {
+        for (std::size_t j = kSeconds; j + 3 <= r.values.size(); j += 3) {
+          row("fig01", schemes[i],
+              {r.value(j), r.value(j + 1), r.value(j + 2)});
         }
       });
 
-  const Result& cubic = results[0];
-  const Result& delay = results[1];
-  const Result& nimbus = results[2];
-  row("fig01", "summary_cubic",
-      {cubic.rate_elastic, cubic.delay_elastic, cubic.rate_inelastic,
-       cubic.delay_inelastic});
-  row("fig01", "summary_basic-delay",
-      {delay.rate_elastic, delay.delay_elastic, delay.rate_inelastic,
-       delay.delay_inelastic});
-  row("fig01", "summary_nimbus",
-      {nimbus.rate_elastic, nimbus.delay_elastic, nimbus.rate_inelastic,
-       nimbus.delay_inelastic});
+  for (std::size_t i = 0; i < schemes.size(); ++i) {
+    const exp::CellResult& r = results[i];
+    row("fig01", "summary_" + schemes[i],
+        {r.value(kRateElastic), r.value(kDelayElastic),
+         r.value(kRateInelastic), r.value(kDelayInelastic)});
+  }
 
+  const exp::CellResult& cubic = results[0];
+  const exp::CellResult& delay = results[1];
+  const exp::CellResult& nimbus = results[2];
   // Paper's qualitative claims.
-  shape_check("fig01", cubic.delay_inelastic > 50,
+  shape_check("fig01", cubic.value(kDelayInelastic) > 50,
               "cubic keeps high delay even vs inelastic");
-  shape_check("fig01", delay.rate_elastic < 0.35 * 24.0,
+  shape_check("fig01", delay.value(kRateElastic) < 0.35 * 24.0,
               "pure delay control collapses vs elastic cross traffic");
-  shape_check("fig01", delay.delay_inelastic < 30,
+  shape_check("fig01", delay.value(kDelayInelastic) < 30,
               "pure delay control keeps low delay vs inelastic");
   shape_check("fig01",
-              nimbus.rate_elastic > 2.5 * delay.rate_elastic &&
-                  nimbus.delay_inelastic < 0.5 * cubic.delay_inelastic,
+              nimbus.value(kRateElastic) > 2.5 * delay.value(kRateElastic) &&
+                  nimbus.value(kDelayInelastic) <
+                      0.5 * cubic.value(kDelayInelastic),
               "nimbus: fair rate vs elastic AND low delay vs inelastic");
   return shape_exit_code();
 }

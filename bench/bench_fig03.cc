@@ -4,10 +4,8 @@
 // instantaneous delay measurements cannot reveal elasticity.
 //
 // Declarative form: the Fig. 1 cross-traffic schedule as one ScenarioSpec
-// with a Cubic protagonist, run through the ParallelRunner.  Verified
+// with a Cubic protagonist, run through run_scenarios_cached.  Verified
 // byte-identical to the imperative version it replaces.
-#include <array>
-
 #include "common.h"
 
 using namespace nimbus;
@@ -17,14 +15,13 @@ namespace {
 
 constexpr double kMu = 48e6;
 
-struct Result {
-  std::vector<std::array<double, 4>> seconds;  // t, total, self, share
-  double self_elastic, self_inelastic;
-};
+// Cell layout: the two phases' mean self-inflicted delay, then one
+// (second, total, self, share) row per second.
+enum : std::size_t { kSelfElastic, kSelfInelastic, kSeconds };
 
-Result collect(const exp::ScenarioSpec&, exp::ScenarioRun& run) {
+exp::CellResult collect(const exp::ScenarioSpec&, exp::ScenarioRun& run) {
   auto& rec = run.built.net->recorder();
-  Result r{};
+  std::vector<double> seconds;
   double self_elastic = 0, self_inelastic = 0;
   int n_e = 0, n_i = 0;
   for (int t = 1; t < 180; ++t) {
@@ -36,7 +33,8 @@ Result collect(const exp::ScenarioSpec&, exp::ScenarioRun& run) {
     const double own = rec.delivered(1).rate_bps(a, b);
     const double share = own / kMu;
     const double self = total * share;
-    r.seconds.push_back({static_cast<double>(t), total, self, share});
+    seconds.insert(seconds.end(),
+                   {static_cast<double>(t), total, self, share});
     if (t >= 40 && t < 90) {
       self_elastic += self;
       ++n_e;
@@ -46,8 +44,9 @@ Result collect(const exp::ScenarioSpec&, exp::ScenarioRun& run) {
       ++n_i;
     }
   }
-  r.self_elastic = self_elastic / n_e;
-  r.self_inelastic = self_inelastic / n_i;
+  auto r = exp::CellResult::vec(
+      {self_elastic / n_e, self_inelastic / n_i});
+  r.values.insert(r.values.end(), seconds.begin(), seconds.end());
   return r;
 }
 
@@ -65,21 +64,18 @@ int main() {
       exp::CrossSpec::poisson(24e6, 3, from_sec(90), from_sec(150)));
 
   std::printf("fig03,second,total_qdelay_ms,self_inflicted_ms,share\n");
-  const auto results = exp::run_scenarios<Result>(
-      {spec}, collect, {},
-      [&](std::size_t, Result& r) {
-        for (const auto& sec : r.seconds) {
-          row("fig03", util::format_num(sec[0]), {sec[1], sec[2], sec[3]});
-        }
-      });
+  const exp::CellResult r = exp::run_scenarios_cached({spec}, collect)[0];
+  for (std::size_t j = kSeconds; j + 4 <= r.values.size(); j += 4) {
+    row("fig03", util::format_num(r.value(j)),
+        {r.value(j + 1), r.value(j + 2), r.value(j + 3)});
+  }
 
-  const Result& r = results[0];
-  row("fig03", "summary", {r.self_elastic, r.self_inelastic});
+  const double self_e = r.value(kSelfElastic);
+  const double self_i = r.value(kSelfInelastic);
+  row("fig03", "summary", {self_e, self_i});
   // The strawman's failure: self-inflicted delay is nearly identical in
   // both phases (within 2x) and therefore carries no elasticity signal.
-  shape_check("fig03",
-              r.self_elastic < 2 * r.self_inelastic &&
-                  r.self_inelastic < 2 * r.self_elastic,
+  shape_check("fig03", self_e < 2 * self_i && self_i < 2 * self_e,
               "self-inflicted delay indistinguishable between phases");
   return shape_exit_code();
 }

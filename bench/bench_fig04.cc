@@ -4,8 +4,8 @@
 // pulses inverted after one RTT; inelastic z is flat.
 //
 // Declarative form: one ScenarioSpec per cross kind (delay-mode-held
-// Nimbus protagonist), batched through the ParallelRunner; the z(t) series
-// comes from the run's standard z log.  Verified byte-identical to the
+// Nimbus protagonist), batched through run_scenarios_cached; the z(t)
+// series comes from the run's standard z log.  Verified byte-identical to the
 // imperative set_status_handler version it replaces.
 #include "common.h"
 
@@ -41,23 +41,26 @@ int main() {
   for (const auto& k : kinds) specs.push_back(make_spec(k));
 
   // z(t) samples in the (25, 28) s window, per kind.
-  const auto series = exp::run_scenarios<std::vector<double>>(
+  const auto series = exp::run_scenarios_cached(
       specs,
       [](const exp::ScenarioSpec&, exp::ScenarioRun& run) {
-        return run.z_log->values_in(from_sec(25), from_sec(28));
+        return exp::CellResult::vec(
+            run.z_log->values_in(from_sec(25), from_sec(28)));
       },
       {},
-      [&](std::size_t i, std::vector<double>& zs) {
+      [&](std::size_t i, exp::CellResult& zs) {
         std::size_t j = 0;
-        for (double v : zs) {
+        for (double v : zs.values) {
           row("fig04", kinds[i],
               {25.0 + 0.01 * static_cast<double>(j++), v / 1e6});
         }
       });
 
-  auto swing = [](const std::vector<double>& zs) {
+  // Peak-to-peak z swing; NaN for a cell without samples (shard-skipped).
+  auto swing = [](const exp::CellResult& zs) {
+    if (zs.values.empty()) return zs.value();
     double mn = 1e18, mx = -1e18;
-    for (double v : zs) {
+    for (double v : zs.values) {
       mn = std::min(mn, v);
       mx = std::max(mx, v);
     }

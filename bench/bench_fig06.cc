@@ -6,9 +6,10 @@
 // eta_thresh = 2.
 //
 // Declarative form: one ScenarioSpec per elastic fraction, batched through
-// the ParallelRunner; raw-eta samples come from the run's standard
-// detector-gated eta_raw log.  Verified byte-identical to the imperative
-// version it replaces.
+// run_scenarios_cached; raw-eta samples come from the run's standard
+// detector-gated eta_raw log, reduced on the worker to the five plotted
+// percentiles.  Verified byte-identical to the imperative version it
+// replaces.
 #include "common.h"
 
 using namespace nimbus;
@@ -46,11 +47,14 @@ exp::ScenarioSpec make_spec(double elastic_fraction, std::uint64_t seed,
   return spec;
 }
 
-util::Percentiles collect(const exp::ScenarioSpec& spec,
-                          exp::ScenarioRun& run) {
+exp::CellResult collect(const exp::ScenarioSpec& spec,
+                        exp::ScenarioRun& run) {
   util::Percentiles p;
   p.add_all(run.eta_raw_log->values_in(from_sec(10), spec.duration));
-  return p;
+  // Cell layout: eta's p10, p25, p50, p75 and p90.
+  return exp::CellResult::vec({p.percentile(0.10), p.percentile(0.25),
+                               p.median(), p.percentile(0.75),
+                               p.percentile(0.90)});
 }
 
 }  // namespace
@@ -63,16 +67,14 @@ int main() {
   for (double frac : fracs) specs.push_back(make_spec(frac, 17, duration));
 
   double median_0 = 0, median_100 = 0, median_25 = 0;
-  exp::run_scenarios<util::Percentiles>(
-      specs, collect, {},
-      [&](std::size_t i, util::Percentiles& p) {
+  exp::run_scenarios_cached(
+      specs, collect, {}, [&](std::size_t i, exp::CellResult& p) {
         const double frac = fracs[i];
         row("fig06", util::format_num(frac),
-            {p.percentile(0.10), p.percentile(0.25), p.median(),
-             p.percentile(0.75), p.percentile(0.90)});
-        if (frac == 0.0) median_0 = p.median();
-        if (frac == 0.25) median_25 = p.median();
-        if (frac == 1.0) median_100 = p.median();
+            {p.value(0), p.value(1), p.value(2), p.value(3), p.value(4)});
+        if (frac == 0.0) median_0 = p.value(2);
+        if (frac == 0.25) median_25 = p.value(2);
+        if (frac == 1.0) median_100 = p.value(2);
       });
   shape_check("fig06", median_0 < 2.0,
               "purely inelastic cross traffic has median eta ~1 (< 2)");

@@ -6,11 +6,9 @@
 // For each scheme: per-second throughput and queue delay, plus the phase
 // fair-share reference.
 //
-// Each scheme is one ScenarioSpec; the grid runs through the
-// ParallelRunner (NIMBUS_JOBS workers), with CSV rows emitted in scheme
-// order regardless of completion order.
-#include <array>
-
+// Each scheme is one ScenarioSpec; the grid runs through
+// run_scenarios_cached (NIMBUS_JOBS workers), with CSV rows emitted in
+// scheme order regardless of completion order.
 #include "common.h"
 
 using namespace nimbus;
@@ -53,17 +51,28 @@ exp::ScenarioSpec make_spec(const std::string& scheme, TimeNs phase_len) {
   return spec;
 }
 
-struct Result {
-  // One row per second: second, rate_mbps, qdelay_ms, fair_mbps.
-  std::vector<std::array<double, 4>> seconds;
-  double mean_rate_deficit;   // mean |rate - fair| / fair across phases
-  double delay_inelastic_ms;  // mean queue delay in the Poisson-only phases
-};
+// Cell layout: two summaries, then one (second, rate_mbps, qdelay_ms,
+// fair_mbps) row per second.
+// kRateDeficit is the mean |rate - fair| / fair across phases,
+// kDelayInelastic the mean queue delay in the Poisson-only phases.
+enum : std::size_t { kRateDeficit, kDelayInelastic, kSeconds };
 
-Result collect(TimeNs phase_len, exp::ScenarioRun& run) {
+exp::CellResult collect(TimeNs phase_len, exp::ScenarioRun& run) {
   const TimeNs end = phase_len * 9;
   auto& rec = run.built.net->recorder();
-  Result r{{}, 0, 0};
+  double deficit = 0, delay = 0;
+  int n_inel = 0;
+  for (int i = 0; i < 9; ++i) {
+    const TimeNs a = phase_len * i + phase_len / 4, b = phase_len * (i + 1);
+    const double rate = rec.delivered(1).rate_bps(a, b) / 1e6;
+    const double fair = fair_share(kPhases[i]);
+    deficit += std::abs(rate - fair) / fair / 9.0;
+    if (kPhases[i].cubic_flows == 0) {
+      delay += rec.probed_queue_delay().mean_in(a, b).value_or(0.0);
+      ++n_inel;
+    }
+  }
+  auto r = exp::CellResult::vec({deficit, delay / n_inel});
 
   const auto rates = rec.delivered(1).bucket_rates_bps(0, end, from_sec(1));
   const auto delays =
@@ -71,23 +80,10 @@ Result collect(TimeNs phase_len, exp::ScenarioRun& run) {
   for (std::size_t i = 0; i < rates.size(); ++i) {
     const auto phase = std::min<std::size_t>(
         i / static_cast<std::size_t>(to_sec(phase_len)), 8);
-    r.seconds.push_back({static_cast<double>(i), rates[i] / 1e6, delays[i],
-                         fair_share(kPhases[phase])});
+    r.values.insert(r.values.end(),
+                    {static_cast<double>(i), rates[i] / 1e6, delays[i],
+                     fair_share(kPhases[phase])});
   }
-
-  int n_inel = 0;
-  for (int i = 0; i < 9; ++i) {
-    const TimeNs a = phase_len * i + phase_len / 4, b = phase_len * (i + 1);
-    const double rate = rec.delivered(1).rate_bps(a, b) / 1e6;
-    const double fair = fair_share(kPhases[i]);
-    r.mean_rate_deficit += std::abs(rate - fair) / fair / 9.0;
-    if (kPhases[i].cubic_flows == 0) {
-      r.delay_inelastic_ms +=
-          rec.probed_queue_delay().mean_in(a, b).value_or(0.0);
-      ++n_inel;
-    }
-  }
-  r.delay_inelastic_ms /= n_inel;
   return r;
 }
 
@@ -105,30 +101,32 @@ int main() {
   std::vector<exp::ScenarioSpec> specs;
   for (const auto& s : schemes) specs.push_back(make_spec(s, phase_len));
 
-  const auto results = exp::run_scenarios<Result>(
+  const auto results = exp::run_scenarios_cached(
       specs,
       [&](const exp::ScenarioSpec&, exp::ScenarioRun& run) {
         return collect(phase_len, run);
       },
       {},
       // Fires in scheme order as the completed prefix grows.
-      [&](std::size_t i, Result& r) {
-        for (const auto& sec : r.seconds) {
-          row("fig08", schemes[i], {sec[0], sec[1], sec[2], sec[3]});
+      [&](std::size_t i, exp::CellResult& r) {
+        for (std::size_t j = kSeconds; j + 4 <= r.values.size(); j += 4) {
+          row("fig08", schemes[i],
+              {r.value(j), r.value(j + 1), r.value(j + 2), r.value(j + 3)});
         }
         row("fig08", "summary_" + schemes[i],
-            {r.mean_rate_deficit, r.delay_inelastic_ms});
+            {r.value(kRateDeficit), r.value(kDelayInelastic)});
       });
 
   double nimbus_deficit = 0, nimbus_delay = 0;
   double cubic_delay = 0, vegas_deficit = 0;
   for (std::size_t i = 0; i < schemes.size(); ++i) {
+    const exp::CellResult& r = results[i];
     if (schemes[i] == "nimbus") {
-      nimbus_deficit = results[i].mean_rate_deficit;
-      nimbus_delay = results[i].delay_inelastic_ms;
+      nimbus_deficit = r.value(kRateDeficit);
+      nimbus_delay = r.value(kDelayInelastic);
     }
-    if (schemes[i] == "cubic") cubic_delay = results[i].delay_inelastic_ms;
-    if (schemes[i] == "vegas") vegas_deficit = results[i].mean_rate_deficit;
+    if (schemes[i] == "cubic") cubic_delay = r.value(kDelayInelastic);
+    if (schemes[i] == "vegas") vegas_deficit = r.value(kRateDeficit);
   }
   shape_check("fig08", nimbus_delay < 0.5 * cubic_delay,
               "nimbus delay vs inelastic phases well below cubic's");

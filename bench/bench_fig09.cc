@@ -3,7 +3,8 @@
 // Nimbus matches Cubic/BBR's throughput at ~50 ms lower median RTT; Vegas
 // and Copa lose throughput.
 //
-// One ScenarioSpec per scheme, run through the ParallelRunner.
+// One ScenarioSpec per scheme, run through run_scenarios_cached; each cell
+// reduces its rate and RTT samples on the worker to the printed CDFs.
 #include <map>
 
 #include "common.h"
@@ -13,10 +14,10 @@ using namespace nimbus::bench;
 
 namespace {
 
-struct Result {
-  util::Percentiles rate_mbps;
-  util::Percentiles rtt_ms;
-};
+// Cell layout: the x values of the rate CDF and then of the RTT CDF at
+// kCdfPoints evenly spaced quantiles each, then three summaries.
+constexpr std::size_t kCdfPoints = 21;
+enum : std::size_t { kMeanRate = 2 * kCdfPoints, kMedianRtt, kMeanRtt };
 
 exp::ScenarioSpec make_spec(const std::string& scheme, TimeNs duration) {
   exp::ScenarioSpec spec;
@@ -30,14 +31,21 @@ exp::ScenarioSpec make_spec(const std::string& scheme, TimeNs duration) {
   return spec;
 }
 
-Result collect(const exp::ScenarioSpec& spec, exp::ScenarioRun& run) {
-  Result r;
+exp::CellResult collect(const exp::ScenarioSpec& spec,
+                        exp::ScenarioRun& run) {
   const auto& rec = run.built.net->recorder();
-  for (double v :
-       exp::rate_series_mbps(rec, 1, from_sec(10), spec.duration)) {
-    r.rate_mbps.add(v);
+  util::Percentiles rate, rtt;
+  rate.add_all(exp::rate_series_mbps(rec, 1, from_sec(10), spec.duration));
+  rtt.add_all(rec.rtt_samples(1).values_in(from_sec(10), spec.duration));
+  exp::CellResult r;
+  for (const util::Percentiles* p : {&rate, &rtt}) {
+    for (const auto& point : p->cdf(kCdfPoints)) {
+      r.values.push_back(point.first);
+    }
   }
-  r.rtt_ms.add_all(rec.rtt_samples(1).values_in(from_sec(10), spec.duration));
+  // Summaries last: the means sum the samples the CDFs just sorted, the
+  // order they were always printed from.
+  r.values.insert(r.values.end(), {rate.mean(), rtt.median(), rtt.mean()});
   return r;
 }
 
@@ -54,27 +62,32 @@ int main() {
   std::vector<exp::ScenarioSpec> specs;
   for (const auto& s : schemes) specs.push_back(make_spec(s, duration));
 
-  const auto collected = exp::run_scenarios<Result>(specs, collect);
-  std::map<std::string, Result> results;
+  const auto collected = exp::run_scenarios_cached(specs, collect);
+  // Rows print in scheme-name order.
+  std::map<std::string, const exp::CellResult*> results;
   for (std::size_t i = 0; i < schemes.size(); ++i) {
-    results.emplace(schemes[i], collected[i]);
+    results.emplace(schemes[i], &collected[i]);
   }
 
-  for (auto& [s, r] : results) {
-    exp::print_cdf("fig09,rate", s, r.rate_mbps);
-    exp::print_cdf("fig09,rtt", s, r.rtt_ms);
+  for (const auto& [s, r] : results) {
+    // The `series,scheme,x,cdf` rows exp::print_cdf prints.
+    for (std::size_t k = 0; k < 2 * kCdfPoints; ++k) {
+      const double p = static_cast<double>(k % kCdfPoints) /
+                       static_cast<double>(kCdfPoints - 1);
+      row(k < kCdfPoints ? "fig09,rate" : "fig09,rtt", s, {r->value(k), p});
+    }
     row("fig09", "summary_" + s,
-        {r.rate_mbps.mean(), r.rtt_ms.median(), r.rtt_ms.mean()});
+        {r->value(kMeanRate), r->value(kMedianRtt), r->value(kMeanRtt)});
   }
 
-  const auto& nim = results.at("nimbus");
-  const auto& cub = results.at("cubic");
-  const auto& veg = results.at("vegas");
-  shape_check("fig09", nim.rate_mbps.mean() > 0.7 * cub.rate_mbps.mean(),
+  const auto& nim = *results.at("nimbus");
+  const auto& cub = *results.at("cubic");
+  const auto& veg = *results.at("vegas");
+  shape_check("fig09", nim.value(kMeanRate) > 0.7 * cub.value(kMeanRate),
               "nimbus throughput comparable to cubic");
-  shape_check("fig09", nim.rtt_ms.median() < cub.rtt_ms.median() - 15,
+  shape_check("fig09", nim.value(kMedianRtt) < cub.value(kMedianRtt) - 15,
               "nimbus median RTT well below cubic");
-  shape_check("fig09", veg.rate_mbps.mean() < nim.rate_mbps.mean(),
+  shape_check("fig09", veg.value(kMeanRate) < nim.value(kMeanRate),
               "vegas loses throughput relative to nimbus");
   return shape_exit_code();
 }

@@ -66,7 +66,7 @@ int main() {
       },
       {},
       [&](std::size_t i, exp::CellResult& r) {
-        Point p{r.values[0], r.values[1]};
+        Point p{r.value(0), r.value(1)};
         const auto& scheme = schemes[i / 2];
         if (i % 2 == 0) {
           p1080[scheme] = p;

@@ -96,8 +96,8 @@ int main() {
       {spec}, collect, {},
       [&](std::size_t, exp::CellResult& r) {
         for (std::size_t j = 2; j + 3 < r.values.size(); j += 4) {
-          row("fig12", util::format_num(r.values[j]),
-              {r.values[j + 1], r.values[j + 2], r.values[j + 3]});
+          row("fig12", util::format_num(r.value(j)),
+              {r.value(j + 1), r.value(j + 2), r.value(j + 3)});
         }
       });
 

@@ -3,9 +3,9 @@
 // losing throughput; the benefit shrinks at high load.
 //
 // Declarative form: one ScenarioSpec per (load, scheme) cell batched
-// through the ParallelRunner; rows print per load group from the in-order
-// result callback.  Verified byte-identical to the imperative version it
-// replaces.
+// through run_scenarios_cached; rows print per load group from the
+// in-order result callback.  Verified byte-identical to the imperative
+// version it replaces.
 #include "common.h"
 
 using namespace nimbus;
@@ -13,10 +13,8 @@ using namespace nimbus::bench;
 
 namespace {
 
-struct Point {
-  double mean_rate;
-  double median_rtt;
-};
+// Cell layout.
+enum : std::size_t { kMeanRate, kMedianRtt };
 
 exp::ScenarioSpec make_spec(const std::string& scheme, double load,
                             double pulse_frac, TimeNs duration) {
@@ -38,10 +36,11 @@ exp::ScenarioSpec make_spec(const std::string& scheme, double load,
   return spec;
 }
 
-Point collect(const exp::ScenarioSpec& spec, exp::ScenarioRun& run) {
+exp::CellResult collect(const exp::ScenarioSpec& spec,
+                        exp::ScenarioRun& run) {
   const auto s = exp::summarize_flow(run.built.net->recorder(), 1,
                                      from_sec(10), spec.duration);
-  return {s.mean_rate_mbps, s.median_rtt_ms};
+  return exp::CellResult::vec({s.mean_rate_mbps, s.median_rtt_ms});
 }
 
 }  // namespace
@@ -64,22 +63,22 @@ int main() {
 
   // The load-0.5 shape check prints between the two load groups, exactly
   // where the hand-rolled loop emitted it.
-  std::vector<Point> group;
-  exp::run_scenarios<Point>(
-      specs, collect, {},
-      [&](std::size_t i, Point& p) {
+  std::vector<exp::CellResult> group;
+  exp::run_scenarios_cached(
+      specs, collect, {}, [&](std::size_t i, exp::CellResult& p) {
         const double load = loads[i / 4];
         row("fig13", util::format_num(load) + "," + labels[i % 4],
-            {p.mean_rate, p.median_rtt});
+            {p.value(kMeanRate), p.value(kMedianRtt)});
         group.push_back(p);
         if (i % 4 == 3) {
           if (load == 0.5) {
-            const Point& cubic = group[0];
-            const Point& nim25 = group[2];
-            shape_check("fig13",
-                        nim25.median_rtt < cubic.median_rtt &&
-                            nim25.mean_rate > 0.6 * cubic.mean_rate,
-                        "load 50%: nimbus lowers delay at cubic-like rate");
+            const exp::CellResult& cubic = group[0];
+            const exp::CellResult& nim25 = group[2];
+            shape_check(
+                "fig13",
+                nim25.value(kMedianRtt) < cubic.value(kMedianRtt) &&
+                    nim25.value(kMeanRate) > 0.6 * cubic.value(kMeanRate),
+                "load 50%: nimbus lowers delay at cubic-like rate");
           }
           group.clear();
         }

@@ -6,8 +6,8 @@
 //        Copa's accuracy collapses with RTT ratio; Nimbus's barely drops.
 //
 // Declarative form: every cell is a (nimbus accuracy_scenario, copa
-// ScenarioSpec with log_copa_mode) pair batched through the
-// ParallelRunner; both are scored with score_accuracy.  Verified
+// ScenarioSpec with log_copa_mode) pair batched through
+// run_scenarios_cached; both are scored with score_accuracy.  Verified
 // byte-identical to the imperative copa_accuracy version it replaces.
 #include "common.h"
 

@@ -3,9 +3,9 @@
 // cross traffic.  Accuracy is high across the whole range.
 //
 // Declarative form: three accuracy_scenario specs per RTT ratio batched
-// through the ParallelRunner; rows print per ratio from the in-order
-// result callback.  Verified byte-identical to the run_accuracy loop it
-// replaces.
+// through run_scenarios_cached; rows print per ratio from the in-order
+// result callback.  Verified byte-identical to the one-run-per-cell
+// accuracy loop it replaces.
 #include "common.h"
 
 using namespace nimbus;
@@ -26,7 +26,7 @@ int main() {
   const double mu = 96e6;
   // PR 4 widened each (ratio, mix) cell from one run to the mean of
   // kReps runs (the paper reports accuracy aggregates; the
-  // ParallelRunner absorbs the extra cells on multicore hosts).  Rep 0
+  // parallel runner absorbs the extra cells on multicore hosts).  Rep 0
   // keeps the historical spec; later reps re-seed the scenario *base*
   // seed, which re-derives the protagonist Nimbus and Poisson streams —
   // the cross-flow seed alone would be a no-op, since the elastic cross

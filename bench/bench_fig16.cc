@@ -4,10 +4,9 @@
 // in delay mode.
 //
 // Declarative form: four CrossSpec::kNimbus entries (no protagonist) in
-// one ScenarioSpec; the role probe is scheduled through the run_scenarios
-// setup hook against BuiltScenario::nimbus_cross.  Verified byte-identical
-// to the imperative version it replaces.
-#include <array>
+// one ScenarioSpec; the role probe is scheduled through the
+// run_scenarios_cached setup hook against BuiltScenario::nimbus_cross.
+// Verified byte-identical to the imperative version it replaces.
 #include <functional>
 
 #include "common.h"
@@ -56,18 +55,26 @@ int main() {
     net->loop().schedule_in(from_ms(500), probe);
   };
 
-  struct Result {
-    // t, f1..f4 mbps, qdelay_ms, pulsers
-    std::vector<std::array<double, 7>> seconds;
-    double jain, mean_pulsers, qd;
-  };
+  // Cell layout: the three summaries, then one (t, f1..f4 mbps,
+  // qdelay_ms, pulsers) row per step.
+  enum : std::size_t { kJain, kMeanPulsers, kQdelay, kSteps };
   const TimeNs step = from_sec(full ? 4 : 1);
   const auto collect = [&](const exp::ScenarioSpec&,
                            exp::ScenarioRun& run) {
     auto& rec = run.built.net->recorder();
-    Result r{};
+    // Fairness in the middle window where flows 1-3 are all active.
+    const TimeNs a = stagger * 2 + from_sec(10), b = stagger * 2 + life / 3;
+    std::vector<double> rates;
+    for (sim::FlowId id : {1u, 2u, 3u}) {
+      rates.push_back(rec.delivered(id).rate_bps(a, b));
+    }
+    auto r = exp::CellResult::vec(
+        {util::jain_fairness(rates),
+         pulser_count.mean_in(from_sec(20), end).value_or(0.0),
+         rec.probed_queue_delay().mean_in(from_sec(20), end).value_or(0.0)});
     for (TimeNs t = step; t < end; t += step) {
-      r.seconds.push_back(
+      r.values.insert(
+          r.values.end(),
           {to_sec(t), rec.delivered(1).rate_bps(t - step, t) / 1e6,
            rec.delivered(2).rate_bps(t - step, t) / 1e6,
            rec.delivered(3).rate_bps(t - step, t) / 1e6,
@@ -75,42 +82,30 @@ int main() {
            rec.probed_queue_delay().mean_in(t - step, t).value_or(0.0),
            pulser_count.mean_in(t - step, t).value_or(0.0)});
     }
-    // Fairness in the middle window where flows 1-3 are all active.
-    const TimeNs a = stagger * 2 + from_sec(10), b = stagger * 2 + life / 3;
-    std::vector<double> rates;
-    for (sim::FlowId id : {1u, 2u, 3u}) {
-      rates.push_back(rec.delivered(id).rate_bps(a, b));
-    }
-    r.jain = util::jain_fairness(rates);
-    r.mean_pulsers = pulser_count.mean_in(from_sec(20), end).value_or(0.0);
-    r.qd =
-        rec.probed_queue_delay().mean_in(from_sec(20), end).value_or(0.0);
     return r;
   };
 
   std::printf("fig16,second,f1,f2,f3,f4,qdelay_ms,pulsers\n");
-  const auto results = exp::run_scenarios<Result>(
-      {spec}, collect, {},
-      [&](std::size_t, Result& r) {
-        for (const auto& sec : r.seconds) {
-          row("fig16", util::format_num(sec[0]),
-              {sec[1], sec[2], sec[3], sec[4], sec[5], sec[6]});
-        }
-      },
-      setup);
+  const exp::CellResult r =
+      exp::run_scenarios_cached({spec}, collect, {}, nullptr, setup)[0];
+  for (std::size_t j = kSteps; j + 7 <= r.values.size(); j += 7) {
+    row("fig16", util::format_num(r.value(j)),
+        {r.value(j + 1), r.value(j + 2), r.value(j + 3), r.value(j + 4),
+         r.value(j + 5), r.value(j + 6)});
+  }
 
-  const Result& r = results[0];
-  row("fig16", "summary", {r.jain, r.mean_pulsers, r.qd});
-  shape_check("fig16", r.jain > 0.8,
+  row("fig16", "summary",
+      {r.value(kJain), r.value(kMeanPulsers), r.value(kQdelay)});
+  shape_check("fig16", r.value(kJain) > 0.8,
               "concurrent nimbus flows share fairly");
   // Known WARN (quick and full mode): around each arrival/departure our
   // election protocol leaves two pulsers active for longer than the
   // paper's, so the 500 ms role samples average just over the 1.5 bar — a
   // known reproduction gap of the simplified multi-flow protocol, tracked
   // in ROADMAP.md rather than failed under NIMBUS_SHAPE_STRICT.
-  shape_check_known_warn("fig16", r.mean_pulsers <= 1.5,
+  shape_check_known_warn("fig16", r.value(kMeanPulsers) <= 1.5,
                          "roughly one pulser at a time");
-  shape_check("fig16", r.qd < 60,
+  shape_check("fig16", r.value(kQdelay) < 60,
               "delays stay well below the 100 ms buffer");
   return shape_exit_code();
 }

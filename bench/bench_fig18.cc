@@ -8,8 +8,8 @@
 // each run to its (rate, delay) CellResult, memoised under NIMBUS_CACHE.
 // Rows print in spec order from the in-order result callback.  Verified
 // bit-identical (cold and warm) to the uncached run_scenarios version it
-// replaces, which was itself verified bit-identical to the run_path()
-// loop before that.
+// replaces, which was itself verified bit-identical to the per-path
+// run-and-summarize loop before that.
 #include "common.h"
 
 #include <array>
@@ -41,7 +41,7 @@ int main() {
   exp::run_scenarios_cached(
       specs,
       [](const exp::ScenarioSpec& spec, exp::ScenarioRun& run) {
-        // Skip the first 10 s of warmup, exactly as exp::run_path does.
+        // Skip the first 10 s of warmup.
         const auto s = exp::summarize_flow(run.built.net->recorder(), 1,
                                            from_sec(10), spec.duration);
         return exp::CellResult::vec({s.mean_rate_mbps, s.mean_rtt_ms});

@@ -3,9 +3,9 @@
 // below Cubic/BBR.  CDFs of per-path mean rate and RTT per scheme.
 //
 // Declarative form: every (scheme, path) cell is a path_scenario spec
-// batched through the ParallelRunner; per-scheme CDFs print as each
+// batched through run_scenarios_cached; per-scheme CDFs print as each
 // scheme's paths complete, in spec order.  Verified byte-identical to the
-// run_path loop it replaces.
+// per-path run-and-summarize loop it replaces.
 #include <map>
 
 #include "common.h"
@@ -23,7 +23,7 @@ int main() {
   }
   // PR 4 widened the quick-mode aggregate from 8 paths x 1 seed to 12
   // paths x 2 seeds per scheme (the paper reports per-path aggregate CDFs;
-  // the ParallelRunner absorbs the extra cells on multicore hosts).  Seed
+  // the parallel runner absorbs the extra cells on multicore hosts).  Seed
   // 3 keeps the historical first sample.  Quick-mode golden output
   // re-baselined deliberately — see CHANGES.md.
   if (!full_run()) paths.resize(std::min<std::size_t>(paths.size(), 12));
@@ -53,7 +53,7 @@ int main() {
   exp::run_scenarios_cached(
       specs,
       [](const exp::ScenarioSpec& spec, exp::ScenarioRun& run) {
-        // Skip the first 10 s of warmup, exactly as exp::run_path does.
+        // Skip the first 10 s of warmup.
         // Cacheable layout: [mean_rate_mbps, mean_rtt_ms] — the two
         // FlowSummary fields this bench consumes.
         const exp::FlowSummary s = exp::summarize_flow(

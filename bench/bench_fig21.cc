@@ -4,9 +4,11 @@
 // but sacrifices its own rate.
 //
 // Declarative form: one ScenarioSpec per scheme (workload in the spec),
-// batched through the ParallelRunner; the per-bucket p95 map is reduced
+// batched through run_scenarios_cached; the per-bucket p95s are reduced
 // from the recorder's completions on the worker.  Verified byte-identical
 // to the imperative version it replaces.
+#include <cmath>
+#include <iterator>
 #include <map>
 
 #include "common.h"
@@ -15,6 +17,10 @@ using namespace nimbus;
 using namespace nimbus::bench;
 
 namespace {
+
+// Cell layout: one p95 FCT per bucket, NaN where the bucket saw fewer
+// than five completions.
+const char* const kBuckets[] = {"15KB", "150KB", "1.5MB", "15MB", "150MB"};
 
 const char* bucket_name(std::int64_t bytes) {
   if (bytes <= 15e3) return "15KB";
@@ -36,17 +42,18 @@ exp::ScenarioSpec make_spec(const std::string& scheme, TimeNs duration) {
   return spec;
 }
 
-std::map<std::string, double> collect(const exp::ScenarioSpec&,
-                                      exp::ScenarioRun& run) {
+exp::CellResult collect(const exp::ScenarioSpec&, exp::ScenarioRun& run) {
   std::map<std::string, util::Percentiles> byBucket;
   for (const auto& c : run.built.net->recorder().completions()) {
     byBucket[bucket_name(c.bytes)].add(to_sec(c.fct));
   }
-  std::map<std::string, double> p95;
-  for (auto& [name, p] : byBucket) {
-    if (p.count() >= 5) p95[name] = p.percentile(0.95);
+  exp::CellResult r;
+  for (const char* name : kBuckets) {
+    const util::Percentiles& p = byBucket[name];
+    r.values.push_back(p.count() >= 5 ? p.percentile(0.95)
+                                      : std::nan(""));
   }
-  return p95;
+  return r;
 }
 
 }  // namespace
@@ -62,28 +69,21 @@ int main() {
   std::vector<exp::ScenarioSpec> specs;
   for (const auto& s : schemes) specs.push_back(make_spec(s, duration));
 
-  const auto per_scheme =
-      exp::run_scenarios<std::map<std::string, double>>(specs, collect);
-  std::map<std::string, std::map<std::string, double>> all;
-  for (std::size_t i = 0; i < schemes.size(); ++i) {
-    all[schemes[i]] = per_scheme[i];
-  }
+  // schemes[0] is nimbus, the normalization reference.
+  const auto p95 = exp::run_scenarios_cached(specs, collect);
 
   bool bbr_worse_somewhere = false;
   bool nimbus_not_worst_short = true;
-  for (const auto& bucket : {"15KB", "150KB", "1.5MB", "15MB", "150MB"}) {
-    const auto nim = all["nimbus"].find(bucket);
-    if (nim == all["nimbus"].end()) continue;
-    for (const auto& s : schemes) {
-      const auto it = all[s].find(bucket);
-      if (it == all[s].end()) continue;
-      row("fig21", std::string(bucket) + "," + s,
-          {it->second, it->second / nim->second});
-      if (s == "bbr" && it->second > 1.2 * nim->second) {
-        bbr_worse_somewhere = true;
-      }
-      if (s == "cubic" && std::string(bucket) == "15KB" &&
-          it->second < nim->second * 0.8) {
+  for (std::size_t b = 0; b < std::size(kBuckets); ++b) {
+    const double nim = p95[0].value(b);
+    if (std::isnan(nim)) continue;
+    for (std::size_t i = 0; i < schemes.size(); ++i) {
+      const std::string& s = schemes[i];
+      const double v = p95[i].value(b);
+      if (std::isnan(v)) continue;
+      row("fig21", std::string(kBuckets[b]) + "," + s, {v, v / nim});
+      if (s == "bbr" && v > 1.2 * nim) bbr_worse_somewhere = true;
+      if (s == "cubic" && b == 0 && v < nim * 0.8) {
         nimbus_not_worst_short = false;
       }
     }

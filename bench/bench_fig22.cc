@@ -4,7 +4,7 @@
 // status quo against BBR's known unfairness).
 //
 // Declarative form: one ScenarioSpec per (scheme, buffer) cell batched
-// through the ParallelRunner.  Verified byte-identical to the imperative
+// through run_scenarios_cached.  Verified byte-identical to the imperative
 // version it replaces.
 #include "common.h"
 

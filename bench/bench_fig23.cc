@@ -4,11 +4,9 @@
 // drives delay up, while Nimbus stays in delay mode at low delay.
 //
 // Declarative form: one ScenarioSpec per (scheme, CBR rate) cell batched
-// through the ParallelRunner; time-series panels print per cell from the
-// in-order result callback.  Verified byte-identical to the imperative
+// through run_scenarios_cached; time-series panels print per cell from
+// the in-order result callback.  Verified byte-identical to the imperative
 // version it replaces.
-#include <array>
-
 #include "common.h"
 
 using namespace nimbus;
@@ -16,11 +14,9 @@ using namespace nimbus::bench;
 
 namespace {
 
-struct Result {
-  std::vector<std::array<double, 3>> seconds;  // t, rate_mbps, qdelay_ms
-  double rate_mbps;
-  double qdelay_ms;
-};
+// Cell layout: the post-warmup rate and delay, then one (t, rate_mbps,
+// qdelay_ms) row per second.
+enum : std::size_t { kRate, kQdelay, kSeconds };
 
 exp::ScenarioSpec make_spec(const std::string& scheme, double cbr_rate,
                             TimeNs duration) {
@@ -33,21 +29,23 @@ exp::ScenarioSpec make_spec(const std::string& scheme, double cbr_rate,
   return spec;
 }
 
-Result collect(const exp::ScenarioSpec& spec, exp::ScenarioRun& run) {
+exp::CellResult collect(const exp::ScenarioSpec& spec,
+                        exp::ScenarioRun& run) {
   const TimeNs duration = spec.duration;
   auto& rec = run.built.net->recorder();
-  Result r{};
+  auto r = exp::CellResult::vec(
+      {rec.delivered(1).rate_bps(from_sec(10), duration) / 1e6,
+       rec.probed_queue_delay()
+           .mean_in(from_sec(10), duration)
+           .value_or(0.0)});
   for (TimeNs t = from_sec(1); t < duration; t += from_sec(1)) {
-    r.seconds.push_back(
+    r.values.insert(
+        r.values.end(),
         {to_sec(t), rec.delivered(1).rate_bps(t - from_sec(1), t) / 1e6,
          rec.probed_queue_delay()
              .mean_in(t - from_sec(1), t)
              .value_or(0.0)});
   }
-  r.rate_mbps =
-      rec.delivered(1).rate_bps(from_sec(10), duration) / 1e6;
-  r.qdelay_ms =
-      rec.probed_queue_delay().mean_in(from_sec(10), duration).value_or(0.0);
   return r;
 }
 
@@ -69,30 +67,30 @@ int main() {
     specs.push_back(make_spec(c.scheme, c.cbr, duration));
   }
 
-  const auto results = exp::run_scenarios<Result>(
-      specs, collect, {},
-      [&](std::size_t i, Result& r) {
-        for (const auto& sec : r.seconds) {
+  const auto results = exp::run_scenarios_cached(
+      specs, collect, {}, [&](std::size_t i, exp::CellResult& r) {
+        for (std::size_t j = kSeconds; j + 3 <= r.values.size(); j += 3) {
           row("fig23",
               cells[i].scheme + "," + util::format_num(cells[i].cbr / 1e6) +
-                  "," + util::format_num(sec[0]),
-              {sec[1], sec[2]});
+                  "," + util::format_num(r.value(j)),
+              {r.value(j + 1), r.value(j + 2)});
         }
       });
 
-  const Result& copa_lo = results[0];
-  const Result& nim_lo = results[1];
-  const Result& copa_hi = results[2];
-  const Result& nim_hi = results[3];
+  const exp::CellResult& copa_lo = results[0];
+  const exp::CellResult& nim_lo = results[1];
+  const exp::CellResult& copa_hi = results[2];
+  const exp::CellResult& nim_hi = results[3];
   row("fig23", "summary_24M",
-      {copa_lo.rate_mbps, copa_lo.qdelay_ms, nim_lo.rate_mbps,
-       nim_lo.qdelay_ms});
+      {copa_lo.value(kRate), copa_lo.value(kQdelay), nim_lo.value(kRate),
+       nim_lo.value(kQdelay)});
   row("fig23", "summary_80M",
-      {copa_hi.rate_mbps, copa_hi.qdelay_ms, nim_hi.rate_mbps,
-       nim_hi.qdelay_ms});
-  shape_check("fig23", copa_lo.qdelay_ms < 40 && nim_lo.qdelay_ms < 40,
+      {copa_hi.value(kRate), copa_hi.value(kQdelay), nim_hi.value(kRate),
+       nim_hi.value(kQdelay)});
+  shape_check("fig23",
+              copa_lo.value(kQdelay) < 40 && nim_lo.value(kQdelay) < 40,
               "24M CBR: both keep low delay");
-  shape_check("fig23", nim_hi.qdelay_ms < copa_hi.qdelay_ms,
+  shape_check("fig23", nim_hi.value(kQdelay) < copa_hi.value(kQdelay),
               "80M CBR: copa's misclassification raises its delay above "
               "nimbus's");
   return shape_exit_code();

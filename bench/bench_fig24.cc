@@ -4,10 +4,8 @@
 // buffer-filling and underperforms, while Nimbus detects elasticity.
 //
 // Declarative form: one ScenarioSpec per (scheme, RTT ratio) cell batched
-// through the ParallelRunner.  Verified byte-identical to the imperative
+// through run_scenarios_cached.  Verified byte-identical to the imperative
 // version it replaces.
-#include <array>
-
 #include "common.h"
 
 using namespace nimbus;
@@ -15,10 +13,9 @@ using namespace nimbus::bench;
 
 namespace {
 
-struct Result {
-  std::vector<std::array<double, 3>> seconds;  // t, rate_mbps, qdelay_ms
-  double rate_mbps;
-};
+// Cell layout: the post-warmup rate, then one (t, rate_mbps, qdelay_ms)
+// row per second.
+enum : std::size_t { kRate, kSeconds };
 
 exp::ScenarioSpec make_spec(const std::string& scheme, double rtt_ratio,
                             TimeNs duration) {
@@ -34,18 +31,20 @@ exp::ScenarioSpec make_spec(const std::string& scheme, double rtt_ratio,
   return spec;
 }
 
-Result collect(const exp::ScenarioSpec& spec, exp::ScenarioRun& run) {
+exp::CellResult collect(const exp::ScenarioSpec& spec,
+                        exp::ScenarioRun& run) {
   const TimeNs duration = spec.duration;
   auto& rec = run.built.net->recorder();
-  Result r{};
+  auto r = exp::CellResult::scalar(
+      rec.delivered(1).rate_bps(from_sec(15), duration) / 1e6);
   for (TimeNs t = from_sec(1); t < duration; t += from_sec(1)) {
-    r.seconds.push_back(
+    r.values.insert(
+        r.values.end(),
         {to_sec(t), rec.delivered(1).rate_bps(t - from_sec(1), t) / 1e6,
          rec.probed_queue_delay()
              .mean_in(t - from_sec(1), t)
              .value_or(0.0)});
   }
-  r.rate_mbps = rec.delivered(1).rate_bps(from_sec(15), duration) / 1e6;
   return r;
 }
 
@@ -65,21 +64,20 @@ int main() {
     specs.push_back(make_spec(c.scheme, c.ratio, duration));
   }
 
-  const auto results = exp::run_scenarios<Result>(
-      specs, collect, {},
-      [&](std::size_t i, Result& r) {
-        for (const auto& sec : r.seconds) {
+  const auto results = exp::run_scenarios_cached(
+      specs, collect, {}, [&](std::size_t i, exp::CellResult& r) {
+        for (std::size_t j = kSeconds; j + 3 <= r.values.size(); j += 3) {
           row("fig24",
               cells[i].scheme + "," + util::format_num(cells[i].ratio) +
-                  "," + util::format_num(sec[0]),
-              {sec[1], sec[2]});
+                  "," + util::format_num(r.value(j)),
+              {r.value(j + 1), r.value(j + 2)});
         }
       });
 
-  const double copa_1x = results[0].rate_mbps;
-  const double nim_1x = results[1].rate_mbps;
-  const double copa_4x = results[2].rate_mbps;
-  const double nim_4x = results[3].rate_mbps;
+  const double copa_1x = results[0].value(kRate);
+  const double nim_1x = results[1].value(kRate);
+  const double copa_4x = results[2].value(kRate);
+  const double nim_4x = results[3].value(kRate);
   row("fig24", "summary", {copa_1x, nim_1x, copa_4x, nim_4x});
   shape_check("fig24", nim_1x > 15 && copa_1x > 15,
               "equal RTT: both get a meaningful share vs NewReno");

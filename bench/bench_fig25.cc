@@ -4,9 +4,9 @@
 // stays high across the grid.
 //
 // Declarative form: every factor combination is an accuracy_scenario spec
-// batched through the ParallelRunner; rows print in grid order from the
-// in-order result callback.  Verified byte-identical to the run_accuracy
-// loop it replaces.
+// batched through run_scenarios_cached; rows print in grid order from the
+// in-order result callback.  Verified byte-identical to the one-run-per-
+// cell accuracy loop it replaces.
 #include "common.h"
 
 using namespace nimbus;
@@ -14,9 +14,10 @@ using namespace nimbus::bench;
 
 namespace {
 
-double collect(const exp::ScenarioSpec& spec, exp::ScenarioRun& run) {
+exp::CellResult collect(const exp::ScenarioSpec& spec,
+                        exp::ScenarioRun& run) {
   // Ground truth (elastic cross present) is derived from the spec.
-  return exp::score_accuracy(run, spec);
+  return exp::CellResult::scalar(exp::score_accuracy(run, spec));
 }
 
 }  // namespace
@@ -58,11 +59,10 @@ int main() {
   }
 
   util::OnlineStats overall;
-  exp::run_scenarios<double>(
-      specs, collect, {},
-      [&](std::size_t i, double& acc) {
-        row("fig25", labels[i], {acc});
-        overall.add(acc);
+  exp::run_scenarios_cached(
+      specs, collect, {}, [&](std::size_t i, exp::CellResult& r) {
+        row("fig25", labels[i], {r.value()});
+        overall.add(r.value());
       });
   row("fig25", "summary_mean_accuracy", {overall.mean()});
   shape_check("fig25", overall.mean() > 0.7,

@@ -185,7 +185,7 @@ int main() {
         row("impair", cells[i].kind + "_" + cells[i].cross,
             {cells[i].param, r.value()});
       },
-      nullptr, nullptr, &budget);
+      nullptr, nullptr, nullptr, &budget);
 
   // --- shape checks -------------------------------------------------------
   const auto acc = [&](const std::string& kind, const std::string& cross,

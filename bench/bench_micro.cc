@@ -769,13 +769,13 @@ void BM_SweepCellWarmCache(benchmark::State& state) {
   {
     exp::ResultCache warmup(dir.string(), exp::ResultCache::Mode::kReadWrite);
     exp::run_scenarios_cached(specs, sweep_cell_collect, {/*jobs=*/1, false},
-                              nullptr, &warmup, &no_shard);
+                              nullptr, nullptr, &warmup, &no_shard);
   }
   exp::ResultCache cache(dir.string(), exp::ResultCache::Mode::kRead);
   for (auto _ : state) {
     const auto cells = exp::run_scenarios_cached(
-        specs, sweep_cell_collect, {/*jobs=*/1, false}, nullptr, &cache,
-        &no_shard);
+        specs, sweep_cell_collect, {/*jobs=*/1, false}, nullptr, nullptr,
+        &cache, &no_shard);
     benchmark::DoNotOptimize(cells);
   }
   if (cache.stats().misses > 0) {
@@ -793,8 +793,8 @@ void BM_SweepCellColdCompute(benchmark::State& state) {
   const exp::ShardConfig no_shard;
   for (auto _ : state) {
     const auto cells = exp::run_scenarios_cached(
-        specs, sweep_cell_collect, {/*jobs=*/1, false}, nullptr, &off,
-        &no_shard);
+        specs, sweep_cell_collect, {/*jobs=*/1, false}, nullptr, nullptr,
+        &off, &no_shard);
     benchmark::DoNotOptimize(cells);
   }
   state.SetItemsProcessed(state.iterations() *

@@ -2,7 +2,7 @@
 // For each cross-traffic class, run Nimbus with a fixed (detection-only)
 // configuration and report the elastic-classified fraction of time.
 //
-// One ScenarioSpec per traffic class, run through the ParallelRunner.
+// One ScenarioSpec per traffic class, run through run_scenarios_cached.
 #include "common.h"
 
 using namespace nimbus;

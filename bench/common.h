@@ -7,10 +7,9 @@
 //
 // Network assembly lives exclusively in the scenario layer: benches
 // describe experiments declaratively as ScenarioSpecs (exp/scenario.h) and
-// batch them through the ParallelRunner (exp/runner.h) for multi-core
-// sweeps.  The imperative builders (make_net / add_nimbus / add_*_cross)
-// are no longer re-exported here — exp::build_network is the only way to
-// assemble a network.
+// run every sweep through exp::run_scenarios_cached (exp/runner.h).  Each
+// bench's collect reduces a run to the flat CellResult values it prints:
+// fixed summaries at named indices, then any variable-length series.
 //
 // SHAPE-CHECK exit discipline: shape_check prints PASS/WARN exactly as
 // before (bench stdout is golden-diffed), and every bench returns

@@ -4,8 +4,8 @@
 // shows the elasticity metric tracking the workload's elastic phases.
 //
 // Each scheme is one declarative ScenarioSpec (exp/scenario.h); the three
-// runs go through the ParallelRunner (exp/runner.h), so on a multi-core
-// host the comparison takes one scheme's wall-clock time.
+// runs go through exp::run_scenarios_cached (exp/runner.h), so on a
+// multi-core host the comparison takes one scheme's wall-clock time.
 //
 //   $ ./examples/wan_workload [duration_seconds]
 #include <cstdio>
@@ -19,10 +19,9 @@ using namespace nimbus;
 
 namespace {
 
-struct Outcome {
-  exp::FlowSummary summary;
-  double accuracy;  // only meaningful for nimbus
-};
+// Each run reduces to these values (a CellResult's layout); kAccuracy is
+// only meaningful for nimbus.
+enum : std::size_t { kRate, kMeanRtt, kMedianRtt, kP95Rtt, kAccuracy };
 
 exp::ScenarioSpec make_spec(const std::string& scheme, TimeNs duration) {
   exp::ScenarioSpec spec;
@@ -36,11 +35,12 @@ exp::ScenarioSpec make_spec(const std::string& scheme, TimeNs duration) {
   return spec;
 }
 
-Outcome collect(const exp::ScenarioSpec& spec, exp::ScenarioRun& run) {
+exp::CellResult collect(const exp::ScenarioSpec& spec,
+                        exp::ScenarioRun& run) {
   const auto& rec = run.built.net->recorder();
-  Outcome out;
-  out.summary = exp::summarize_flow(rec, 1, from_sec(10), spec.duration);
-  out.accuracy = 0;
+  const exp::FlowSummary s =
+      exp::summarize_flow(rec, 1, from_sec(10), spec.duration);
+  double accuracy = 0;
   if (run.built.nimbus != nullptr) {
     // Score mode decisions against the workload's byte-weighted truth in
     // clear-cut seconds.
@@ -55,9 +55,10 @@ Outcome collect(const exp::ScenarioSpec& spec, exp::ScenarioRun& run) {
         ++agree;
       }
     }
-    out.accuracy = total ? static_cast<double>(agree) / total : 0.0;
+    accuracy = total ? static_cast<double>(agree) / total : 0.0;
   }
-  return out;
+  return exp::CellResult::vec({s.mean_rate_mbps, s.mean_rtt_ms,
+                               s.median_rtt_ms, s.p95_rtt_ms, accuracy});
 }
 
 }  // namespace
@@ -70,26 +71,23 @@ int main(int argc, char** argv) {
   for (const auto& s : schemes) specs.push_back(make_spec(s, duration));
 
   std::printf("scheme       rate    mean RTT  median RTT   p95 RTT\n");
-  const auto outcomes = exp::run_scenarios<Outcome>(
-      specs, collect, {},
-      [&](std::size_t i, Outcome& o) {
+  const auto outcomes = exp::run_scenarios_cached(
+      specs, collect, {}, [&](std::size_t i, exp::CellResult& o) {
         std::printf("%-10s %6.1f M %8.1f ms %8.1f ms %8.1f ms\n",
-                    schemes[i].c_str(), o.summary.mean_rate_mbps,
-                    o.summary.mean_rtt_ms, o.summary.median_rtt_ms,
-                    o.summary.p95_rtt_ms);
+                    schemes[i].c_str(), o.value(kRate), o.value(kMeanRtt),
+                    o.value(kMedianRtt), o.value(kP95Rtt));
       });
 
-  const Outcome& nimbus = outcomes[0];
-  const Outcome& cubic = outcomes[1];
-  const Outcome& vegas = outcomes[2];
+  const exp::CellResult& nimbus = outcomes[0];
+  const exp::CellResult& cubic = outcomes[1];
+  const exp::CellResult& vegas = outcomes[2];
   std::printf("\nnimbus classification accuracy (clear-cut seconds): %.0f%%\n",
-              nimbus.accuracy * 100);
+              nimbus.value(kAccuracy) * 100);
   std::printf(
       "shape: nimbus ~ cubic's rate (%.0f%% of it) at %.0f ms lower median "
       "RTT;\n       vegas cedes %.0f%% of nimbus's rate\n",
-      100 * nimbus.summary.mean_rate_mbps / cubic.summary.mean_rate_mbps,
-      cubic.summary.median_rtt_ms - nimbus.summary.median_rtt_ms,
-      100 * (1 - vegas.summary.mean_rate_mbps /
-                     nimbus.summary.mean_rate_mbps));
+      100 * nimbus.value(kRate) / cubic.value(kRate),
+      cubic.value(kMedianRtt) - nimbus.value(kMedianRtt),
+      100 * (1 - vegas.value(kRate) / nimbus.value(kRate)));
   return 0;
 }

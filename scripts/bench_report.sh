@@ -22,7 +22,7 @@
 #               host-independent.  Pairs marked gated are the structural
 #               rewrites, whose speedups dwarf measurement noise; parity
 #               pairs are reported but not gated.)
-#   output      defaults to BENCH_PR14.json in the repo root
+#   output      defaults to BENCH_PR17.json in the repo root
 #
 # The "before" numbers come from the same binary: bench_micro runs every
 # workload against a verbatim copy of the previous implementation
@@ -35,7 +35,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 QUICK=0
-OUT=BENCH_PR14.json
+OUT=BENCH_PR17.json
 COMPARE=""
 while [ $# -gt 0 ]; do
   case "$1" in
@@ -165,7 +165,7 @@ cubic = by_name.get("BM_SimulatedSecondCubic")
 scenario = by_name.get("BM_SimulatedSecondScenario")
 
 report = {
-    "pr": 14,
+    "pr": 17,
     "generated_by": "scripts/bench_report.sh"
                     + (" --quick" if os.environ["QUICK"] == "1" else ""),
     "host": micro.get("context", {}),
@@ -287,10 +287,10 @@ report = {
             if os.environ.get("SUITE_SECS") else None,
         # PR 7, informational: the same suite re-run from a result cache
         # populated moments earlier (NIMBUS_CACHE=read), and the aggregate
-        # cache hit rate over the converted benches during that run.
-        # Benches not yet converted to run_scenarios_cached (and the
-        # non-sweep part of every bench: building, printing, CDF math)
-        # bound the warm wall from below.
+        # cache hit rate during that run.  Every bench sweeps through
+        # run_scenarios_cached, so the warm wall is the non-sweep part of
+        # each bench (process start, trace set-up, printing) plus cache
+        # reads.
         "bench_suite_quick_warm_wall_seconds":
             float(os.environ["WARM_SECS"])
             if os.environ.get("WARM_SECS") else None,

@@ -177,7 +177,8 @@ const std::vector<double>& ReferenceElasticityDetector::windowed_snapshot()
   signal_.copy_to(scratch_);
   spectral::remove_mean(scratch_);
   if (window_.size() != scratch_.size()) {
-    window_ = spectral::make_window(cfg_.window, scratch_.size());
+    window_ = spectral::make_window(spectral::WindowType::kHannPeriodic,
+                                    scratch_.size());
   }
   spectral::apply_window(scratch_, window_);
   return scratch_;
@@ -204,58 +205,55 @@ double ReferenceElasticityDetector::magnitude_near(double f_hz) const {
 
 spectral::Spectrum ReferenceElasticityDetector::full_spectrum() const {
   return spectral::analyze(signal_.snapshot(), cfg_.sample_rate_hz,
-                           cfg_.window);
+                           spectral::WindowType::kHannPeriodic);
 }
 
 // ---------------------------------------------------------------------------
-// ElasticityDetector: incremental engine + reference fallback.
+// ElasticityDetector: the incremental engine alone.
+
+namespace {
+
+/// An engine over the union of the tracked frequencies' evaluate spans,
+/// clamped to the window.
+spectral::SlidingDft make_engine(const DetectorConfig& cfg) {
+  NIMBUS_CHECK(cfg.sample_rate_hz > 0 && cfg.duration_sec > 0);
+  const std::size_t n = window_length(cfg);
+  std::size_t lo = n, hi = 0;
+  for (double f : cfg.tracked_freqs_hz) {
+    if (f <= 0.0) continue;
+    const BinSpan s = evaluate_span(f, n, cfg.sample_rate_hz, cfg.tolerance_hz);
+    lo = std::min(lo, s.lo);
+    hi = std::max(hi, s.hi);
+  }
+  NIMBUS_CHECK_MSG(lo <= hi,
+                   "ElasticityDetector needs a positive tracked frequency "
+                   "(DetectorConfig::tracked_freqs_hz)");
+  return spectral::SlidingDft(n, lo, std::min(hi, n - 1));
+}
+
+/// CHECK-fails unless the engine maintains bins [lo, hi].
+void check_tracked(const spectral::SlidingDft& dft, std::size_t lo,
+                   std::size_t hi) {
+  NIMBUS_CHECK_MSG(lo >= dft.bin_lo() && hi <= dft.bin_hi(),
+                   "ElasticityDetector: query outside the tracked bands "
+                   "(DetectorConfig::tracked_freqs_hz)");
+}
+
+}  // namespace
 
 ElasticityDetector::ElasticityDetector() : ElasticityDetector(Config()) {}
 
 ElasticityDetector::ElasticityDetector(const Config& config)
-    : cfg_(config), ref_(config) {
-  // The engine applies Hann as a 3-bin frequency-domain convolution, which
-  // is exact only for the periodic window; any other window type keeps the
-  // detector on the reference recompute.
-  if (cfg_.window != spectral::WindowType::kHannPeriodic) return;
-  const std::size_t n = window_length(cfg_);
-  std::size_t lo = n, hi = 0;
-  for (double f : cfg_.tracked_freqs_hz) {
-    if (f <= 0.0) continue;
-    const BinSpan s =
-        evaluate_span(f, n, cfg_.sample_rate_hz, cfg_.tolerance_hz);
-    lo = std::min(lo, s.lo);
-    hi = std::max(hi, s.hi);
-  }
-  if (lo > hi) return;  // no tracked frequencies
-  hi = std::min(hi, n - 1);
-  dft_ = std::make_unique<spectral::SlidingDft>(n, lo, hi);
-}
-
-void ElasticityDetector::add_sample(double value) {
-  ref_.add_sample(value);
-  if (dft_) dft_->add_sample(value);
-}
-
-void ElasticityDetector::reset() {
-  ref_.reset();
-  if (dft_) dft_->reset();
-}
-
-bool ElasticityDetector::engine_covers(std::size_t lo, std::size_t hi) const {
-  return dft_ && lo >= dft_->bin_lo() && hi <= dft_->bin_hi();
-}
+    : cfg_(config), dft_(make_engine(config)) {}
 
 ElasticityDetector::Result ElasticityDetector::evaluate(
     double f_pulse_hz) const {
-  if (!ready()) return Result();
   const std::size_t n = window_samples();
   const BinSpan s =
       evaluate_span(f_pulse_hz, n, cfg_.sample_rate_hz, cfg_.tolerance_hz);
-  if (!engine_covers(s.lo, std::min(s.hi, n - 1))) {
-    return ref_.evaluate(f_pulse_hz);
-  }
-  const spectral::SlidingDft& dft = *dft_;
+  check_tracked(dft_, s.lo, std::min(s.hi, n - 1));
+  if (!ready()) return Result();
+  const spectral::SlidingDft& dft = dft_;
   return evaluate_band(
       cfg_, n, f_pulse_hz,
       [&dft](std::size_t k) { return dft.hann_power(k); },
@@ -263,17 +261,23 @@ ElasticityDetector::Result ElasticityDetector::evaluate(
 }
 
 double ElasticityDetector::magnitude_near(double f_hz) const {
-  if (!ready()) return 0.0;
   const std::size_t n = window_samples();
   const std::size_t center =
       spectral::frequency_bin(f_hz, n, cfg_.sample_rate_hz);
-  const std::size_t lo = center > 1 ? center - 1 : 1;
-  if (!engine_covers(lo, center + 1)) return ref_.magnitude_near(f_hz);
-  const spectral::SlidingDft& dft = *dft_;
+  check_tracked(dft_, center > 1 ? center - 1 : 1, center + 1);
+  if (!ready()) return 0.0;
+  const spectral::SlidingDft& dft = dft_;
   return magnitude_near_band(
       n, cfg_.sample_rate_hz, f_hz,
       [&dft](std::size_t k) { return dft.hann_power(k); },
       [&dft](std::size_t k) { return dft.hann_magnitude(k); });
+}
+
+spectral::Spectrum ElasticityDetector::full_spectrum() const {
+  std::vector<double> x;
+  dft_.copy_to(x);
+  return spectral::analyze(x, cfg_.sample_rate_hz,
+                           spectral::WindowType::kHannPeriodic);
 }
 
 }  // namespace nimbus::core

@@ -16,16 +16,17 @@
 // only needs ~40 bins, and those bins are maintained *incrementally* by a
 // sliding DFT (spectral/sliding_dft.h): O(tracked_bins) per add_sample and
 // O(1) per bin per evaluate, instead of an O(n) snapshot plus one O(n)
-// Goertzel sweep per bin per report.  ReferenceElasticityDetector keeps
-// the recompute pipeline as the executable spec (equivalence-tested, and
-// the fallback for queries outside the tracked band or for non-periodic-
-// Hann window configs); full_spectrum() runs the Bluestein FFT for
-// diagnostics and figure reproduction.
+// Goertzel sweep per bin per report.  The detector holds only that engine
+// and always applies the periodic Hann window, the one window the engine
+// can apply exactly; a query outside the tracked bands is a programming
+// error and CHECK-fails.  ReferenceElasticityDetector keeps the recompute
+// pipeline as the test oracle the engine is equivalence-tested against;
+// full_spectrum() runs the Bluestein FFT over the engine's sample window
+// for diagnostics and figure reproduction.
 #pragma once
 
 #include <array>
 #include <cstddef>
-#include <memory>
 #include <vector>
 
 #include "spectral/sliding_dft.h"
@@ -72,13 +73,11 @@ struct DetectorConfig {
   /// Bins within this distance of f_p count toward the numerator peak
   /// (windowing spreads an exact-bin tone into its neighbours).
   double tolerance_hz = 0.25;
-  /// Periodic Hann admits the sliding-DFT engine (frequency-domain
-  /// windowing); any other type forces the reference recompute path.
-  spectral::WindowType window = spectral::WindowType::kHannPeriodic;
   /// Pulse frequencies whose Eq.-3 bands the sliding DFT maintains
   /// incrementally (both, because watchers evaluate f_pc *and* f_pd every
-  /// report).  evaluate()/magnitude_near() at other frequencies still
-  /// work, via the reference recompute.  <= 0 entries are ignored.
+  /// report).  ElasticityDetector answers evaluate()/magnitude_near() only
+  /// inside these bands.  <= 0 entries are ignored; at least one must be
+  /// positive.
   std::array<double, 2> tracked_freqs_hz = {5.0, 6.0};
 };
 
@@ -96,10 +95,9 @@ struct DetectorResult {
 };
 
 /// The from-scratch spectral pipeline: snapshot the ring, remove the mean,
-/// apply the (cached) window, Goertzel each band bin.  O(bins * n) per
-/// evaluate — the executable specification the incremental engine is
-/// equivalence-tested against, and the fallback path for untracked
-/// queries.
+/// apply the (cached) periodic Hann window, Goertzel each band bin.
+/// O(bins * n) per evaluate — the executable specification the incremental
+/// engine is equivalence-tested against.  Answers any frequency.
 class ReferenceElasticityDetector {
  public:
   using Config = DetectorConfig;
@@ -118,7 +116,6 @@ class ReferenceElasticityDetector {
   spectral::Spectrum full_spectrum() const;
 
   const Config& config() const { return cfg_; }
-  const SlidingSignal& signal() const { return signal_; }
 
  private:
   /// Fills scratch_ with the mean-removed, windowed signal and returns it.
@@ -138,9 +135,8 @@ class ReferenceElasticityDetector {
 /// The production detector: add_sample feeds the sliding-DFT engine's
 /// tracked bands, and evaluate()/magnitude_near() at the tracked pulse
 /// frequencies are pure band-max lookups — zero copies, zero allocations,
-/// O(1) per bin.  Queries the engine cannot serve (untracked frequency,
-/// non-periodic-Hann window) transparently fall back to the reference
-/// recompute over the same sample window.
+/// O(1) per bin.  A query whose bins fall outside the tracked bands
+/// CHECK-fails, as does a config with no positive tracked frequency.
 class ElasticityDetector {
  public:
   using Config = DetectorConfig;
@@ -150,10 +146,10 @@ class ElasticityDetector {
   explicit ElasticityDetector(const Config& config);
 
   /// Adds one z (or R) sample; call at the configured sample rate.
-  void add_sample(double value);
-  bool ready() const { return ref_.ready(); }
-  std::size_t window_samples() const { return ref_.window_samples(); }
-  void reset();
+  void add_sample(double value) { dft_.add_sample(value); }
+  bool ready() const { return dft_.full(); }
+  std::size_t window_samples() const { return dft_.window_size(); }
+  void reset() { dft_.reset(); }
 
   /// Evaluates Eq. (3) for a pulse at f_pulse_hz.
   Result evaluate(double f_pulse_hz) const;
@@ -162,21 +158,18 @@ class ElasticityDetector {
   /// eta); used by watchers/pulser-conflict checks.
   double magnitude_near(double f_hz) const;
 
-  /// Full magnitude spectrum of the current window (diagnostics, Fig. 5).
-  spectral::Spectrum full_spectrum() const { return ref_.full_spectrum(); }
+  /// Full magnitude spectrum of the current window under periodic Hann
+  /// (diagnostics, Fig. 5).  Allocates; never on the report path.
+  spectral::Spectrum full_spectrum() const;
 
   const Config& config() const { return cfg_; }
 
-  /// The incremental engine, or nullptr when the config disables it
-  /// (introspection for tests and benches).
-  const spectral::SlidingDft* engine() const { return dft_.get(); }
+  /// The incremental engine (introspection for tests and benches).
+  const spectral::SlidingDft& engine() const { return dft_; }
 
  private:
-  bool engine_covers(std::size_t lo, std::size_t hi) const;
-
   Config cfg_;
-  ReferenceElasticityDetector ref_;
-  std::unique_ptr<spectral::SlidingDft> dft_;
+  spectral::SlidingDft dft_;
 };
 
 }  // namespace nimbus::core

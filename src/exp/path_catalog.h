@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "exp/scenario.h"
-#include "exp/summary.h"
 #include "util/time.h"
 
 namespace nimbus::exp {
@@ -39,15 +38,10 @@ std::vector<PathConfig> internet_paths();
 
 /// The ScenarioSpec equivalent of a path run: protagonist `scheme` as a
 /// bulk transfer with online mu estimation, plus the path's Poisson load,
-/// elastic competitors, loss, and policer.  Exposed so sweeps can batch
-/// path grids through the ParallelRunner.  `seed` must be nonzero (it
+/// elastic competitors, loss, and policer.  Sweeps batch path grids
+/// through run_scenarios_cached.  `seed` must be nonzero (it
 /// feeds the historical seed*{13,17,31}+c per-component formulas).
 ScenarioSpec path_scenario(const std::string& scheme, const PathConfig& path,
                            TimeNs duration, std::uint64_t seed);
-
-/// Runs `scheme` as a bulk transfer on the path for `duration` and returns
-/// its summary (rate + delay).  `seed` varies cross traffic.
-FlowSummary run_path(const std::string& scheme, const PathConfig& path,
-                     TimeNs duration, std::uint64_t seed);
 
 }  // namespace nimbus::exp

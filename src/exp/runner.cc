@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <string>
@@ -14,10 +13,10 @@ namespace nimbus::exp {
 
 int resolve_jobs(int jobs) {
   if (jobs > 0) return jobs;
-  if (const char* env = std::getenv("NIMBUS_JOBS")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
-  }
+  const double env = positive_env_number("NIMBUS_JOBS", /*integer=*/true);
+  // More workers than cells never run (for_each caps at n), so the cap
+  // only keeps the int conversion defined.
+  if (env > 0.0) return static_cast<int>(std::min(env, 1e6));
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;
 }
@@ -101,14 +100,10 @@ void ParallelRunner::for_each(std::size_t n,
 
 RunBudget cell_budget_from_env() {
   RunBudget b;
-  if (const char* env = std::getenv("NIMBUS_CELL_MAX_EVENTS")) {
-    const long long n = std::atoll(env);
-    if (n > 0) b.max_events = static_cast<std::uint64_t>(n);
-  }
-  if (const char* env = std::getenv("NIMBUS_CELL_WALL_SEC")) {
-    const double s = std::atof(env);
-    if (s > 0.0) b.max_wall_seconds = s;
-  }
+  b.max_events = static_cast<std::uint64_t>(
+      positive_env_number("NIMBUS_CELL_MAX_EVENTS", /*integer=*/true));
+  b.max_wall_seconds =
+      positive_env_number("NIMBUS_CELL_WALL_SEC", /*integer=*/false);
   return b;
 }
 
@@ -309,7 +304,8 @@ std::vector<CellResult> run_scenarios_cached(
     const std::vector<ScenarioSpec>& specs, const CellCollect& collect,
     ParallelRunner::Options opts,
     const std::function<void(std::size_t, CellResult&)>& on_result,
-    ResultCache* cache, const ShardConfig* shard, const RunBudget* budget) {
+    const ScenarioSetup& setup, ResultCache* cache, const ShardConfig* shard,
+    const RunBudget* budget) {
   ResultCache& c = cache != nullptr ? *cache : process_cache();
   const ShardConfig s = shard != nullptr ? *shard : shard_from_env();
   const RunBudget b = budget != nullptr ? *budget : cell_budget_from_env();
@@ -329,7 +325,7 @@ std::vector<CellResult> run_scenarios_cached(
           note_shard_skip();
           return CellResult::failed(CellResult::Fail::kShardSkip);
         }
-        ScenarioRun run = run_scenario(spec, nullptr, b);
+        ScenarioRun run = run_scenario(spec, setup, b);
         switch (run.budget_stop()) {
           case sim::EventLoop::BudgetStop::kNone:
             break;

@@ -1,19 +1,16 @@
-// Parallel experiment execution.
+// Parallel experiment execution: run_scenarios_cached, the one sweep
+// runner, on top of ParallelRunner, its thread pool.
 //
 // Scenarios are embarrassingly parallel: each one owns its Network (and
 // therefore its EventLoop, RNG streams, and recorder), so a batch of specs
-// can run across a thread pool with zero shared mutable state.  The runner
-// guarantees:
-//   * stable ordering — results land at the index of their spec, and the
-//     result callback fires in spec order regardless of completion order;
-//   * deterministic seeding — derive_seed(base, i) gives per-scenario base
-//     seeds that do not depend on thread scheduling;
-//   * a serial reference path (Options::serial, or jobs = 1) that executes
-//     in spec order on the calling thread, used by tests to assert
-//     parallel == serial.
+// runs across a thread pool with zero shared mutable state.  Results land
+// at their spec's index and callbacks fire in spec order regardless of
+// completion order; derive_seed(base, i) gives scheduling-independent
+// per-scenario seeds; Options::serial (or jobs = 1) is the in-order
+// reference path tests compare parallel runs against.
 //
-// Worker count: Options::jobs if > 0, else the NIMBUS_JOBS environment
-// variable, else std::thread::hardware_concurrency().
+// Worker count: Options::jobs if > 0, else NIMBUS_JOBS (a positive whole
+// number; anything else CHECK-fails), else hardware concurrency.
 #pragma once
 
 #include <cstddef>
@@ -79,57 +76,41 @@ class ParallelRunner {
   bool serial_;
 };
 
-/// Builds and runs every spec (each scenario gets its own network/loop),
-/// reduces each finished run to an R via `collect` (called on the worker
-/// thread, with the network still alive), and returns the Rs in spec
-/// order.  `on_result` fires in spec order — benches print CSV rows from
-/// it without interleaving.  `setup` (if given) runs per scenario on the
-/// worker thread after assembly and before the event loop starts; it must
-/// only touch the BuiltScenario it is handed (and thread-safe captures).
-template <typename R>
-std::vector<R> run_scenarios(
-    const std::vector<ScenarioSpec>& specs,
-    const std::function<R(const ScenarioSpec&, ScenarioRun&)>& collect,
-    ParallelRunner::Options opts = {},
-    const std::function<void(std::size_t, R&)>& on_result = nullptr,
-    const ScenarioSetup& setup = nullptr) {
-  ParallelRunner runner(opts);
-  return runner.map<R>(
-      specs.size(),
-      [&](std::size_t i) {
-        ScenarioRun run = run_scenario(specs[i], setup);
-        return collect(specs[i], run);
-      },
-      on_result);
-}
-
 /// Reduces one finished run to its cacheable scored summary.
 using CellCollect =
     std::function<CellResult(const ScenarioSpec&, ScenarioRun&)>;
 
 /// Per-cell watchdog config for run_scenarios_cached, from the environment:
-/// NIMBUS_CELL_MAX_EVENTS (simulated-event budget) and NIMBUS_CELL_WALL_SEC
-/// (wall-clock seconds).  Unset/invalid = unlimited.
+/// NIMBUS_CELL_MAX_EVENTS (simulated-event budget, a whole number) and
+/// NIMBUS_CELL_WALL_SEC (wall-clock seconds).  Unset or empty = unlimited;
+/// any other value must be a positive number (positive_env_number), or
+/// the process CHECK-fails naming the variable.
 RunBudget cell_budget_from_env();
 
-/// run_scenarios with content-addressed memoisation and process-level
-/// sharding.  Each spec is keyed by (spec_hash, spec.seed,
-/// code_fingerprint); a cache hit returns the stored CellResult without
-/// building a network, a miss runs the scenario, applies `collect`, and
-/// (in readwrite mode) stores the summary.  Under an active NIMBUS_SHARD,
-/// cells outside this process's shard are never computed: they are served
-/// from the cache when present and otherwise come back valid=false (NaN
-/// values) — see result_cache.h.
+/// The one sweep runner: every sweep in the benches and examples goes
+/// through it, and run_scenario is the single-run primitive underneath.  Builds and runs
+/// every spec, each on its own network/loop, reduces each finished run to
+/// a CellResult via `collect` (on the worker thread, network still alive),
+/// and returns the results in spec order; `on_result` fires in spec order,
+/// so benches print rows from it without interleaving.  `setup` (if given)
+/// runs per scenario on the worker after assembly, before the loop starts;
+/// it must only touch the BuiltScenario it is handed (and thread-safe
+/// captures).
 ///
-/// Caching is opt-in per call site precisely because `collect` is part of
-/// the cell's identity in spirit but not in the hash: the code
-/// fingerprint (the whole binary) covers it conservatively.  Call sites
-/// whose output depends on anything else (a ScenarioSetup hook, ambient
-/// state) must keep using run_scenarios.  Specs that cannot be
-/// canonicalized (spec_cacheable false) always compute.
+/// Memoisation: a cell is keyed by (spec_hash, spec.seed,
+/// code_fingerprint); a hit returns the stored CellResult without building
+/// a network, a miss runs the scenario and (in readwrite mode) stores
+/// `collect`'s values.  `collect` and `setup` are code in the fingerprinted
+/// binary, so stored values depend only on (spec, seed, binary) — given
+/// the contract that within one binary a spec (name included) has exactly
+/// one collect/setup pair.  Specs that cannot be canonicalized
+/// (spec_cacheable false) always compute.
 ///
-/// Ordering guarantees match run_scenarios: results land in spec order
-/// and `on_result` fires in spec order.
+/// Sharding: under an active NIMBUS_SHARD, out-of-shard cells are served
+/// from the cache or come back valid=false with no values — see
+/// result_cache.h.  Read results through value(i) (NaN when missing),
+/// never values[i], and guard anything built from a variable-length result
+/// against an empty one.
 ///
 /// Watchdog: each computed cell runs under `budget` (null: the
 /// NIMBUS_CELL_MAX_EVENTS / NIMBUS_CELL_WALL_SEC env config; default
@@ -141,6 +122,7 @@ std::vector<CellResult> run_scenarios_cached(
     const std::vector<ScenarioSpec>& specs, const CellCollect& collect,
     ParallelRunner::Options opts = {},
     const std::function<void(std::size_t, CellResult&)>& on_result = nullptr,
+    const ScenarioSetup& setup = nullptr,
     ResultCache* cache = nullptr,        // null: the NIMBUS_CACHE env cache
     const ShardConfig* shard = nullptr,  // null: the NIMBUS_SHARD env config
     const RunBudget* budget = nullptr);  // null: the env cell budget

@@ -1,8 +1,10 @@
 #include "exp/scenario.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 #include <utility>
 
 #include "cc/const_window.h"
@@ -435,6 +437,22 @@ BuiltScenario build_network(const ScenarioSpec& spec) {
   return out;
 }
 
+double positive_env_number(const char* name, bool integer) {
+  // detlint:allow(R1): exp-layer run configuration; never feeds sim state
+  const char* v = std::getenv(name);
+  if (v == nullptr || v[0] == '\0') return 0.0;
+  char* end = nullptr;
+  const double x = std::strtod(v, &end);  // end == v when nothing parsed
+  if (*end != '\0' || !std::isfinite(x) || !(x > 0.0) ||
+      (integer && (x != std::floor(x) || x > 0x1p53))) {
+    const std::string msg = std::string(name) + "=\"" + v +
+                            "\": expected a positive " +
+                            (integer ? "whole number" : "number");
+    NIMBUS_CHECK_MSG(false, msg.c_str());
+  }
+  return x;
+}
+
 obs::Mode obs_mode_from_env() {
   // detlint:allow(R1): exp-layer telemetry config; never feeds sim state
   const char* v = std::getenv("NIMBUS_OBS");
@@ -454,14 +472,9 @@ std::string obs_dir_from_env() {
 }
 
 std::size_t obs_ring_capacity_from_env() {
-  // detlint:allow(R1): exp-layer telemetry config; never feeds sim state
-  const char* v = std::getenv("NIMBUS_OBS_RING");
-  if (v == nullptr || v[0] == '\0') {
-    return obs::FlightRecorder::kDefaultCapacity;
-  }
-  const long n = std::strtol(v, nullptr, 10);
-  NIMBUS_CHECK_MSG(n > 0, "NIMBUS_OBS_RING must be a positive integer");
-  return static_cast<std::size_t>(n);
+  const double n = positive_env_number("NIMBUS_OBS_RING", /*integer=*/true);
+  return n > 0.0 ? static_cast<std::size_t>(n)
+                 : obs::FlightRecorder::kDefaultCapacity;
 }
 
 std::string obs_artifact_stem(const ScenarioSpec& spec) {
@@ -626,17 +639,6 @@ double score_accuracy(const ScenarioRun& run, const ScenarioSpec& spec,
 
 double score_accuracy(const ScenarioRun& run, const ScenarioSpec& spec) {
   return score_accuracy(run, spec, spec_cross_is_elastic(spec));
-}
-
-double run_accuracy(const std::string& cross_kind, double mu,
-                    TimeNs nimbus_rtt, TimeNs cross_rtt, double cross_share,
-                    TimeNs duration, std::uint64_t seed,
-                    core::Nimbus::Config cfg, double buf_bdp) {
-  const ScenarioSpec spec =
-      accuracy_scenario(cross_kind, mu, nimbus_rtt, cross_rtt, cross_share,
-                        duration, seed, cfg, buf_bdp);
-  const ScenarioRun run = run_scenario(spec);
-  return score_accuracy(run, spec, accuracy_cross_is_elastic(cross_kind));
 }
 
 }  // namespace nimbus::exp

@@ -5,13 +5,14 @@
 // (any scheme from exp::make_scheme or a fully configured Nimbus), a phase
 // schedule of cross traffic, and an optional heavy-tailed flow workload —
 // and build_network() assembles a ready-to-run sim::Network from it.
-// Specs are plain values: cheap to copy, sweep over, and hand to the
-// ParallelRunner (exp/runner.h), which runs batches of them across threads.
+// Specs are plain values: cheap to copy, sweep over, and hand to
+// run_scenarios_cached (exp/runner.h), which runs batches of them across
+// threads.
 //
 // The imperative builders (make_net, add_protagonist, add_nimbus,
-// add_*_cross, run_accuracy) used to live in bench/common.h; they are the
-// assembly primitives build_network() composes, exported so tests and
-// examples can use them without pulling in bench headers.
+// add_*_cross) used to live in bench/common.h; they are the assembly
+// primitives build_network() composes, exported so tests and examples can
+// use them without pulling in bench headers.
 #pragma once
 
 #include <cstdint>
@@ -357,6 +358,15 @@ ScenarioRun run_scenario(const ScenarioSpec& spec,
 // environment.
 // ---------------------------------------------------------------------------
 
+/// A positive numeric knob from the environment: 0 when `name` is unset or
+/// empty, else the whole value parsed as a finite number > 0 ("1e6" and
+/// "2.5" parse; "four", "64k", "1e6x", "0" and "-1" do not).  An `integer`
+/// knob must also be a whole number no larger than 2^53.  Anything else
+/// CHECK-fails naming the variable, so a typo cannot silently run the
+/// default.  NIMBUS_JOBS, NIMBUS_CELL_MAX_EVENTS, NIMBUS_CELL_WALL_SEC and
+/// NIMBUS_OBS_RING all parse through here.
+double positive_env_number(const char* name, bool integer);
+
 /// NIMBUS_OBS: "off"/"" (default), "counters", "trace".  Unknown values
 /// CHECK-fail rather than silently dropping telemetry.
 obs::Mode obs_mode_from_env();
@@ -364,7 +374,8 @@ obs::Mode obs_mode_from_env();
 /// NIMBUS_OBS_DIR: directory for trace/manifest artifacts ("" = none).
 std::string obs_dir_from_env();
 
-/// NIMBUS_OBS_RING: flight-recorder capacity override (default 16384).
+/// NIMBUS_OBS_RING: flight-recorder capacity override (default 16384; a
+/// positive whole number, via positive_env_number).
 std::size_t obs_ring_capacity_from_env();
 
 /// Deterministic artifact stem for one (spec, seed) cell:
@@ -385,18 +396,11 @@ std::string export_trace_artifacts(const ScenarioSpec& spec,
 // Canned experiments.
 // ---------------------------------------------------------------------------
 
-/// Classification accuracy of a Nimbus flow against constant ground truth.
-/// `cross_kind` is one of "none", "poisson", "cbr", "newreno", "cubic",
-/// "mix" (half Poisson, half NewReno).  `seed` feeds the elastic cross
-/// flow; 0 now means "derive from the scenario base seed" (the pre-layer
-/// bench helper passed 0 through literally; no bench did so).
-double run_accuracy(const std::string& cross_kind, double mu,
-                    TimeNs nimbus_rtt, TimeNs cross_rtt, double cross_share,
-                    TimeNs duration, std::uint64_t seed,
-                    core::Nimbus::Config cfg = {}, double buf_bdp = 2.0);
-
-/// The ScenarioSpec run_accuracy executes (exposed for sweeps that want to
-/// batch accuracy grids through the ParallelRunner).
+/// A Nimbus flow against one kind of cross traffic, for classification
+/// accuracy grids scored with score_accuracy.  `cross_kind` is one of
+/// "none", "poisson", "cbr", "newreno", "cubic", "mix" (half Poisson, half
+/// NewReno).  `seed` feeds the elastic cross flow; 0 means "derive from
+/// the scenario base seed".
 ScenarioSpec accuracy_scenario(const std::string& cross_kind, double mu,
                                TimeNs nimbus_rtt, TimeNs cross_rtt,
                                double cross_share, TimeNs duration,

@@ -3,6 +3,7 @@
 // NIMBUS_SHARD cell partition (exp/result_cache.h).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -319,7 +320,8 @@ std::vector<CellResult> run_grid(ResultCache* cache) {
         }
         return r;
       },
-      {/*jobs=*/2, /*serial=*/false}, nullptr, cache, &no_shard);
+      {/*jobs=*/2, /*serial=*/false}, nullptr, nullptr, cache,
+      &no_shard);
 }
 
 TEST(ResultCacheTest, WarmCacheIsBitIdenticalToUncached) {
@@ -342,6 +344,44 @@ TEST(ResultCacheTest, WarmCacheIsBitIdenticalToUncached) {
     EXPECT_EQ(uncached[i].values, warm[i].values) << "cell " << i;
     EXPECT_FALSE(cold[i].from_cache);
     EXPECT_TRUE(warm[i].from_cache);
+  }
+}
+
+TEST(ResultCacheTest, SetupHookCellsCacheLikeAnyOther) {
+  // A setup hook is code in the fingerprinted binary, like collect: a
+  // hooked cell's values depend only on (spec, seed, binary), so it is
+  // stored on a miss and served on a hit without running the hook.
+  TempDir tmp;
+  ResultCache rw(tmp.str(), ResultCache::Mode::kReadWrite);
+  const ShardConfig no_shard;
+  std::vector<ScenarioSpec> specs;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    ScenarioSpec spec = small_spec(derive_seed(/*base=*/5, i));
+    spec.name = "cachetest/hooked";
+    specs.push_back(spec);
+  }
+  std::atomic<int> hooks{0};
+  const ScenarioSetup setup = [&hooks](const ScenarioSpec&,
+                                       BuiltScenario& built) {
+    EXPECT_NE(built.nimbus, nullptr);
+    ++hooks;
+  };
+  const CellCollect collect = [](const ScenarioSpec&, ScenarioRun& run) {
+    return CellResult::scalar(static_cast<double>(
+        run.built.net->recorder().delivered(1).total()));
+  };
+  const auto cold = run_scenarios_cached(specs, collect, {2, false}, nullptr,
+                                         setup, &rw, &no_shard);
+  EXPECT_EQ(hooks.load(), 3);
+  const auto warm = run_scenarios_cached(specs, collect, {2, false}, nullptr,
+                                         setup, &rw, &no_shard);
+  EXPECT_EQ(hooks.load(), 3);  // hits never build a network
+  EXPECT_EQ(rw.stats().stores, 3);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_FALSE(cold[i].from_cache);
+    EXPECT_TRUE(warm[i].from_cache);
+    EXPECT_GT(cold[i].value(), 0.0) << "cell " << i;
+    EXPECT_EQ(cold[i].values, warm[i].values) << "cell " << i;
   }
 }
 
@@ -416,7 +456,7 @@ TEST(ShardTest, ShardedRunsMergeToTheFullGrid) {
   for (int k = 1; k <= 2; ++k) {
     const ShardConfig shard{k, 2};
     const auto part = run_scenarios_cached(specs, collect, {}, nullptr,
-                                           &rw, &shard);
+                                           nullptr, &rw, &shard);
     for (const auto& r : part) {
       if (r.valid && !r.from_cache) ++computed;
     }
@@ -426,10 +466,10 @@ TEST(ShardTest, ShardedRunsMergeToTheFullGrid) {
   ResultCache rd(tmp.str(), ResultCache::Mode::kRead);
   ShardConfig full{1, 1};
   const auto merged = run_scenarios_cached(specs, collect, {}, nullptr,
-                                           &rd, &full);
+                                           nullptr, &rd, &full);
   ResultCache off(tmp.str(), ResultCache::Mode::kOff);
   const auto direct = run_scenarios_cached(specs, collect, {}, nullptr,
-                                           &off, &full);
+                                           nullptr, &off, &full);
   ASSERT_EQ(merged.size(), direct.size());
   for (std::size_t i = 0; i < merged.size(); ++i) {
     EXPECT_TRUE(merged[i].valid);
@@ -449,7 +489,8 @@ TEST(ShardTest, OutOfShardCellsReadNaNPoison) {
   };
   const ShardConfig shard{1, 2};
   const auto part =
-      run_scenarios_cached(specs, collect, {}, nullptr, &off, &shard);
+      run_scenarios_cached(specs, collect, {}, nullptr, nullptr, &off,
+                           &shard);
   int valid = 0, skipped = 0;
   for (const auto& r : part) {
     if (r.valid) {

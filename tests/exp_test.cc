@@ -90,9 +90,18 @@ TEST(PathCatalogTest, TwentyFivePathsSpanningRegimes) {
   EXPECT_GE(shared, 6);
 }
 
-TEST(PathCatalogTest, RunPathProducesSummaries) {
+// Runs `scheme` on the path and summarizes it past a 10 s warmup.
+FlowSummary summarize_path(const std::string& scheme, const PathConfig& path,
+                           TimeNs duration, std::uint64_t seed) {
+  const ScenarioRun run =
+      run_scenario(path_scenario(scheme, path, duration, seed));
+  return summarize_flow(run.built.net->recorder(), 1, from_sec(10),
+                        duration);
+}
+
+TEST(PathCatalogTest, PathRunProducesSummaries) {
   const auto paths = internet_paths();
-  const auto s = run_path("cubic", paths[0], from_sec(25), 1);
+  const auto s = summarize_path("cubic", paths[0], from_sec(25), 1);
   EXPECT_GT(s.mean_rate_mbps, 1.0);
   EXPECT_GT(s.mean_rtt_ms, to_ms(paths[0].rtt) - 1);
 }
@@ -106,8 +115,8 @@ TEST(PathCatalogTest, CubicCollapsesOnLossyPathBbrDoesNot) {
   lossy.buffer_bdp = 1.0;
   lossy.random_loss = 0.01;
   lossy.inelastic_load = 0.0;
-  const auto cubic = run_path("cubic", lossy, from_sec(40), 3);
-  const auto bbr = run_path("bbr", lossy, from_sec(40), 3);
+  const auto cubic = summarize_path("cubic", lossy, from_sec(40), 3);
+  const auto bbr = summarize_path("bbr", lossy, from_sec(40), 3);
   EXPECT_LT(cubic.mean_rate_mbps, 0.5 * 50.0);
   EXPECT_GT(bbr.mean_rate_mbps, cubic.mean_rate_mbps);
 }

@@ -483,7 +483,7 @@ TEST(WatchdogTest, EventBudgetYieldsFailedCellWithoutStallingTheRunner) {
       [](const ScenarioSpec&, exp::ScenarioRun& run) {
         return CellResult::scalar(to_sec(run.built.net->loop().now()));
       },
-      {}, nullptr, &off, nullptr, &budget);
+      {}, nullptr, nullptr, &off, nullptr, &budget);
   ASSERT_EQ(results.size(), 2u);
   EXPECT_FALSE(results[0].valid);
   EXPECT_EQ(results[0].fail, CellResult::Fail::kEventBudget);
@@ -502,7 +502,7 @@ TEST(WatchdogTest, WallClockTimeoutYieldsTimeoutCell) {
       [](const ScenarioSpec&, exp::ScenarioRun&) {
         return CellResult::scalar(1.0);
       },
-      {}, nullptr, &off, nullptr, &budget);
+      {}, nullptr, nullptr, &off, nullptr, &budget);
   ASSERT_EQ(results.size(), 1u);
   EXPECT_FALSE(results[0].valid);
   EXPECT_EQ(results[0].fail, CellResult::Fail::kTimeout);
@@ -522,7 +522,7 @@ TEST(WatchdogTest, FailedCellsAreNeverStoredInTheCache) {
       [](const ScenarioSpec&, exp::ScenarioRun& run) {
         return CellResult::scalar(to_sec(run.built.net->loop().now()));
       },
-      {}, nullptr, &rw, nullptr, &budget);
+      {}, nullptr, nullptr, &rw, nullptr, &budget);
   EXPECT_EQ(rw.stats().stores, 1);  // only the completed cell
   std::error_code ec;
   fs::remove_all(dir, ec);

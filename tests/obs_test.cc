@@ -264,8 +264,8 @@ TEST(ObsSweepTest, ParallelManifestMatchesSerial) {
     exp::ShardConfig shard;  // inactive
     exp::RunBudget budget;   // unlimited
     const auto results = exp::run_scenarios_cached(
-        specs, collect, {/*jobs=*/4, serial}, nullptr, &cache, &shard,
-        &budget);
+        specs, collect, {/*jobs=*/4, serial}, nullptr, nullptr, &cache,
+        &shard, &budget);
     ::unsetenv("NIMBUS_OBS");
     ::unsetenv("NIMBUS_OBS_DIR");
     return results;
@@ -320,7 +320,8 @@ TEST(ObsSweepTest, BudgetTrippedCellCarriesPostMortem) {
         ADD_FAILURE() << "collect must not run on a truncated cell";
         return exp::CellResult::scalar(0.0);
       },
-      {/*jobs=*/1, /*serial=*/true}, nullptr, &cache, &shard, &budget);
+      {/*jobs=*/1, /*serial=*/true}, nullptr, nullptr, &cache, &shard,
+      &budget);
   ::unsetenv("NIMBUS_OBS");
   ASSERT_EQ(results.size(), 1u);
   EXPECT_FALSE(results[0].valid);

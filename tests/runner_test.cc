@@ -105,6 +105,44 @@ TEST(ParallelRunnerTest, JobsResolution) {
   EXPECT_GE(ParallelRunner().jobs(), 1);
 }
 
+// ---------------------------------------------------------------------------
+// Numeric env knobs: whole-string positive numbers or a loud failure.
+// ---------------------------------------------------------------------------
+
+TEST(EnvKnobTest, PositiveNumbersParseWholeString) {
+  ::setenv("NIMBUS_CELL_MAX_EVENTS", "1e6", 1);
+  ::setenv("NIMBUS_CELL_WALL_SEC", "2.5", 1);
+  const RunBudget b = cell_budget_from_env();
+  EXPECT_EQ(b.max_events, 1000000u);
+  EXPECT_EQ(b.max_wall_seconds, 2.5);
+  ::setenv("NIMBUS_CELL_MAX_EVENTS", "", 1);  // empty = unset
+  ::unsetenv("NIMBUS_CELL_WALL_SEC");
+  EXPECT_FALSE(cell_budget_from_env().limited());
+  ::unsetenv("NIMBUS_CELL_MAX_EVENTS");
+  ::setenv("NIMBUS_OBS_RING", "64", 1);
+  EXPECT_EQ(obs_ring_capacity_from_env(), 64u);
+  ::unsetenv("NIMBUS_OBS_RING");
+}
+
+TEST(EnvKnobDeathTest, GarbageNumbersFailNamingTheVariable) {
+  const auto fails = [](const char* name, const char* value) {
+    ::setenv(name, value, 1);
+    (void)resolve_jobs();
+    (void)cell_budget_from_env();
+    (void)obs_ring_capacity_from_env();
+  };
+  EXPECT_DEATH(fails("NIMBUS_JOBS", "four"), "NIMBUS_JOBS=\"four\"");
+  EXPECT_DEATH(fails("NIMBUS_JOBS", "0"), "NIMBUS_JOBS");
+  EXPECT_DEATH(fails("NIMBUS_JOBS", "2.5"), "positive whole number");
+  EXPECT_DEATH(fails("NIMBUS_CELL_MAX_EVENTS", "1e6x"),
+               "NIMBUS_CELL_MAX_EVENTS");
+  EXPECT_DEATH(fails("NIMBUS_CELL_MAX_EVENTS", "-5"),
+               "NIMBUS_CELL_MAX_EVENTS");
+  EXPECT_DEATH(fails("NIMBUS_CELL_WALL_SEC", "abc"), "NIMBUS_CELL_WALL_SEC");
+  EXPECT_DEATH(fails("NIMBUS_CELL_WALL_SEC", "nan"), "positive number");
+  EXPECT_DEATH(fails("NIMBUS_OBS_RING", "64k"), "NIMBUS_OBS_RING");
+}
+
 TEST(ParallelRunnerTest, DerivedSeedsAreDeterministicAndDistinct) {
   std::set<std::uint64_t> seen;
   for (std::uint64_t i = 0; i < 100; ++i) {
@@ -318,21 +356,36 @@ TEST(ScenarioTest, DifferentSeedsDiverge) {
 // Parallel == serial.
 // ---------------------------------------------------------------------------
 
+// The cache is pinned off and sharding to 1/1, so every cell computes
+// here whatever the test environment sets.
+std::vector<CellResult> run_uncached(
+    const std::vector<ScenarioSpec>& specs, const CellCollect& collect,
+    ParallelRunner::Options opts,
+    const std::function<void(std::size_t, CellResult&)>& on_result =
+        nullptr) {
+  ResultCache off("", ResultCache::Mode::kOff);
+  const ShardConfig no_shard;
+  return run_scenarios_cached(specs, collect, opts, on_result, nullptr, &off,
+                              &no_shard);
+}
+
 TEST(RunnerScenarioTest, ParallelMatchesSerialExactly) {
   std::vector<ScenarioSpec> specs;
   for (std::uint64_t i = 0; i < 4; ++i) {
     specs.push_back(small_spec(derive_seed(/*base=*/7, i)));
   }
-  const auto collect = [](const ScenarioSpec& spec, ScenarioRun& run) {
-    return recorder_digest(spec, run);
+  const CellCollect collect = [](const ScenarioSpec& spec, ScenarioRun& run) {
+    return CellResult::vec(recorder_digest(spec, run));
   };
-  const auto parallel = run_scenarios<std::vector<double>>(
-      specs, collect, {/*jobs=*/4, /*serial=*/false});
-  const auto serial = run_scenarios<std::vector<double>>(
-      specs, collect, {/*jobs=*/4, /*serial=*/true});
+  const auto parallel =
+      run_uncached(specs, collect, {/*jobs=*/4, /*serial=*/false});
+  const auto serial =
+      run_uncached(specs, collect, {/*jobs=*/4, /*serial=*/true});
   ASSERT_EQ(parallel.size(), serial.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    EXPECT_EQ(parallel[i], serial[i]) << "scenario " << i;
+    EXPECT_FALSE(parallel[i].from_cache);
+    EXPECT_FALSE(parallel[i].values.empty());
+    EXPECT_EQ(parallel[i].values, serial[i].values) << "scenario " << i;
   }
 }
 
@@ -342,16 +395,16 @@ TEST(RunnerScenarioTest, ResultCallbackInSpecOrderWithResults) {
     specs.push_back(small_spec(derive_seed(11, i)));
   }
   std::vector<std::size_t> order;
-  run_scenarios<double>(
+  run_uncached(
       specs,
       [](const ScenarioSpec&, ScenarioRun& run) {
-        return static_cast<double>(
-            run.built.net->recorder().delivered(1).total());
+        return CellResult::scalar(static_cast<double>(
+            run.built.net->recorder().delivered(1).total()));
       },
       {/*jobs=*/3, /*serial=*/false},
-      [&](std::size_t i, double& bytes) {
+      [&](std::size_t i, CellResult& r) {
         order.push_back(i);
-        EXPECT_GT(bytes, 0.0);
+        EXPECT_GT(r.value(), 0.0);
       });
   EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2}));
 }

@@ -230,7 +230,6 @@ TEST(SlidingDftDetectorTest, EngineMatchesReferenceDetector) {
   core::DetectorConfig cfg;  // periodic Hann, tracked {5, 6}
   core::ElasticityDetector engine(cfg);
   core::ReferenceElasticityDetector reference(cfg);
-  ASSERT_NE(engine.engine(), nullptr);
   const auto z = fig08_signal(1234);
   for (double v : z) {
     engine.add_sample(v);
@@ -257,7 +256,7 @@ TEST(SlidingDftDetectorTest, EngineMatchesReferenceDetector) {
 // these fields.
 core::DetectorResult per_bin_scan(const core::ElasticityDetector& d,
                                   double f_p) {
-  const spectral::SlidingDft& dft = *d.engine();
+  const spectral::SlidingDft& dft = d.engine();
   const core::DetectorConfig& cfg = d.config();
   const std::size_t n = d.window_samples();
   const double fs = cfg.sample_rate_hz;
@@ -291,7 +290,7 @@ double per_bin_near(const core::ElasticityDetector& d, double f) {
       f, d.window_samples(), d.config().sample_rate_hz);
   double best = 0.0;
   for (std::size_t k = center - 1; k <= center + 1; ++k) {
-    best = std::max(best, d.engine()->hann_magnitude(k));
+    best = std::max(best, d.engine().hann_magnitude(k));
   }
   return best;
 }
@@ -311,7 +310,6 @@ void expect_scan_bit_equal(const core::ElasticityDetector& d) {
 
 TEST(SlidingDftDetectorTest, BandScanBitEqualToPerBinMagnitudes) {
   core::ElasticityDetector d{core::DetectorConfig{}};
-  ASSERT_NE(d.engine(), nullptr);
   util::Rng rng(2024);
   // Random windows: noise of drifting scale plus a weak 5 Hz tone, checked
   // at many offsets as the window slides.
@@ -347,7 +345,7 @@ TEST(SlidingDftDetectorTest, BandScanBitEqualOnTiedDenominatorBins) {
       d.add_sample(1e6 * (std::sin(2.0 * M_PI * 7.0 * t) +
                           (1.0 + skew) * std::sin(2.0 * M_PI * 9.0 * t)));
     }
-    const spectral::SlidingDft& dft = *d.engine();
+    const spectral::SlidingDft& dft = d.engine();
     const double m35 = dft.hann_magnitude(35), m45 = dft.hann_magnitude(45);
     ASSERT_NEAR(m35, m45, 1e-10 * m35) << "skew=" << skew;
     expect_scan_bit_equal(d);
@@ -359,35 +357,52 @@ TEST(SlidingDftDetectorTest, BandScanBitEqualOnTiedDenominatorBins) {
   }
 }
 
-TEST(SlidingDftDetectorTest, UntrackedFrequencyFallsBackToReference) {
+TEST(SlidingDftDetectorTest, FullSpectrumBitEqualToReference) {
+  // Fig. 5 prints full_spectrum(); the engine's sample window must feed
+  // the FFT exactly the reference's samples, also after reset + refill.
   core::DetectorConfig cfg;
   core::ElasticityDetector engine(cfg);
   core::ReferenceElasticityDetector reference(cfg);
-  const auto z = fig08_signal(700);
-  for (double v : z) {
-    engine.add_sample(v);
-    reference.add_sample(v);
-  }
-  // 10 Hz is outside the tracked union band; the detector must route the
-  // query through the reference recompute and agree bit-for-bit.
-  const auto re = engine.evaluate(10.0);
-  const auto rr = reference.evaluate(10.0);
-  ASSERT_TRUE(re.valid && rr.valid);
-  EXPECT_DOUBLE_EQ(re.eta, rr.eta);
-  EXPECT_DOUBLE_EQ(re.pulse_magnitude, rr.pulse_magnitude);
-  EXPECT_DOUBLE_EQ(engine.magnitude_near(20.0), reference.magnitude_near(20.0));
+  const auto expect_equal = [&](const char* when) {
+    const spectral::Spectrum a = engine.full_spectrum();
+    const spectral::Spectrum b = reference.full_spectrum();
+    EXPECT_EQ(a.sample_rate_hz, b.sample_rate_hz) << when;
+    ASSERT_FALSE(a.magnitude.empty()) << when;
+    EXPECT_EQ(a.magnitude, b.magnitude) << when;
+  };
+  const auto feed = [&](const std::vector<double>& z) {
+    for (double v : z) {
+      engine.add_sample(v);
+      reference.add_sample(v);
+    }
+  };
+  feed(fig08_signal(777));  // wrapped ring: 277 samples past full
+  ASSERT_TRUE(engine.ready());
+  expect_equal("full window");
+  engine.reset();
+  reference.reset();
+  feed(fig08_signal(123));
+  expect_equal("partway through a refill");
+  feed(fig08_signal(engine.window_samples()));
+  expect_equal("after reset and refill");
 }
 
-TEST(SlidingDftDetectorTest, NonPeriodicHannConfigDisablesEngine) {
+TEST(SlidingDftDetectorDeathTest, UntrackedFrequencyFailsLoudly) {
+  // 10 Hz's Eq.-3 band (10.25, 20) Hz lies outside the tracked {5, 6} Hz
+  // bands; answering it would need the removed recompute path.  The query
+  // fails whether or not the window has filled yet.
+  core::ElasticityDetector detector{core::DetectorConfig{}};
+  EXPECT_DEATH((void)detector.evaluate(10.0), "outside the tracked bands");
+  for (double v : fig08_signal(600)) detector.add_sample(v);
+  EXPECT_DEATH((void)detector.evaluate(10.0), "outside the tracked bands");
+  EXPECT_DEATH((void)detector.magnitude_near(20.0),
+               "outside the tracked bands");
+}
+
+TEST(SlidingDftDetectorDeathTest, NoPositiveTrackedFrequencyFailsLoudly) {
   core::DetectorConfig cfg;
-  cfg.window = spectral::WindowType::kHann;  // symmetric: no 3-bin identity
-  core::ElasticityDetector detector(cfg);
-  EXPECT_EQ(detector.engine(), nullptr);
-  const auto z = fig08_signal(600);
-  for (double v : z) detector.add_sample(v);
-  const auto r = detector.evaluate(5.0);
-  EXPECT_TRUE(r.valid);
-  EXPECT_TRUE(r.elastic);
+  cfg.tracked_freqs_hz = {0.0, -5.0};
+  EXPECT_DEATH(core::ElasticityDetector{cfg}, "positive tracked frequency");
 }
 
 TEST(SlidingDftDetectorTest, GoldenEtaPinsFig08Signal) {
@@ -513,7 +528,6 @@ TEST(SlidingDftAllocTest, NimbusOnReportSpectralPathIsAllocationFree) {
   EXPECT_EQ(alloc_count(), before)
       << "Nimbus::on_report must be allocation-free in steady state";
   EXPECT_TRUE(nimbus.detector().ready());
-  EXPECT_NE(nimbus.detector().engine(), nullptr);
 }
 
 }  // namespace
