@@ -8,8 +8,7 @@
 //
 // Declarative form: one ScenarioSpec per scheme batched through
 // run_scenarios_cached; rows print in scheme order from the in-order
-// result callback.  Verified byte-identical to the imperative make_net /
-// add_*_cross version it replaces.
+// result callback.
 #include "common.h"
 
 using namespace nimbus;

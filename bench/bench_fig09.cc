@@ -25,6 +25,7 @@ exp::ScenarioSpec make_spec(const std::string& scheme, TimeNs duration) {
   spec.mu_bps = 96e6;
   spec.duration = duration;
   spec.protagonist.scheme = scheme;
+  spec.protagonist.record_rtt = true;  // collect reads rtt_samples(1)
   spec.workload_enabled = true;
   spec.workload.offered_load_fraction = 0.5;
   spec.workload.seed = 99;

@@ -6,10 +6,7 @@
 // seed 5, plus a mid-run Cubic phase on flow 900) batched through
 // run_scenarios_cached; collect reduces each run to its per-second rate
 // series (a CellResult vector, memoised under NIMBUS_CACHE) and the
-// in-order result callback prints the rows.  Verified bit-identical to
-// the uncached run_scenarios version it replaces, which was itself
-// verified bit-identical to the imperative make_net / FlowWorkload /
-// add_cubic_cross original.
+// in-order result callback prints the rows.
 #include "common.h"
 
 using namespace nimbus;

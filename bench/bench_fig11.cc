@@ -6,9 +6,7 @@
 // Declarative form: one ScenarioSpec per (scheme, bitrate) cell with a
 // CrossSpec::kVideo entry, batched through run_scenarios_cached; collect
 // reduces each run to its (rate, delay) pair (a CellResult, memoised under
-// NIMBUS_CACHE).  Verified bit-identical to the uncached run_scenarios
-// version it replaces, which was itself verified bit-identical to the
-// imperative make_net / VideoSource original.
+// NIMBUS_CACHE).
 #include "common.h"
 
 #include <map>
@@ -30,6 +28,7 @@ exp::ScenarioSpec spec_for(const std::string& scheme, double video_bitrate,
   spec.mu_bps = 48e6;
   spec.duration = duration;
   spec.protagonist.scheme = scheme;
+  spec.protagonist.record_rtt = true;  // collect summarizes the RTT
   exp::CrossSpec video;
   video.kind = exp::CrossSpec::Kind::kVideo;
   video.rate_bps = video_bitrate;

@@ -23,6 +23,7 @@ exp::ScenarioSpec make_spec(const std::string& scheme, double load,
   spec.name = "fig13/" + scheme;
   spec.mu_bps = mu;
   spec.duration = duration;
+  spec.protagonist.record_rtt = true;  // collect summarizes the RTT
   if (scheme == "nimbus") {
     spec.protagonist.use_nimbus_config = true;
     spec.protagonist.nimbus.known_mu_bps = mu;

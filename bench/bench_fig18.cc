@@ -32,6 +32,7 @@ int main() {
   for (std::size_t pi : picks) {
     for (const std::string& scheme : schemes) {
       specs.push_back(exp::path_scenario(scheme, paths[pi], duration, 7));
+      specs.back().protagonist.record_rtt = true;  // collect reads the RTT
     }
   }
 

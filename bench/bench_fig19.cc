@@ -38,6 +38,7 @@ int main() {
     for (const auto& p : paths) {
       for (std::uint64_t seed : seeds) {
         specs.push_back(exp::path_scenario(scheme, p, duration, seed));
+        specs.back().protagonist.record_rtt = true;  // collect reads the RTT
       }
     }
   }

@@ -23,6 +23,7 @@ exp::ScenarioSpec make_spec(const std::string& scheme, double load,
   spec.mu_bps = mu;
   spec.duration = duration;
   spec.protagonist.scheme = scheme;
+  spec.protagonist.record_rtt = true;  // collect summarizes the RTT
   spec.workload_enabled = true;
   spec.workload.offered_load_fraction = load;
   // Mostly-inelastic cross traffic: bounded sizes keep flows short.

@@ -17,10 +17,10 @@
 // same-flags.  All report items/sec = ACK (or delivery) operations.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <cmath>
 #include <filesystem>
 #include <map>
-#include <set>
 #include <type_traits>
 
 #include "cc/cubic.h"
@@ -522,19 +522,16 @@ BENCHMARK(BM_AckPathRateSamplerDequeLegacy)->Arg(64)->Arg(256)->Arg(1024);
 
 // --- delivery path: recorder, flat vectors vs maps ----------------------
 
-// The PR 2 recorder's per-delivery/per-ACK state, verbatim.
+// The PR 2 recorder's per-delivery/per-ACK state, minus the per-packet
+// queue-delay series the current recorder no longer keeps (so both sides
+// record the same series kinds).
 struct LegacyMapRecorder {
-  std::set<sim::FlowId> tracked;
   std::map<sim::FlowId, util::ByteCounter> delivered;
-  std::map<sim::FlowId, util::TimeSeries> queue_delay;
   std::map<sim::FlowId, util::TimeSeries> rtt;
 
-  void track(sim::FlowId id) { tracked.insert(id); }
+  void track(sim::FlowId) {}
   void on_delivery(const sim::Packet& p, TimeNs t) {
     delivered[p.flow_id].add(t, p.size_bytes);
-    if (tracked.count(p.flow_id)) {
-      queue_delay[p.flow_id].add(t, to_ms(t - p.enqueued_at));
-    }
   }
   void on_rtt_sample(sim::FlowId id, TimeNs now, TimeNs r) {
     rtt[id].add(now, to_ms(r));
@@ -543,9 +540,10 @@ struct LegacyMapRecorder {
 
 // Interleaved deliveries + RTT samples across 8 flows (one tracked), the
 // mix Network feeds the recorder (the current recorder keeps an RTT series
-// for the tracked flow only; the legacy one kept all eight).  Each iteration records one recorder
-// lifetime (fresh object, 32k deliveries) so successive iterations measure
-// the same state shape.  Items = deliveries.
+// for the tracked flow only; the legacy one kept all eight).  Each
+// iteration records one recorder lifetime (fresh object, 32k deliveries)
+// so successive iterations measure the same state shape.  Items =
+// deliveries.
 template <typename Rec>
 void recorder_delivery_workload(benchmark::State& state) {
   constexpr int kDeliveries = 32768;
@@ -567,13 +565,19 @@ void recorder_delivery_workload(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kDeliveries);
 }
 
-// Recorder::track_flow has a different name than the bench adapter above.
+// Drives sim::Recorder the way Network does: track, then wire each of the
+// eight flows' ACK handlers once to its rtt_series() pointer (null for an
+// untracked flow, which Network gives no handler at all).
 struct CurrentRecorderAdapter {
   sim::Recorder rec;
-  void track(sim::FlowId id) { rec.track_flow(id); }
+  std::array<util::TimeSeries*, 9> rtt{};
+  void track(sim::FlowId id) {
+    rec.track_flow(id);
+    for (sim::FlowId f = 1; f < rtt.size(); ++f) rtt[f] = rec.rtt_series(f);
+  }
   void on_delivery(const sim::Packet& p, TimeNs t) { rec.on_delivery(p, t); }
   void on_rtt_sample(sim::FlowId id, TimeNs now, TimeNs r) {
-    rec.on_rtt_sample(id, now, r);
+    if (util::TimeSeries* s = rtt[id]) s->add(now, to_ms(r));
   }
 };
 

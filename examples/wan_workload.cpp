@@ -29,6 +29,7 @@ exp::ScenarioSpec make_spec(const std::string& scheme, TimeNs duration) {
   spec.mu_bps = 96e6;
   spec.duration = duration;
   spec.protagonist.scheme = scheme;
+  spec.protagonist.record_rtt = true;  // collect summarizes the RTT
   spec.workload_enabled = true;
   spec.workload.offered_load_fraction = 0.5;
   spec.workload.seed = 1234;

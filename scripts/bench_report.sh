@@ -22,7 +22,7 @@
 #               host-independent.  Pairs marked gated are the structural
 #               rewrites, whose speedups dwarf measurement noise; parity
 #               pairs are reported but not gated.)
-#   output      defaults to BENCH_PR17.json in the repo root
+#   output      defaults to BENCH_PR18.json in the repo root
 #
 # The "before" numbers come from the same binary: bench_micro runs every
 # workload against a verbatim copy of the previous implementation
@@ -35,7 +35,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 QUICK=0
-OUT=BENCH_PR17.json
+OUT=BENCH_PR18.json
 COMPARE=""
 while [ $# -gt 0 ]; do
   case "$1" in
@@ -165,7 +165,7 @@ cubic = by_name.get("BM_SimulatedSecondCubic")
 scenario = by_name.get("BM_SimulatedSecondScenario")
 
 report = {
-    "pr": 17,
+    "pr": 18,
     "generated_by": "scripts/bench_report.sh"
                     + (" --quick" if os.environ["QUICK"] == "1" else ""),
     "host": micro.get("context", {}),
@@ -266,6 +266,10 @@ report = {
         "rate_sampler_w1024": pair("BM_AckPathRateSamplerRing/1024",
                                    "BM_AckPathRateSamplerDequeLegacy/1024",
                                    True),
+        # Ungated.  Both sides record delivered bytes for eight flows and
+        # no per-packet queue-delay series (the PR 2 twin stopped keeping
+        # one when the recorder dropped it); the current side writes RTT
+        # through rtt_series() pointers as Network wires them.
         "recorder_delivery": pair("BM_DeliveryPathRecorderFlat",
                                   "BM_DeliveryPathRecorderMapLegacy", False),
     },

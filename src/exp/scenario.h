@@ -9,10 +9,9 @@
 // run_scenarios_cached (exp/runner.h), which runs batches of them across
 // threads.
 //
-// The imperative builders (make_net, add_protagonist, add_nimbus,
-// add_*_cross) used to live in bench/common.h; they are the assembly
-// primitives build_network() composes, exported so tests and examples can
-// use them without pulling in bench headers.
+// build_network() is the only network assembly path the exp layer
+// offers; tests and examples that need a hand-built topology construct a
+// sim::Network directly.
 #pragma once
 
 #include <cstdint>
@@ -32,35 +31,6 @@
 namespace nimbus::exp {
 
 inline constexpr TimeNs kNever = std::numeric_limits<TimeNs>::max();
-
-// ---------------------------------------------------------------------------
-// Imperative network builders (assembly primitives).
-// ---------------------------------------------------------------------------
-
-/// Standard paper link: rate mu, 50 ms propagation RTT, buffer in BDPs.
-std::unique_ptr<sim::Network> make_net(double mu, double buf_bdp = 2.0,
-                                       TimeNs rtt = from_ms(50));
-
-/// Adds the protagonist flow (id 1, tracked) running `scheme`.
-sim::TransportFlow* add_protagonist(sim::Network& net,
-                                    const std::string& scheme,
-                                    double known_mu,
-                                    TimeNs rtt = from_ms(50));
-
-/// Adds a Nimbus protagonist and returns the algorithm pointer.
-/// seed 0 keeps the historical per-flow formula (id * 7 + 1).
-core::Nimbus* add_nimbus(sim::Network& net, const core::Nimbus::Config& cfg,
-                         sim::FlowId id = 1, TimeNs rtt = from_ms(50),
-                         TimeNs start = 0, std::uint64_t seed = 0);
-
-void add_cubic_cross(sim::Network& net, sim::FlowId id, TimeNs start = 0,
-                     TimeNs stop = kNever, TimeNs rtt = from_ms(50));
-
-void add_poisson_cross(sim::Network& net, sim::FlowId id, double rate,
-                       TimeNs start = 0, TimeNs stop = kNever);
-
-void add_cbr_cross(sim::Network& net, sim::FlowId id, double rate,
-                   TimeNs start = 0, TimeNs stop = kNever);
 
 // ---------------------------------------------------------------------------
 // Seeds.
@@ -133,8 +103,8 @@ struct CrossSpec {
 struct ProtagonistSpec {
   bool enabled = true;
   std::string scheme = "nimbus";
-  /// When true, a core::Nimbus is built directly from `nimbus` (the
-  /// add_nimbus path: Nimbus knobs under the experiment's control).
+  /// When true, a core::Nimbus is built directly from `nimbus` (Nimbus
+  /// knobs under the experiment's control).
   /// When false, make_scheme(scheme) is used.
   bool use_nimbus_config = false;
   core::Nimbus::Config nimbus;  // known_mu_bps 0 = filled from the scenario
@@ -144,6 +114,12 @@ struct ProtagonistSpec {
   /// experiments (schemes.h: "0 lets them estimate it online"), or a
   /// zero known_mu_bps is silently replaced with the exact rate.
   bool known_mu = true;
+  /// Record the protagonist's per-ACK RTT series (Recorder::rtt_samples,
+  /// summarize_flow).  Off by default: the series costs an append per ACK
+  /// and is read only by the delay/RTT experiments, which set it.  It
+  /// changes no simulated event, only what a collect can read, and an
+  /// untracked summarize_flow CHECK-fails rather than report 0 ms.
+  bool record_rtt = false;
   sim::FlowId id = 1;
   TimeNs rtt = 0;               // 0 = scenario RTT
   TimeNs start = 0;

@@ -227,6 +227,7 @@ void emit_protagonist(Canon& c, const std::string& p,
   c.b(p + ".use_nimbus_config", pr.use_nimbus_config);
   emit_nimbus(c, p + ".nimbus", pr.nimbus);
   c.b(p + ".known_mu", pr.known_mu);
+  c.b(p + ".record_rtt", pr.record_rtt);
   c.u64(p + ".id", pr.id);
   c.i64(p + ".rtt", pr.rtt);
   c.i64(p + ".start", pr.start);
@@ -281,7 +282,8 @@ void emit_workload(Canon& c, const std::string& p,
 std::string canonical_spec(const ScenarioSpec& spec) {
   Canon c;
   // v2: added the per-direction impairment block (PR 8).
-  c.line("format", "scenario-canon/v2");
+  // v3: added protagonist.record_rtt.
+  c.line("format", "scenario-canon/v3");
   c.s("name", spec.name);
   c.d("mu_bps", spec.mu_bps);
   emit_link(c, "link", spec.link);

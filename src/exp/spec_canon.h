@@ -22,10 +22,11 @@
 // Field-coverage guard: spec_canon.cc static_asserts the sizeof of every
 // serialized struct against the kCanonSizeof* constants below (on the
 // x86-64/linux toolchain this repo builds and CI runs on).  Adding a field
-// to any of these structs changes its size and breaks the build until the
-// canonicalizer — and the constant — are updated, so no field can silently
-// escape canonicalization.  tests/cache_test.cc exercises the same guard
-// at runtime.
+// to any of these structs usually changes its size and breaks the build
+// until the canonicalizer — and the constant — are updated.  A small field
+// that lands in existing padding does not (ProtagonistSpec::record_rtt
+// did), so tests/cache_test.cc also spot-checks that the canonical text
+// names the fields, besides exercising the size guard at runtime.
 #pragma once
 
 #include <cstdint>

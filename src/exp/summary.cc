@@ -2,12 +2,17 @@
 
 #include <cstdio>
 
+#include "util/check.h"
 #include "util/csv.h"
 
 namespace nimbus::exp {
 
 FlowSummary summarize_flow(const sim::Recorder& rec, sim::FlowId id,
                            TimeNs t0, TimeNs t1) {
+  NIMBUS_CHECK_MSG(rec.is_tracked(id),
+                   "summarize_flow: flow is untracked and has no RTT "
+                   "series; set ProtagonistSpec::record_rtt (or call "
+                   "Recorder::track_flow before adding the flow)");
   FlowSummary s;
   s.mean_rate_mbps = rec.delivered(id).rate_bps(t0, t1) / 1e6;
 
@@ -17,13 +22,6 @@ FlowSummary summarize_flow(const sim::Recorder& rec, sim::FlowId id,
     s.mean_rtt_ms = rtt.mean();
     s.median_rtt_ms = rtt.median();
     s.p95_rtt_ms = rtt.percentile(0.95);
-  }
-
-  util::Percentiles qd;
-  qd.add_all(rec.queue_delay(id).values_in(t0, t1));
-  if (!qd.empty()) {
-    s.mean_queue_delay_ms = qd.mean();
-    s.median_queue_delay_ms = qd.median();
   }
   return s;
 }

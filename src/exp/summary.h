@@ -11,18 +11,17 @@ namespace nimbus::exp {
 
 struct FlowSummary {
   double mean_rate_mbps = 0.0;
-  double mean_rtt_ms = 0.0;            // tracked flows only
-  double median_rtt_ms = 0.0;          // tracked flows only
-  double p95_rtt_ms = 0.0;             // tracked flows only
-  double mean_queue_delay_ms = 0.0;   // tracked flows only
-  double median_queue_delay_ms = 0.0; // tracked flows only
+  double mean_rtt_ms = 0.0;    // 0 when the window holds no RTT sample
+  double median_rtt_ms = 0.0;
+  double p95_rtt_ms = 0.0;
 };
 
 /// Summarizes flow `id` over [t0, t1) from the recorder's byte counters
-/// and, for a tracked flow, its RTT samples and per-packet queueing
-/// delays.  The recorder keeps RTT and queueing-delay series for tracked
-/// flows only (Recorder::track_flow), so an untracked flow's RTT and
-/// queue-delay fields stay 0.
+/// and RTT samples.  The recorder keeps an RTT series for tracked flows
+/// only (Recorder::track_flow; on the spec path, a protagonist whose spec
+/// sets ProtagonistSpec::record_rtt), so summarizing an untracked flow
+/// CHECK-fails instead of reporting a silent 0 ms RTT.  Queueing delay is
+/// not summarized per flow: read Recorder::probed_queue_delay().
 FlowSummary summarize_flow(const sim::Recorder& rec, sim::FlowId id,
                            TimeNs t0, TimeNs t1);
 

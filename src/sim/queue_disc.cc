@@ -1,5 +1,7 @@
 #include "sim/queue_disc.h"
 
+#include <cmath>
+
 #include "util/check.h"
 
 namespace nimbus::sim {
@@ -27,7 +29,13 @@ std::optional<Packet> DropTailQueue::dequeue(TimeNs /*now*/) {
 std::int64_t buffer_bytes_for_bdp(double link_rate_bps, TimeNs rtt,
                                   double bdp_multiple) {
   const double bdp_bytes = link_rate_bps / 8.0 * to_sec(rtt);
-  auto bytes = static_cast<std::int64_t>(bdp_bytes * bdp_multiple);
+  const double buffer = bdp_bytes * bdp_multiple;
+  // The cast below is undefined for NaN, infinities and values past int64,
+  // and a negative product would be silently floored to a tiny buffer.
+  NIMBUS_CHECK_MSG(std::isfinite(buffer) && buffer >= 0.0 && buffer < 0x1p63,
+                   "buffer_bytes_for_bdp: rate/8 x rtt x multiple must be "
+                   "finite, non-negative and below 2^63 bytes");
+  auto bytes = static_cast<std::int64_t>(buffer);
   // Always leave room for at least a couple of full-size packets.
   return bytes < 3000 ? 3000 : bytes;
 }

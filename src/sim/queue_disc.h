@@ -45,7 +45,9 @@ class DropTailQueue : public QueueDisc {
   util::RingDeque<Packet> q_;
 };
 
-/// Capacity helper: buffer sized in units of bandwidth-delay product.
+/// Capacity helper: buffer sized in units of bandwidth-delay product,
+/// floored at 3000 bytes.  CHECK-fails when rate/8 x rtt x multiple is
+/// NaN, infinite, negative or beyond int64.
 std::int64_t buffer_bytes_for_bdp(double link_rate_bps, TimeNs rtt,
                                   double bdp_multiple);
 

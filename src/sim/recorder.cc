@@ -49,12 +49,6 @@ void Recorder::on_delivery(const Packet& p, TimeNs dequeue_done) {
   if (p.flow_id >= delivered_.size()) ensure_flow(p.flow_id);
   delivered_[p.flow_id].add(dequeue_done, p.size_bytes);
   seen_[p.flow_id] = 1;
-  if (is_tracked(p.flow_id)) {
-    if (p.flow_id >= queue_delay_.size()) queue_delay_.resize(p.flow_id + 1);
-    auto& series = queue_delay_[p.flow_id];
-    if (!series) series = std::make_unique<util::TimeSeries>();
-    series->add(dequeue_done, to_ms(dequeue_done - p.enqueued_at));
-  }
 }
 
 void Recorder::on_drop(const Packet& p) {
@@ -82,10 +76,6 @@ util::TimeSeries* Recorder::rtt_series(FlowId id) {
   return rtt_[id].get();
 }
 
-void Recorder::on_rtt_sample(FlowId id, TimeNs now, TimeNs rtt) {
-  if (is_tracked(id)) rtt_series(id)->add(now, to_ms(rtt));
-}
-
 void Recorder::on_completion(FlowId id, TimeNs when, TimeNs fct,
                              std::int64_t flow_bytes) {
   completions_.push_back({id, when, fct, flow_bytes});
@@ -101,11 +91,6 @@ double Recorder::aggregate_rate_bps(const std::vector<FlowId>& ids, TimeNs t0,
   std::int64_t bytes = 0;
   for (FlowId id : ids) bytes += delivered(id).bytes_in(t0, t1);
   return static_cast<double>(bytes) * 8.0 / to_sec(t1 - t0);
-}
-
-const util::TimeSeries& Recorder::queue_delay(FlowId id) const {
-  return id < queue_delay_.size() && queue_delay_[id] ? *queue_delay_[id]
-                                                      : kEmptySeries;
 }
 
 const util::TimeSeries& Recorder::rtt_samples(FlowId id) const {

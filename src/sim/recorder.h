@@ -1,12 +1,15 @@
-// Experiment measurement: per-flow delivered bytes, RTT samples and
-// per-packet queueing delay for tracked flows, sampled queue state, drops,
-// and flow completion times.
+// Experiment measurement: per-flow delivered bytes and drops, RTT samples
+// for tracked flows, the periodically probed queueing delay, and flow
+// completion times.
 //
-// Tracked-only rule: RTT and queueing-delay series exist only for flows
-// registered with track_flow (experiment protagonists).  Every other flow
-// gets byte counters and drop counts, which are cheap; its rtt_samples()
-// and queue_delay() are empty.  A flow's tracking must be registered
-// before Network::add_flow wires its ACK handler.
+// Tracked-only rule: an RTT series exists only for a flow registered with
+// track_flow.  On the spec path only the protagonist of a spec that
+// declares ProtagonistSpec::record_rtt (exp/scenario.h) is tracked.  Every
+// flow gets byte counters and drop counts, which are cheap; an untracked
+// flow's rtt_samples() is empty.  A flow's tracking
+// must be registered before Network::add_flow wires its ACK handler.
+// Queueing delay is read from probed_queue_delay() (all traffic, one
+// sample per probe interval); there is no per-packet series.
 //
 // Flow ids are small and dense (the Network allocates them sequentially),
 // so all per-flow state is held in flat vectors indexed by FlowId instead
@@ -42,16 +45,19 @@ class Recorder {
   /// never reallocates).
   void expect_duration(TimeNs duration);
 
-  /// Tracked flows get per-packet queueing-delay and RTT series (others
-  /// only get byte counters, which are cheap).  Call before the flow is
-  /// added to the Network: tracking a flow whose ACK handler was already
-  /// wired untracked CHECK-fails rather than silently record nothing.
+  /// Tracked flows get an RTT series (others only get byte counters,
+  /// which are cheap).  Call before the flow is added to the Network:
+  /// tracking a flow whose ACK handler was already wired untracked
+  /// CHECK-fails rather than silently record nothing.
   void track_flow(FlowId id);
+  /// True once track_flow(id) has run: the flow has an RTT series.
+  bool is_tracked(FlowId id) const {
+    return id < tracked_.size() && tracked_[id] == kTracked;
+  }
 
   // --- hooks called by Network ---
   void on_delivery(const Packet& p, TimeNs dequeue_done);
   void on_drop(const Packet& p);
-  void on_rtt_sample(FlowId id, TimeNs now, TimeNs rtt);
   void on_completion(FlowId id, TimeNs when, TimeNs fct,
                      std::int64_t flow_bytes);
 
@@ -68,8 +74,6 @@ class Recorder {
   /// Aggregate delivered bytes for a set of flows over [t0, t1).
   double aggregate_rate_bps(const std::vector<FlowId>& ids, TimeNs t0,
                             TimeNs t1) const;
-  /// Per-packet queueing delay (tracked flows only).
-  const util::TimeSeries& queue_delay(FlowId id) const;
   /// RTT samples per flow (tracked flows only).
   const util::TimeSeries& rtt_samples(FlowId id) const;
   /// Queue delay sampled by the periodic probe (all traffic).
@@ -95,9 +99,6 @@ class Recorder {
   // Per-flow tracking state: a flow whose ACK handler was wired untracked
   // can no longer be tracked.
   enum : char { kUntracked = 0, kTracked = 1, kWiredUntracked = 2 };
-  bool is_tracked(FlowId id) const {
-    return id < tracked_.size() && tracked_[id] == kTracked;
-  }
 
   EventLoop* loop_ = nullptr;
   BottleneckLink* link_ = nullptr;
@@ -107,7 +108,6 @@ class Recorder {
   std::vector<char> seen_;                    // had a delivery
   std::vector<util::ByteCounter> delivered_;  // sized together with seen_
   std::vector<std::uint64_t> drops_;
-  std::vector<std::unique_ptr<util::TimeSeries>> queue_delay_;
   std::vector<std::unique_ptr<util::TimeSeries>> rtt_;
   std::uint64_t total_drops_ = 0;
   util::TimeSeries probe_qdelay_;

@@ -91,13 +91,14 @@ TEST(SpecCanonTest, CanonicalTextNamesEveryTopLevelField) {
   // sizeof guard; spot-check that the canonical text names the fields.
   const std::string text = canonical_spec(small_spec(7));
   for (const char* key :
-       {"scenario-canon/v2", "name=", "mu_bps=", "rtt=", "buffer_bdp=",
+       {"scenario-canon/v3", "name=", "mu_bps=", "rtt=", "buffer_bdp=",
         "buffer_bytes=", "queue=", "pie_target_delay=", "random_loss=",
         "random_loss_seed=", "policer.", "impairment.forward.",
         "impairment.reverse.", "protagonist.", "cross[0].",
         "cross[1].", "workload_enabled=", "duration=", "seed=",
         "log_copa_mode=", "copa_poll_interval=", "link.",
-        "nimbus.fft_duration_sec=", "nimbus.eta_threshold="}) {
+        "nimbus.fft_duration_sec=", "nimbus.eta_threshold=",
+        "protagonist.record_rtt="}) {
     EXPECT_NE(text.find(key), std::string::npos)
         << "canonical text lost key: " << key;
   }
@@ -108,7 +109,7 @@ TEST(SpecCanonTest, CanonicalTextNamesEveryTopLevelField) {
 // ---------------------------------------------------------------------------
 
 TEST(SpecCanonTest, HashIsStableAcrossCallsAndProcesses) {
-  // Golden: locked to the v1 canonical serialization.  A change to the
+  // Golden: locked to the current canonical serialization.  A change to the
   // serialization (field added/reordered/reformatted) MUST change the
   // version line and is expected to break this golden — update it
   // deliberately in the same commit.
@@ -117,9 +118,9 @@ TEST(SpecCanonTest, HashIsStableAcrossCallsAndProcesses) {
   const Hash128 small = spec_hash(small_spec(7));
   EXPECT_EQ(small.hex(), spec_hash(small_spec(7)).hex());
   EXPECT_NE(def.hex(), small.hex());
-  // Re-pinned for scenario-canon/v2 (impairment block added in PR 8).
-  EXPECT_EQ(def.hex(), "caf903f08d8b8fa6e06c6d52dd0f3949");
-  EXPECT_EQ(small.hex(), "5c34f0e138c42bbfdc703b137f4871ad");
+  // Re-pinned for scenario-canon/v3 (protagonist.record_rtt added).
+  EXPECT_EQ(def.hex(), "63286d77ede7fe44e47299efaf9bea3d");
+  EXPECT_EQ(small.hex(), "2ac67299e840d004f82bbf3b9ac713df");
 }
 
 TEST(SpecCanonTest, EveryFieldChangePerturbsTheHash) {
@@ -144,6 +145,10 @@ TEST(SpecCanonTest, EveryFieldChangePerturbsTheHash) {
 
   s = base;
   s.link.amplitude_frac += 0.5;
+  EXPECT_NE(spec_hash(s), h);
+
+  s = base;
+  s.protagonist.record_rtt = !s.protagonist.record_rtt;
   EXPECT_NE(spec_hash(s), h);
 }
 
@@ -306,6 +311,7 @@ std::vector<CellResult> run_grid(ResultCache* cache) {
   std::vector<ScenarioSpec> specs;
   for (std::uint64_t i = 0; i < 4; ++i) {
     specs.push_back(small_spec(derive_seed(/*base=*/7, i)));
+    specs.back().protagonist.record_rtt = true;  // collect reads the RTTs
   }
   ShardConfig no_shard;  // pin 1/1 regardless of the test environment
   return run_scenarios_cached(

@@ -474,6 +474,7 @@ TEST(EventCoreTest, GoldenScenarioBitIdenticalToSeed) {
   spec.buffer_bdp = 2.0;
   spec.duration = from_sec(20);
   spec.protagonist.use_nimbus_config = true;
+  spec.protagonist.record_rtt = true;
   spec.cross.push_back(exp::CrossSpec::poisson(8e6, 2));
   spec.cross.push_back(exp::CrossSpec::flow("cubic", 3, from_sec(5)));
 
@@ -514,6 +515,7 @@ TEST(EventCoreTest, GoldenLossHeavyScenarioBitIdenticalToPr2) {
   spec.random_loss = 0.003;
   spec.duration = from_sec(20);
   spec.protagonist.use_nimbus_config = true;
+  spec.protagonist.record_rtt = true;
   spec.cross.push_back(exp::CrossSpec::flow("cubic", 2));
   spec.cross.push_back(exp::CrossSpec::flow("reno", 3, from_sec(4)));
   spec.cross.push_back(exp::CrossSpec::poisson(6e6, 4));

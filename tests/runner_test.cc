@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <limits>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -12,6 +13,7 @@
 
 #include "exp/runner.h"
 #include "exp/scenario.h"
+#include "exp/summary.h"
 
 namespace nimbus::exp {
 namespace {
@@ -164,6 +166,7 @@ ScenarioSpec small_spec(std::uint64_t seed) {
   spec.mu_bps = 24e6;
   spec.duration = from_sec(8);
   spec.protagonist.use_nimbus_config = true;
+  spec.protagonist.record_rtt = true;  // recorder_digest reads the RTTs
   spec.cross.push_back(CrossSpec::flow("cubic", 2, from_sec(1)));
   spec.cross.push_back(CrossSpec::poisson(4e6, 3, from_sec(2), from_sec(6)));
   return spec.with_seed(seed);
@@ -294,6 +297,7 @@ TEST(ScenarioTest, BaseSeedVariesProtagonistStream) {
   spec.mu_bps = 24e6;
   spec.duration = from_sec(4);
   spec.protagonist.scheme = "bbr";
+  spec.protagonist.record_rtt = true;
   const auto digest = [](const ScenarioSpec& s) {
     const ScenarioRun run = run_scenario(s);
     return run.built.net->recorder().rtt_samples(1).values_in(0, s.duration);
@@ -350,6 +354,58 @@ TEST(ScenarioTest, DifferentSeedsDiverge) {
   const auto da = recorder_digest(a_spec, run_scenario(a_spec));
   const auto db = recorder_digest(b_spec, run_scenario(b_spec));
   EXPECT_NE(da, db);
+}
+
+TEST(ScenarioTest, RecordRttChangesOnlyTheRttSeries) {
+  // The RTT series is a pure observer: turning it on must not move one
+  // simulated event, byte, drop, probe sample or mode decision.
+  ScenarioSpec off_spec = small_spec(99);
+  off_spec.protagonist.record_rtt = false;
+  const ScenarioSpec on_spec = small_spec(99);
+  const ScenarioRun off = run_scenario(off_spec);
+  const ScenarioRun on = run_scenario(on_spec);
+  const sim::Recorder& a = off.built.net->recorder();
+  const sim::Recorder& b = on.built.net->recorder();
+  EXPECT_TRUE(a.rtt_samples(1).empty());
+  EXPECT_FALSE(b.rtt_samples(1).empty());
+  EXPECT_EQ(off.built.net->loop().processed_events(),
+            on.built.net->loop().processed_events());
+  const TimeNs d = on_spec.duration;
+  EXPECT_EQ(a.delivered(1).bucket_rates_bps(0, d, from_ms(100)),
+            b.delivered(1).bucket_rates_bps(0, d, from_ms(100)));
+  EXPECT_EQ(a.probed_queue_delay().values(), b.probed_queue_delay().values());
+  EXPECT_EQ(a.total_drops(), b.total_drops());
+  EXPECT_EQ(off.mode_log->series().values(), on.mode_log->series().values());
+}
+
+TEST(ScenarioDeathTest, RecordRttOffHasNoRttSeriesToSummarize) {
+  ScenarioSpec spec = small_spec(99);
+  spec.protagonist.record_rtt = false;
+  spec.duration = from_sec(3);
+  const ScenarioRun run = run_scenario(spec);
+  const sim::Recorder& rec = run.built.net->recorder();
+  EXPECT_FALSE(rec.is_tracked(1));
+  EXPECT_TRUE(rec.rtt_samples(1).empty());
+  EXPECT_GT(rec.delivered(1).total(), 0);  // byte counters still recorded
+  EXPECT_DEATH(summarize_flow(rec, 1, 0, spec.duration),
+               "summarize_flow: flow is untracked");
+  // The default is off, and only the protagonist is ever tracked.
+  EXPECT_FALSE(ProtagonistSpec{}.record_rtt);
+  spec.protagonist.record_rtt = true;
+  const BuiltScenario built = build_network(spec);
+  EXPECT_TRUE(built.net->recorder().is_tracked(1));
+  EXPECT_FALSE(built.net->recorder().is_tracked(2));
+}
+
+TEST(ScenarioDeathTest, NonFiniteBufferSizingFailsBeforeTheLink) {
+  // make_bottleneck sizes the buffer before the link checks its rate, so
+  // the buffer check is the one that must name the problem.
+  ScenarioSpec spec = small_spec(1);
+  spec.buffer_bdp = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_DEATH(build_network(spec), "buffer_bytes_for_bdp");
+  spec = small_spec(1);
+  spec.mu_bps = std::numeric_limits<double>::infinity();
+  EXPECT_DEATH(build_network(spec), "buffer_bytes_for_bdp");
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 // sampler.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "sim/event_loop.h"
 #include "sim/link.h"
 #include "sim/pie.h"
@@ -136,6 +138,20 @@ TEST(DropTailTest, BufferSizing) {
   EXPECT_EQ(buffer_bytes_for_bdp(96e6, from_ms(100), 2.0), 2400000);
   // Tiny buffers are floored.
   EXPECT_EQ(buffer_bytes_for_bdp(1e6, from_ms(1), 0.1), 3000);
+  EXPECT_EQ(buffer_bytes_for_bdp(96e6, from_ms(100), 0.0), 3000);
+}
+
+TEST(DropTailDeathTest, BufferSizingRejectsBadProducts) {
+  const char* kMsg = "buffer_bytes_for_bdp: rate/8 x rtt x multiple";
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_DEATH(buffer_bytes_for_bdp(96e6, from_ms(50), nan), kMsg);
+  EXPECT_DEATH(buffer_bytes_for_bdp(nan, from_ms(50), 2.0), kMsg);
+  EXPECT_DEATH(buffer_bytes_for_bdp(96e6, from_ms(50), inf), kMsg);
+  EXPECT_DEATH(buffer_bytes_for_bdp(inf, from_ms(50), 2.0), kMsg);
+  EXPECT_DEATH(buffer_bytes_for_bdp(96e6, from_ms(50), -1.0), kMsg);
+  // Finite but past int64.
+  EXPECT_DEATH(buffer_bytes_for_bdp(96e6, from_ms(50), 1e300), kMsg);
 }
 
 // --- PIE ---
