@@ -324,9 +324,9 @@ std::unique_ptr<sim::RateSchedule> make_link_schedule(
     case LinkSpec::Kind::kRandomWalk:
       return sim::RateSchedule::random_walk(
           spec.mu_bps, l.amplitude_frac, l.step_interval, l.step_frac,
-          // Legacy stream 97 under the default base, like the other
-          // unseeded streams (no historical output to preserve — 97 is
-          // just this subsystem's legacy constant).
+          // Stream 97 under the default base, like the other unseeded
+          // streams (no historical output to preserve — 97 is just this
+          // subsystem's fixed constant).
           l.seed != 0 ? l.seed : flow_seed(spec.seed, /*legacy=*/97));
     case LinkSpec::Kind::kTrace: {
       sim::RateSchedule::TraceConfig cfg;

@@ -18,11 +18,11 @@
 // implementation's O(n) re-summation.  The ring doubles until the 16384-
 // sample history cap, after which on_ack overwrites the oldest slot —
 // steady state touches no heap and rates() is O(1).  Results are
-// bit-identical to the deque reference (ReferenceRateSampler below).
+// bit-identical to a deque that re-sums the window on every query
+// (tests/transport_ring_test.cc holds that reference and checks it).
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "util/time.h"
@@ -41,17 +41,19 @@ class RateSampler {
   void on_ack(TimeNs sent_at, TimeNs acked_at, std::uint32_t bytes);
 
   /// Rates over the most recent `n_packets` acked packets (clamped to what
-  /// is available; invalid until at least `min_packets` have been seen).
+  /// is available; invalid until at least kMinPackets have been seen).
   Rates rates(std::size_t n_packets) const;
 
   /// Convenience: rates over roughly one window (cwnd_bytes / mss packets).
   Rates rates_over_window(double cwnd_bytes, std::uint32_t mss) const;
 
   std::size_t history_size() const {
-    return next_ < max_history_ ? static_cast<std::size_t>(next_)
-                                : max_history_;
+    return next_ < kMaxHistory ? static_cast<std::size_t>(next_)
+                               : kMaxHistory;
   }
-  void set_min_packets(std::size_t n) { min_packets_ = n; }
+
+  static constexpr std::size_t kMaxHistory = 16384;
+  static constexpr std::size_t kMinPackets = 5;
 
  private:
   struct Sample {
@@ -66,32 +68,6 @@ class RateSampler {
   std::uint64_t mask_ = 0;
   std::uint64_t next_ = 0;  // global index of the next sample
   std::uint64_t cum_bytes_ = 0;
-  std::size_t max_history_ = 16384;
-  std::size_t min_packets_ = 5;
-};
-
-/// The PR 2-era deque implementation, kept as the executable specification:
-/// tests assert the ring sampler above returns bit-identical Rates under
-/// randomized workloads, and bench_micro measures the per-ACK O(cwnd)
-/// re-summation it pays.  Not used on any simulation path.
-class ReferenceRateSampler {
- public:
-  void on_ack(TimeNs sent_at, TimeNs acked_at, std::uint32_t bytes);
-  RateSampler::Rates rates(std::size_t n_packets) const;
-  RateSampler::Rates rates_over_window(double cwnd_bytes,
-                                       std::uint32_t mss) const;
-  std::size_t history_size() const { return samples_.size(); }
-  void set_min_packets(std::size_t n) { min_packets_ = n; }
-
- private:
-  struct Sample {
-    TimeNs sent_at;
-    TimeNs acked_at;
-    std::uint32_t bytes;
-  };
-  std::deque<Sample> samples_;
-  std::size_t max_history_ = 16384;
-  std::size_t min_packets_ = 5;
 };
 
 }  // namespace nimbus::sim

@@ -35,11 +35,7 @@ void Recorder::expect_duration(TimeNs duration) {
 
 void Recorder::ensure_flow(FlowId id) {
   if (id >= delivered_.size()) {
-    // Delivered-bytes counters sample at 1 ms buckets: every bench reduces
-    // throughput on second/millisecond-aligned grids, where bucketed
-    // queries are bit-identical to per-packet ones, and the per-delivery
-    // hot path stops appending one pair per packet (ROADMAP hot spot).
-    delivered_.resize(id + 1, util::ByteCounter(from_ms(1)));
+    delivered_.resize(id + 1);
     seen_.resize(id + 1, 0);
     drops_.resize(id + 1, 0);
   }

@@ -97,11 +97,11 @@ void TimeSeries::clear() {
 
 void ByteCounter::add(TimeNs t, std::int64_t bytes) {
   total_ += bytes;
-  // Bucketed mode stamps the sample at the bucket's last nanosecond, so a
-  // bucket-aligned boundary B sees exactly the packets delivered before B
-  // (their stamps are <= B-1) — the same answer the exact mode gives.
-  const TimeNs stamp = bucket_ > 0 ? (t / bucket_) * bucket_ + bucket_ - 1 : t;
-  if (!times_.empty() && stamp == times_.back() && bucket_ > 0) {
+  // Stamping the sample at the bucket's last nanosecond makes an aligned
+  // boundary B see exactly the bytes added before B (their stamps are
+  // <= B-1).
+  const TimeNs stamp = (t / kBucket) * kBucket + kBucket - 1;
+  if (!times_.empty() && stamp == times_.back()) {
     cumulative_.back() = total_;
     return;
   }

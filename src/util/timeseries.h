@@ -61,29 +61,20 @@ class TimeSeries {
 /// `add(t, bytes)` accumulates; `rate_bps(t0, t1)` is the average rate over
 /// the interval.  Used for per-flow throughput accounting.
 ///
-/// Storage comes in two modes.  The default records one (time, cumulative)
-/// pair per add() — exact at any query boundary.  A counter constructed
-/// with a bucket width instead collapses all adds inside one bucket into a
-/// single pair stamped at the bucket's last nanosecond: the recorder's
+/// Adds inside one 1 ms bucket collapse into a single (time, cumulative)
+/// pair stamped at the bucket's last nanosecond: the recorder's
 /// per-delivery hot path then usually just overwrites the running
-/// cumulative instead of growing a vector (~8 packets/bucket/flow at
-/// paper rates with 1 ms buckets), and memory shrinks accordingly.
-/// Queries whose boundaries are bucket-aligned — every bench reduces on
-/// second/millisecond grids — return bit-identical results to the exact
-/// mode; a boundary cutting through a bucket attributes that bucket's
-/// bytes to its final nanosecond.
+/// cumulative instead of growing a vector (~8 packets/bucket/flow at paper
+/// rates), and memory shrinks accordingly.  A query whose boundaries are
+/// millisecond-aligned — every bench reduces on second/millisecond grids —
+/// counts exactly the bytes added inside it; a boundary cutting through a
+/// bucket attributes that bucket's bytes to its final nanosecond.
 class ByteCounter {
  public:
-  ByteCounter() = default;
-  /// Time-bucketed sampling: adds within one `bucket_width` window merge
-  /// into a single sample at the window's last nanosecond.
-  explicit ByteCounter(TimeNs bucket_width) : bucket_(bucket_width) {}
-
   void add(TimeNs t, std::int64_t bytes);
   std::int64_t total() const { return total_; }
-  TimeNs bucket_width() const { return bucket_; }
-  /// Stored sample count (bucketed counters grow ~bucket-fill times
-  /// slower than per-packet ones; exposed for tests and benches).
+  /// Stored sample count (one per occupied bucket; exposed for tests and
+  /// benches).
   std::size_t samples() const { return times_.size(); }
 
   /// Bytes recorded with t in [t0, t1).
@@ -96,10 +87,11 @@ class ByteCounter {
   std::vector<double> bucket_rates_bps(TimeNs t0, TimeNs t1, TimeNs dt) const;
 
  private:
+  static constexpr TimeNs kBucket = from_ms(1);
+
   std::vector<TimeNs> times_;
   std::vector<std::int64_t> cumulative_;  // cumulative bytes after the event
   std::int64_t total_ = 0;
-  TimeNs bucket_ = 0;  // 0 = exact per-add samples
 };
 
 }  // namespace nimbus::util

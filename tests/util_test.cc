@@ -1,6 +1,8 @@
 // Unit tests for util: time conversions, RNG, statistics, EWMA, windowed
 // filters, time series, CSV formatting.
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -371,57 +373,66 @@ TEST(ByteCounterTest, EmptyIntervals) {
   EXPECT_DOUBLE_EQ(c.rate_bps(0, from_sec(1)), 0.0);
 }
 
-// Bucketed mode (the recorder's delivered-bytes configuration): adds
-// inside one bucket collapse into a single stored sample, and every
-// bucket-aligned query answers exactly like the per-sample counter.
+// Adds inside one 1 ms bucket collapse into a single stored sample, and
+// every millisecond-aligned query counts exactly the bytes added inside
+// it.  The oracle is a brute-force sum over the (t, bytes) adds.
 TEST(ByteCounterTest, BucketedMatchesExactOnAlignedQueries) {
-  util::ByteCounter exact;
-  util::ByteCounter bucketed(from_ms(1));
+  util::ByteCounter c;
   // Simulated packet arrivals at 125 us spacing across 40 ms, with a gap.
-  std::vector<TimeNs> stamps;
-  for (int i = 0; i < 160; ++i) stamps.push_back(i * from_ms(0.125));
+  std::vector<std::pair<TimeNs, std::int64_t>> adds;
+  for (int i = 0; i < 160; ++i) {
+    adds.emplace_back(i * from_ms(0.125), 1000 + (i % 7) * 100);
+  }
   for (int i = 0; i < 80; ++i) {
-    stamps.push_back(from_ms(30) + i * from_ms(0.125));
+    adds.emplace_back(from_ms(30) + i * from_ms(0.125), 1500 - (i % 5) * 50);
   }
-  for (TimeNs t : stamps) {
-    exact.add(t, 1500);
-    bucketed.add(t, 1500);
-  }
-  EXPECT_EQ(bucketed.total(), exact.total());
+  for (const auto& [t, bytes] : adds) c.add(t, bytes);
+  auto exact_bytes = [&](TimeNs t0, TimeNs t1) {
+    std::int64_t sum = 0;
+    for (const auto& [t, bytes] : adds) {
+      if (t >= t0 && t < t1) sum += bytes;
+    }
+    return sum;
+  };
+  auto exact_rate = [&](TimeNs t0, TimeNs t1) {
+    return static_cast<double>(exact_bytes(t0, t1)) * 8.0 / to_sec(t1 - t0);
+  };
+  EXPECT_EQ(c.total(), exact_bytes(0, from_ms(40)));
   // ~8 adds per occupied millisecond collapse into one sample each.
-  EXPECT_EQ(bucketed.samples(), 30u);
-  EXPECT_EQ(exact.samples(), stamps.size());
+  EXPECT_EQ(c.samples(), 30u);
   for (TimeNs t0 = 0; t0 <= from_ms(40); t0 += from_ms(1)) {
     for (TimeNs t1 = t0 + from_ms(1); t1 <= from_ms(40); t1 += from_ms(7)) {
-      EXPECT_EQ(bucketed.bytes_in(t0, t1), exact.bytes_in(t0, t1));
-      EXPECT_DOUBLE_EQ(bucketed.rate_bps(t0, t1), exact.rate_bps(t0, t1));
+      EXPECT_EQ(c.bytes_in(t0, t1), exact_bytes(t0, t1));
+      EXPECT_DOUBLE_EQ(c.rate_bps(t0, t1), exact_rate(t0, t1));
     }
   }
-  const auto eb = exact.bucket_rates_bps(0, from_ms(40), from_ms(2));
-  const auto bb = bucketed.bucket_rates_bps(0, from_ms(40), from_ms(2));
-  ASSERT_EQ(eb.size(), bb.size());
-  for (std::size_t i = 0; i < eb.size(); ++i) EXPECT_DOUBLE_EQ(bb[i], eb[i]);
+  const auto rates = c.bucket_rates_bps(0, from_ms(40), from_ms(2));
+  ASSERT_EQ(rates.size(), 20u);
+  for (std::size_t i = 0; i < rates.size(); ++i) {
+    const TimeNs lo = static_cast<TimeNs>(i) * from_ms(2);
+    EXPECT_DOUBLE_EQ(rates[i], exact_rate(lo, lo + from_ms(2)));
+  }
 }
 
 TEST(ByteCounterTest, BucketedStillRejectsTimeTravel) {
-  util::ByteCounter c(from_ms(1));
+  util::ByteCounter c;
   c.add(from_ms(5), 100);
   c.add(from_ms(5) + 1, 100);  // same bucket: merges
   EXPECT_EQ(c.samples(), 1u);
   EXPECT_DEATH(c.add(from_ms(3), 100), "time-ordered");
 }
 
-// Bucketed mode stores exactly what the division formula gives: stamp
+// The counter stores exactly what the division formula gives: stamp
 // (t / b) * b + b - 1 and the cumulative after the last add in that
 // bucket.  Adds land on bucket edges t = 0, k*b - 1 and k*b, where an
 // off-by-one in the bucketing would merge two buckets or split one.
 TEST(ByteCounterTest, BucketedStampsMatchTheFormula) {
-  const TimeNs b = 1000;
+  const TimeNs b = from_ms(1);
   const std::vector<TimeNs> adds = {0,         0,         b - 1,     b,
                                     2 * b - 1, 2 * b,     2 * b,     3 * b - 1,
                                     5 * b - 1, 5 * b,     5 * b + 1, 6 * b - 1,
                                     9 * b,     10 * b - 1};
-  util::ByteCounter c(b);
+  util::ByteCounter c;
   std::vector<TimeNs> stamps;
   std::vector<std::int64_t> cumulative;
   std::int64_t total = 0;
