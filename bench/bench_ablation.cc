@@ -106,7 +106,7 @@ int main() {
         return exp::CellResult::scalar(
             xcorr_detector(traces.at(spec.name), spec.duration));
       },
-      {}, nullptr,
+      nullptr,
       [&](const exp::ScenarioSpec& spec, exp::BuiltScenario& built) {
         StatusTrace& t = traces.at(spec.name);
         built.nimbus->set_status_handler(

@@ -79,7 +79,7 @@ int main() {
 
   util::OnlineStats acc;
   exp::run_scenarios_cached(
-      specs, collect, {}, [&](std::size_t i, exp::CellResult& r) {
+      specs, collect, [&](std::size_t i, exp::CellResult& r) {
         row("appE2", labels[i], {r.value()});
         if (i < headline_cells) acc.add(r.value());
       });

@@ -68,7 +68,7 @@ int main() {
   for (const auto& s : schemes) specs.push_back(make_spec(s));
 
   const auto results = exp::run_scenarios_cached(
-      specs, collect, {}, [&](std::size_t i, exp::CellResult& r) {
+      specs, collect, [&](std::size_t i, exp::CellResult& r) {
         for (std::size_t j = kSeconds; j + 3 <= r.values.size(); j += 3) {
           row("fig01", schemes[i],
               {r.value(j), r.value(j + 1), r.value(j + 2)});

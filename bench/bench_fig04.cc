@@ -47,7 +47,6 @@ int main() {
         return exp::CellResult::vec(
             run.z_log->values_in(from_sec(25), from_sec(28)));
       },
-      {},
       [&](std::size_t i, exp::CellResult& zs) {
         std::size_t j = 0;
         for (double v : zs.values) {

@@ -50,7 +50,7 @@ int main() {
   const std::vector<exp::ScenarioSpec> specs = {make_spec("elastic"),
                                                 make_spec("inelastic")};
   const auto spectra = exp::run_scenarios_cached(
-      specs, collect, {}, [](std::size_t i, exp::CellResult& r) {
+      specs, collect, [](std::size_t i, exp::CellResult& r) {
         for (std::size_t j = kBins; j + 2 <= r.values.size(); j += 2) {
           row("fig05", i == 0 ? "elastic" : "inelastic",
               {r.value(j), r.value(j + 1)});

@@ -68,7 +68,7 @@ int main() {
 
   double median_0 = 0, median_100 = 0, median_25 = 0;
   exp::run_scenarios_cached(
-      specs, collect, {}, [&](std::size_t i, exp::CellResult& p) {
+      specs, collect, [&](std::size_t i, exp::CellResult& p) {
         const double frac = fracs[i];
         row("fig06", util::format_num(frac),
             {p.value(0), p.value(1), p.value(2), p.value(3), p.value(4)});

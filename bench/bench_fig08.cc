@@ -106,7 +106,6 @@ int main() {
       [&](const exp::ScenarioSpec&, exp::ScenarioRun& run) {
         return collect(phase_len, run);
       },
-      {},
       // Fires in scheme order as the completed prefix grows.
       [&](std::size_t i, exp::CellResult& r) {
         for (std::size_t j = kSeconds; j + 4 <= r.values.size(); j += 4) {

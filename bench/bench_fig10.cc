@@ -55,7 +55,6 @@ int main() {
                                   spec.duration / 4 + from_sec(10),
                                   3 * spec.duration / 4));
       },
-      {},
       [&](std::size_t i, exp::CellResult& r) {
         double sum = 0;
         std::size_t sec = 0;

@@ -63,7 +63,6 @@ int main() {
                                            from_sec(10), spec.duration);
         return exp::CellResult::vec({s.mean_rate_mbps, s.mean_rtt_ms});
       },
-      {},
       [&](std::size_t i, exp::CellResult& r) {
         Point p{r.value(0), r.value(1)};
         const auto& scheme = schemes[i / 2];

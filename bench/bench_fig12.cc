@@ -93,7 +93,7 @@ int main() {
 
   std::printf("fig12,second,elastic_fraction,eta,mode_competitive\n");
   const auto results = exp::run_scenarios_cached(
-      {spec}, collect, {},
+      {spec}, collect,
       [&](std::size_t, exp::CellResult& r) {
         for (std::size_t j = 2; j + 3 < r.values.size(); j += 4) {
           row("fig12", util::format_num(r.value(j)),

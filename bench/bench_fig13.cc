@@ -66,7 +66,7 @@ int main() {
   // where the hand-rolled loop emitted it.
   std::vector<exp::CellResult> group;
   exp::run_scenarios_cached(
-      specs, collect, {}, [&](std::size_t i, exp::CellResult& p) {
+      specs, collect, [&](std::size_t i, exp::CellResult& p) {
         const double load = loads[i / 4];
         row("fig13", util::format_num(load) + "," + labels[i % 4],
             {p.value(kMeanRate), p.value(kMedianRtt)});

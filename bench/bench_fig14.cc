@@ -92,7 +92,7 @@ int main() {
   double nim_r4 = 0, copa_r4 = 0;
   double nim_pending = 0;
   exp::run_scenarios_cached(
-      specs, collect, {},
+      specs, collect,
       [&](std::size_t i, exp::CellResult& r) {
         const double acc = r.value();
         if (i % 2 == 0) {

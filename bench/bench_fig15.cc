@@ -72,7 +72,7 @@ int main() {
   std::vector<double> cell;  // kReps accuracies of the current cell
   std::vector<double> trio;  // per-cell means of the current ratio
   exp::run_scenarios_cached(
-      specs, collect, {},
+      specs, collect,
       [&](std::size_t i, exp::CellResult& acc) {
         cell.push_back(acc.value());
         if (cell.size() < static_cast<std::size_t>(kReps)) return;

@@ -87,7 +87,7 @@ int main() {
 
   std::printf("fig16,second,f1,f2,f3,f4,qdelay_ms,pulsers\n");
   const exp::CellResult r =
-      exp::run_scenarios_cached({spec}, collect, {}, nullptr, setup)[0];
+      exp::run_scenarios_cached({spec}, collect, nullptr, setup)[0];
   for (std::size_t j = kSteps; j + 7 <= r.values.size(); j += 7) {
     row("fig16", util::format_num(r.value(j)),
         {r.value(j + 1), r.value(j + 2), r.value(j + 3), r.value(j + 4),

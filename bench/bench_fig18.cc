@@ -47,7 +47,6 @@ int main() {
                                            from_sec(10), spec.duration);
         return exp::CellResult::vec({s.mean_rate_mbps, s.mean_rtt_ms});
       },
-      {},
       [&](std::size_t i, exp::CellResult& r) {
         const auto& path = paths[picks[i / schemes.size()]];
         const auto& scheme = schemes[i % schemes.size()];

@@ -61,7 +61,6 @@ int main() {
             run.built.net->recorder(), 1, from_sec(10), spec.duration);
         return exp::CellResult::vec({s.mean_rate_mbps, s.mean_rtt_ms});
       },
-      {},
       [&](std::size_t i, exp::CellResult& s) {
         const auto& scheme = schemes[i / per_scheme];
         const auto& p = paths[(i % per_scheme) / seeds.size()];

@@ -49,7 +49,6 @@ int main() {
                 from_sec(20), spec.duration) /
             1e6);
       },
-      {},
       [&](std::size_t i, exp::CellResult& r) {
         const double rate = r.value();
         if (i % 2 == 0) {

@@ -68,7 +68,7 @@ int main() {
   }
 
   const auto results = exp::run_scenarios_cached(
-      specs, collect, {}, [&](std::size_t i, exp::CellResult& r) {
+      specs, collect, [&](std::size_t i, exp::CellResult& r) {
         for (std::size_t j = kSeconds; j + 3 <= r.values.size(); j += 3) {
           row("fig23",
               cells[i].scheme + "," + util::format_num(cells[i].cbr / 1e6) +

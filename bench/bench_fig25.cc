@@ -60,7 +60,7 @@ int main() {
 
   util::OnlineStats overall;
   exp::run_scenarios_cached(
-      specs, collect, {}, [&](std::size_t i, exp::CellResult& r) {
+      specs, collect, [&](std::size_t i, exp::CellResult& r) {
         row("fig25", labels[i], {r.value()});
         overall.add(r.value());
       });

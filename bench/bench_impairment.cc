@@ -164,7 +164,8 @@ int main() {
   specs.reserve(cells.size());
   for (const auto& c : cells) specs.push_back(c.spec);
 
-  const exp::RunBudget budget{kCellEventBudget, 0.0};
+  exp::RunConfig cfg = exp::process_config();
+  cfg.budget.max_events = kCellEventBudget;
   std::printf("impair,kind_cross,param,accuracy\n");
   int watchdog_cells = 0;
   const auto results = exp::run_scenarios_cached(
@@ -172,7 +173,6 @@ int main() {
       [&](const exp::ScenarioSpec& spec, exp::ScenarioRun& run) {
         return exp::CellResult::scalar(exp::score_accuracy(run, spec));
       },
-      {},
       [&](std::size_t i, exp::CellResult& r) {
         if (!r.valid && r.fail != exp::CellResult::Fail::kShardSkip) {
           ++watchdog_cells;
@@ -185,7 +185,7 @@ int main() {
         row("impair", cells[i].kind + "_" + cells[i].cross,
             {cells[i].param, r.value()});
       },
-      nullptr, nullptr, nullptr, &budget);
+      nullptr, cfg);
 
   // --- shape checks -------------------------------------------------------
   const auto acc = [&](const std::string& kind, const std::string& cross,

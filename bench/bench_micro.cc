@@ -445,17 +445,16 @@ void BM_SweepCellWarmCache(benchmark::State& state) {
   const fs::path dir =
       fs::temp_directory_path() / "nimbus-bench-sweep-cache";
   fs::remove_all(dir);
-  const exp::ShardConfig no_shard;
+  const exp::RunConfig serial;  // one job, no shard
   {
     exp::ResultCache warmup(dir.string(), exp::ResultCache::Mode::kReadWrite);
-    exp::run_scenarios_cached(specs, sweep_cell_collect, {/*jobs=*/1, false},
-                              nullptr, nullptr, &warmup, &no_shard);
+    exp::run_scenarios_cached(specs, sweep_cell_collect, nullptr, nullptr,
+                              serial, warmup);
   }
   exp::ResultCache cache(dir.string(), exp::ResultCache::Mode::kRead);
   for (auto _ : state) {
     const auto cells = exp::run_scenarios_cached(
-        specs, sweep_cell_collect, {/*jobs=*/1, false}, nullptr, nullptr,
-        &cache, &no_shard);
+        specs, sweep_cell_collect, nullptr, nullptr, serial, cache);
     benchmark::DoNotOptimize(cells);
   }
   if (cache.stats().misses > 0) {
@@ -470,11 +469,10 @@ BENCHMARK(BM_SweepCellWarmCache);
 void BM_SweepCellColdCompute(benchmark::State& state) {
   const auto specs = sweep_cell_specs();
   exp::ResultCache off("", exp::ResultCache::Mode::kOff);
-  const exp::ShardConfig no_shard;
+  const exp::RunConfig serial;  // one job, no shard
   for (auto _ : state) {
     const auto cells = exp::run_scenarios_cached(
-        specs, sweep_cell_collect, {/*jobs=*/1, false}, nullptr, nullptr,
-        &off, &no_shard);
+        specs, sweep_cell_collect, nullptr, nullptr, serial, off);
     benchmark::DoNotOptimize(cells);
   }
   state.SetItemsProcessed(state.iterations() *

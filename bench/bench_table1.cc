@@ -78,7 +78,6 @@ int main() {
         return exp::CellResult::scalar(
             run.mode_log->fraction_competitive(from_sec(10), duration));
       },
-      {},
       [&](std::size_t i, exp::CellResult& frac) {
         std::printf("table1,%s,%s,%s\n", specs[i].klass, specs[i].expected,
                     util::format_num(frac.value()).c_str());

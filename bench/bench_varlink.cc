@@ -67,11 +67,6 @@ constexpr double kStressAmp = 0.5;
 const std::vector<double> kPeriodsS = {10, 30};
 const std::vector<std::string> kCrosses = {"poisson", "cubic"};
 
-std::string trace_dir() {
-  const char* env = std::getenv("NIMBUS_TRACE_DIR");
-  return env != nullptr ? env : "data/traces";
-}
-
 exp::ScenarioSpec base_spec(const std::string& name, double mu,
                             const std::string& cross) {
   exp::ScenarioSpec spec;
@@ -148,7 +143,8 @@ int main() {
       cells.push_back(std::move(c));
     }
     for (const char* trace : {"cellular", "wifi"}) {
-      const std::string path = trace_dir() + "/" + trace + ".trace";
+      const std::string path =
+          exp::process_config().trace_dir + "/" + trace + ".trace";
       const double mu = exp::trace_mean_rate_bps(path);
       for (const TimeNs bucket : {from_ms(100), from_sec(1)}) {
         Cell c{std::string(trace) +
@@ -167,7 +163,7 @@ int main() {
   specs.reserve(cells.size());
   for (const Cell& c : cells) specs.push_back(c.spec);
   const auto results = exp::run_scenarios_cached(
-      specs, collect, {},
+      specs, collect,
       // Fires in cell order as the completed prefix grows.
       [&](std::size_t i, exp::CellResult& r) {
         row("varlink", cells[i].kind + "_" + cells[i].cross,

@@ -77,7 +77,7 @@ int main() {
 
   util::Percentiles err;
   exp::run_scenarios_cached(
-      specs, collect, {}, [&](std::size_t i, exp::CellResult& r) {
+      specs, collect, [&](std::size_t i, exp::CellResult& r) {
         util::Percentiles local;
         local.add_all(r.values);
         err.add_all(r.values);

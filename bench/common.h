@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <string>
@@ -40,19 +39,11 @@
 
 namespace nimbus::bench {
 
-inline bool full_run() {
-  const char* env = std::getenv("NIMBUS_BENCH_FULL");
-  return env != nullptr && env[0] == '1';
-}
+inline bool full_run() { return exp::process_config().bench_full; }
 
 /// Scales an experiment duration down in quick mode.
 inline TimeNs dur(double full_sec, double quick_sec) {
   return from_sec(full_run() ? full_sec : quick_sec);
-}
-
-inline bool shape_strict() {
-  const char* env = std::getenv("NIMBUS_SHAPE_STRICT");
-  return env != nullptr && env[0] == '1';
 }
 
 /// WARNs that should fail a strict run (shape_check minus known-warn).
@@ -105,7 +96,7 @@ inline void shape_check_known_warn(const std::string& fig, bool ok,
 /// here — to stderr, keeping stdout byte-identical cold vs warm.
 inline int shape_exit_code() {
   exp::print_cache_stats_if_active(stderr);
-  if (shape_strict() && shape_warn_count() > 0) {
+  if (exp::process_config().shape_strict && shape_warn_count() > 0) {
     std::fprintf(stderr,
                  "NIMBUS_SHAPE_STRICT: %d shape check(s) WARNed\n",
                  shape_warn_count());

@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
 
   std::printf("scheme       rate    mean RTT  median RTT   p95 RTT\n");
   const auto outcomes = exp::run_scenarios_cached(
-      specs, collect, {}, [&](std::size_t i, exp::CellResult& o) {
+      specs, collect, [&](std::size_t i, exp::CellResult& o) {
         std::printf("%-10s %6.1f M %8.1f ms %8.1f ms %8.1f ms\n",
                     schemes[i].c_str(), o.value(kRate), o.value(kMeanRtt),
                     o.value(kMedianRtt), o.value(kP95Rtt));

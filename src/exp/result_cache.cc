@@ -193,23 +193,8 @@ ResultCache::Stats ResultCache::stats() const {
 // ---------------------------------------------------------------------------
 
 ResultCache& process_cache() {
-  static ResultCache* cache = [] {
-    using Mode = ResultCache::Mode;
-    Mode mode = Mode::kOff;
-    if (const char* env = std::getenv("NIMBUS_CACHE")) {
-      const std::string v = env;
-      if (v == "read") {
-        mode = Mode::kRead;
-      } else if (v == "readwrite") {
-        mode = Mode::kReadWrite;
-      } else {
-        NIMBUS_CHECK_MSG(v == "off" || v.empty(),
-                         "NIMBUS_CACHE must be off|read|readwrite");
-      }
-    }
-    const char* dir = std::getenv("NIMBUS_CACHE_DIR");
-    return new ResultCache(dir != nullptr ? dir : ".nimbus-cache", mode);
-  }();
+  static ResultCache* cache =
+      new ResultCache(process_config().cache_dir, process_config().cache);
   return *cache;
 }
 
@@ -231,24 +216,6 @@ Hash128 code_fingerprint() {
 // Sharding.
 // ---------------------------------------------------------------------------
 
-ShardConfig parse_shard(const std::string& s) {
-  int k = 0, n = 0;
-  char trail = '\0';
-  const int got = std::sscanf(s.c_str(), "%d/%d%c", &k, &n, &trail);
-  NIMBUS_CHECK_MSG(got == 2 && k >= 1 && n >= 1 && k <= n,
-                   "NIMBUS_SHARD must be k/n with 1 <= k <= n");
-  return {k, n};
-}
-
-ShardConfig shard_from_env() {
-  static const ShardConfig cfg = [] {
-    const char* env = std::getenv("NIMBUS_SHARD");
-    return env != nullptr && env[0] != '\0' ? parse_shard(env)
-                                            : ShardConfig{};
-  }();
-  return cfg;
-}
-
 bool cell_in_shard(const Hash128& spec_hash, std::uint64_t seed,
                    const ShardConfig& shard) {
   if (!shard.active()) return true;
@@ -269,7 +236,7 @@ void note_shard_skip() { g_shard_skipped.fetch_add(1); }
 
 void print_cache_stats_if_active(std::FILE* out) {
   const ResultCache& cache = process_cache();
-  const ShardConfig shard = shard_from_env();
+  const ShardConfig& shard = process_config().shard;
   if (!cache.enabled() && !shard.active()) return;
   const ResultCache::Stats s = cache.stats();
   std::fprintf(out,

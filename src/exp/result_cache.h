@@ -20,16 +20,11 @@
 // self-checking: a truncated or corrupted entry fails its checksum and is
 // treated as a miss (recomputed, then rewritten when the mode allows).
 //
-// Environment switches (read once per process):
-//   NIMBUS_CACHE       off (default) | read | readwrite
-//   NIMBUS_CACHE_DIR   cache root (default .nimbus-cache when enabled)
-//   NIMBUS_SHARD       "k/n" (1-based): this process computes only the
-//                      cells whose hash lands in shard k of n.  Cells
-//                      outside the shard still *read* the cache (a fully
-//                      warmed cache yields complete output under any
-//                      shard), but are never computed; their results come
-//                      back with valid=false and NaN values, and benches
-//                      downgrade shape checks to SKIP (bench/common.h).
+// Sharding (RunConfig::shard, "k/n"): a process computes only the cells
+// whose hash lands in shard k of n.  Cells outside the shard still *read*
+// the cache (a fully warmed cache yields complete output under any shard),
+// but are never computed; their results come back with valid=false and NaN
+// values, and benches downgrade shape checks to SKIP (bench/common.h).
 #pragma once
 
 #include <cstdint>
@@ -40,6 +35,7 @@
 #include <utility>
 #include <vector>
 
+#include "exp/run_config.h"
 #include "exp/spec_canon.h"
 
 namespace nimbus::exp {
@@ -102,7 +98,7 @@ struct CellResult {
 
 class ResultCache {
  public:
-  enum class Mode { kOff, kRead, kReadWrite };
+  using Mode = CacheMode;
 
   struct Stats {
     long hits = 0;
@@ -140,8 +136,7 @@ class ResultCache {
   bool warned_unwritable_ = false;
 };
 
-/// The process-wide cache, configured from NIMBUS_CACHE/NIMBUS_CACHE_DIR
-/// on first use.
+/// The process-wide cache, configured from process_config() on first use.
 ResultCache& process_cache();
 
 /// Hash of this process's executable image (/proc/self/exe), computed
@@ -152,18 +147,6 @@ Hash128 code_fingerprint();
 // ---------------------------------------------------------------------------
 // Sharding.
 // ---------------------------------------------------------------------------
-
-struct ShardConfig {
-  int k = 1;  // 1-based shard index
-  int n = 1;  // shard count
-  bool active() const { return n > 1; }
-};
-
-/// Parses "k/n" with 1 <= k <= n; CHECK-fails on malformed input.
-ShardConfig parse_shard(const std::string& s);
-
-/// NIMBUS_SHARD, or the inactive 1/1 config when unset.
-ShardConfig shard_from_env();
 
 /// Deterministic partition: for a fixed n, every cell belongs to exactly
 /// one shard (tests assert the disjoint exact cover).
@@ -176,8 +159,8 @@ long shard_skipped_count();
 void note_shard_skip();
 
 /// One summary line to `out` (benches pass stderr, keeping stdout
-/// byte-identical between cold and warm runs) when caching or sharding is
-/// active; silent otherwise.
+/// byte-identical between cold and warm runs) when the process cache or
+/// the process shard is active; silent otherwise.
 void print_cache_stats_if_active(std::FILE* out);
 
 }  // namespace nimbus::exp

@@ -9,36 +9,25 @@
 #include <string>
 #include <thread>
 
-namespace nimbus::exp {
+#include "util/check.h"
 
-int resolve_jobs(int jobs) {
-  if (jobs > 0) return jobs;
-  const double env = positive_env_number("NIMBUS_JOBS", /*integer=*/true);
-  // More workers than cells never run (for_each caps at n), so the cap
-  // only keeps the int conversion defined.
-  if (env > 0.0) return static_cast<int>(std::min(env, 1e6));
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
-}
+namespace nimbus::exp {
 
 std::uint64_t derive_seed(std::uint64_t base, std::uint64_t index) {
   // splitmix64 over base + index: distinct, scheduling-independent streams.
   return mix_seed(base + 0x9e3779b97f4a7c15ULL * index);
 }
 
-ParallelRunner::ParallelRunner() : ParallelRunner(Options{}) {}
-
-ParallelRunner::ParallelRunner(Options opts)
-    : jobs_(resolve_jobs(opts.jobs)), serial_(opts.serial) {}
+ParallelRunner::ParallelRunner(int jobs) : jobs_(jobs) {
+  NIMBUS_CHECK_MSG(jobs >= 1, "ParallelRunner needs at least one job");
+}
 
 void ParallelRunner::for_each(std::size_t n,
                               const std::function<void(std::size_t)>& task,
                               const std::function<void(std::size_t)>& on_done) {
   if (n == 0) return;
-  const int workers =
-      serial_ ? 1
-              : static_cast<int>(std::min<std::size_t>(
-                    static_cast<std::size_t>(jobs_), n));
+  const int workers = static_cast<int>(
+      std::min<std::size_t>(static_cast<std::size_t>(jobs_), n));
   if (workers <= 1) {
     for (std::size_t i = 0; i < n; ++i) {
       task(i);
@@ -96,15 +85,6 @@ void ParallelRunner::for_each(std::size_t n,
   for (int w = 0; w < workers; ++w) pool.emplace_back(worker);
   for (std::thread& t : pool) t.join();
   if (first_error) std::rethrow_exception(first_error);
-}
-
-RunBudget cell_budget_from_env() {
-  RunBudget b;
-  b.max_events = static_cast<std::uint64_t>(
-      positive_env_number("NIMBUS_CELL_MAX_EVENTS", /*integer=*/true));
-  b.max_wall_seconds =
-      positive_env_number("NIMBUS_CELL_WALL_SEC", /*integer=*/false);
-  return b;
 }
 
 namespace {
@@ -228,12 +208,11 @@ int next_manifest_index() {
 
 void write_sweep_manifest(const std::vector<ScenarioSpec>& specs,
                           const std::vector<CellResult>& results,
-                          const ResultCache& c, const ShardConfig& s) {
-  const std::string dir = obs_dir_from_env();
-  if (dir.empty() || obs_mode_from_env() == obs::Mode::kOff) return;
+                          const ResultCache& c, const RunConfig& cfg) {
+  if (cfg.obs_dir.empty() || cfg.obs == obs::Mode::kOff) return;
   char path[512];
-  std::snprintf(path, sizeof(path), "%s/manifest-%d.jsonl", dir.c_str(),
-                next_manifest_index());
+  std::snprintf(path, sizeof(path), "%s/manifest-%d.jsonl",
+                cfg.obs_dir.c_str(), next_manifest_index());
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "WARNING: cannot write sweep manifest %s\n", path);
@@ -287,8 +266,8 @@ void write_sweep_manifest(const std::vector<ScenarioSpec>& specs,
   summary += ",\"computed\":" + std::to_string(computed);
   summary += ",\"from_cache\":" + std::to_string(cached);
   summary += ",\"failed\":" + std::to_string(failed);
-  summary += ",\"shard\":\"" + std::to_string(s.k) + "/" +
-             std::to_string(s.n) + "\"";
+  summary += ",\"shard\":\"" + std::to_string(cfg.shard.k) + "/" +
+             std::to_string(cfg.shard.n) + "\"";
   summary += ",\"shard_skipped\":" + std::to_string(shard_skipped_count());
   summary += ",\"cache\":{\"hits\":" + std::to_string(st.hits);
   summary += ",\"misses\":" + std::to_string(st.misses);
@@ -302,55 +281,46 @@ void write_sweep_manifest(const std::vector<ScenarioSpec>& specs,
 
 std::vector<CellResult> run_scenarios_cached(
     const std::vector<ScenarioSpec>& specs, const CellCollect& collect,
-    ParallelRunner::Options opts,
     const std::function<void(std::size_t, CellResult&)>& on_result,
-    const ScenarioSetup& setup, ResultCache* cache, const ShardConfig* shard,
-    const RunBudget* budget) {
-  ResultCache& c = cache != nullptr ? *cache : process_cache();
-  const ShardConfig s = shard != nullptr ? *shard : shard_from_env();
-  const RunBudget b = budget != nullptr ? *budget : cell_budget_from_env();
-  ParallelRunner runner(opts);
-  std::vector<CellResult> results = runner.map<CellResult>(
-      specs.size(),
-      [&](std::size_t i) -> CellResult {
-        const ScenarioSpec& spec = specs[i];
-        const bool cacheable = c.enabled() && spec_cacheable(spec);
-        Hash128 h;
-        if (cacheable || s.active()) h = spec_hash(spec);
-        if (cacheable) {
-          if (auto hit = c.load(h, spec.seed)) return *hit;
-        }
-        if (s.active() && !cell_in_shard(h, spec.seed, s)) {
-          // Out-of-shard and not in the cache: deterministically skipped.
-          note_shard_skip();
-          return CellResult::failed(CellResult::Fail::kShardSkip);
-        }
-        ScenarioRun run = run_scenario(spec, setup, b);
-        switch (run.budget_stop()) {
-          case sim::EventLoop::BudgetStop::kNone:
-            break;
-          case sim::EventLoop::BudgetStop::kWall: {
-            // The run is truncated: don't score it, don't cache it — but
-            // do say what it was doing when the watchdog fired.
-            CellResult r = CellResult::failed(CellResult::Fail::kTimeout);
-            attach_failure_diagnostics(r, run, b);
-            return r;
-          }
-          case sim::EventLoop::BudgetStop::kEvents: {
-            CellResult r = CellResult::failed(CellResult::Fail::kEventBudget);
-            attach_failure_diagnostics(r, run, b);
-            return r;
-          }
-        }
-        CellResult r = collect(spec, run);
-        attach_cell_obs(r, run, b);
-        // The disk entry serializes values only (result_cache.cc); the
-        // telemetry sidecar stays in memory with this process's result.
-        if (cacheable) c.store(h, spec.seed, r);
-        return r;
-      },
-      on_result);
-  write_sweep_manifest(specs, results, c, s);
+    const ScenarioSetup& setup, const RunConfig& cfg, ResultCache& c) {
+  const ShardConfig& s = cfg.shard;
+  const auto run_cell = [&](const ScenarioSpec& spec) -> CellResult {
+    const bool cacheable = c.enabled() && spec_cacheable(spec);
+    Hash128 h;
+    if (cacheable || s.active()) h = spec_hash(spec);
+    if (cacheable) {
+      if (auto hit = c.load(h, spec.seed)) return *hit;
+    }
+    if (s.active() && !cell_in_shard(h, spec.seed, s)) {
+      // Out-of-shard and not in the cache: deterministically skipped.
+      note_shard_skip();
+      return CellResult::failed(CellResult::Fail::kShardSkip);
+    }
+    ScenarioRun run = run_scenario(spec, setup, cfg);
+    if (run.budget_stop() != sim::EventLoop::BudgetStop::kNone) {
+      // The run is truncated: don't score it, don't cache it — but do say
+      // what it was doing when the watchdog fired.
+      CellResult r = CellResult::failed(
+          run.budget_stop() == sim::EventLoop::BudgetStop::kWall
+              ? CellResult::Fail::kTimeout
+              : CellResult::Fail::kEventBudget);
+      attach_failure_diagnostics(r, run, cfg.budget);
+      return r;
+    }
+    CellResult r = collect(spec, run);
+    attach_cell_obs(r, run, cfg.budget);
+    // The disk entry serializes values only (result_cache.cc); the
+    // telemetry sidecar stays in memory with this process's result.
+    if (cacheable) c.store(h, spec.seed, r);
+    return r;
+  };
+  std::vector<CellResult> results(specs.size());
+  std::function<void(std::size_t)> done;
+  if (on_result) done = [&](std::size_t i) { on_result(i, results[i]); };
+  ParallelRunner(cfg.jobs).for_each(
+      specs.size(), [&](std::size_t i) { results[i] = run_cell(specs[i]); },
+      done);
+  write_sweep_manifest(specs, results, c, cfg);
   return results;
 }
 

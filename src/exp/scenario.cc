@@ -2,8 +2,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <utility>
 
@@ -364,46 +362,6 @@ BuiltScenario build_network(const ScenarioSpec& spec) {
   return out;
 }
 
-double positive_env_number(const char* name, bool integer) {
-  // detlint:allow(R1): exp-layer run configuration; never feeds sim state
-  const char* v = std::getenv(name);
-  if (v == nullptr || v[0] == '\0') return 0.0;
-  char* end = nullptr;
-  const double x = std::strtod(v, &end);  // end == v when nothing parsed
-  if (*end != '\0' || !std::isfinite(x) || !(x > 0.0) ||
-      (integer && (x != std::floor(x) || x > 0x1p53))) {
-    const std::string msg = std::string(name) + "=\"" + v +
-                            "\": expected a positive " +
-                            (integer ? "whole number" : "number");
-    NIMBUS_CHECK_MSG(false, msg.c_str());
-  }
-  return x;
-}
-
-obs::Mode obs_mode_from_env() {
-  // detlint:allow(R1): exp-layer telemetry config; never feeds sim state
-  const char* v = std::getenv("NIMBUS_OBS");
-  if (v == nullptr || v[0] == '\0' || std::strcmp(v, "off") == 0) {
-    return obs::Mode::kOff;
-  }
-  if (std::strcmp(v, "counters") == 0) return obs::Mode::kCounters;
-  if (std::strcmp(v, "trace") == 0) return obs::Mode::kTrace;
-  NIMBUS_CHECK_MSG(false, "NIMBUS_OBS must be off|counters|trace");
-  return obs::Mode::kOff;
-}
-
-std::string obs_dir_from_env() {
-  // detlint:allow(R1): exp-layer telemetry config; never feeds sim state
-  const char* v = std::getenv("NIMBUS_OBS_DIR");
-  return v != nullptr ? v : "";
-}
-
-std::size_t obs_ring_capacity_from_env() {
-  const double n = positive_env_number("NIMBUS_OBS_RING", /*integer=*/true);
-  return n > 0.0 ? static_cast<std::size_t>(n)
-                 : obs::FlightRecorder::kDefaultCapacity;
-}
-
 std::string obs_artifact_stem(const ScenarioSpec& spec) {
   std::string name = spec.name.empty() ? "scenario" : spec.name;
   for (char& ch : name) {
@@ -448,13 +406,11 @@ std::string export_trace_artifacts(const ScenarioSpec& spec,
 
 ScenarioRun run_scenario(const ScenarioSpec& spec,
                          const ScenarioSetup& setup,
-                         const RunBudget& budget) {
+                         const RunConfig& cfg) {
   ScenarioRun run;
-  const obs::Mode obs_mode = obs_mode_from_env();
   run.built = build_network(spec);
-  if (obs_mode != obs::Mode::kOff) {
-    run.telemetry = std::make_unique<obs::Telemetry>(
-        obs_mode, obs_ring_capacity_from_env());
+  if (cfg.obs != obs::Mode::kOff) {
+    run.telemetry = std::make_unique<obs::Telemetry>(cfg.obs, cfg.obs_ring);
     run.built.net->attach_telemetry(run.telemetry.get());
     const obs::Trace tr = run.telemetry->trace();
     if (run.built.nimbus != nullptr) {
@@ -487,12 +443,12 @@ ScenarioRun run_scenario(const ScenarioSpec& spec,
                          run.eta_raw_log.get());
   }
   if (setup) setup(spec, run.built);
-  if (budget.limited()) {
-    run.built.net->loop().set_run_budget(budget.max_events,
-                                         budget.max_wall_seconds);
+  if (cfg.budget.limited()) {
+    run.built.net->loop().set_run_budget(cfg.budget.max_events,
+                                         cfg.budget.max_wall_seconds);
   }
   run.built.net->run_until(spec.duration);
-  export_trace_artifacts(spec, run, obs_dir_from_env());
+  export_trace_artifacts(spec, run, cfg.obs_dir);
   return run;
 }
 

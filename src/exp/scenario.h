@@ -23,6 +23,7 @@
 
 #include "core/nimbus.h"
 #include "exp/ground_truth.h"
+#include "exp/run_config.h"
 #include "obs/telemetry.h"
 #include "sim/link.h"
 #include "sim/network.h"
@@ -310,49 +311,11 @@ struct ScenarioRun {
 /// custom probes (e.g. sampling Nimbus roles mid-run).
 using ScenarioSetup = std::function<void(const ScenarioSpec&, BuiltScenario&)>;
 
-/// Watchdog limits for one scenario run (EventLoop::set_run_budget): stop
-/// the event loop after `max_events` simulated events or `max_wall_seconds`
-/// of real time, whichever trips first; 0 = unlimited.  A tripped run
-/// returns normally with the loop short of spec.duration — callers detect
-/// it via run.budget_stop() and must not score the truncated logs.
-struct RunBudget {
-  std::uint64_t max_events = 0;
-  double max_wall_seconds = 0.0;
-
-  bool limited() const { return max_events != 0 || max_wall_seconds > 0.0; }
-};
-
-/// build_network + attach logs + run_until(spec.duration).
+/// build_network + attach logs + run_until(spec.duration), under cfg's
+/// telemetry (trace artifacts to cfg.obs_dir) and watchdog budget.
 ScenarioRun run_scenario(const ScenarioSpec& spec,
                          const ScenarioSetup& setup = nullptr,
-                         const RunBudget& budget = {});
-
-// ---------------------------------------------------------------------------
-// Telemetry configuration (NIMBUS_OBS).  Env parsing lives in the exp
-// layer — the one place getenv is detlint R1-legal — and is read per call
-// so tests can flip modes with setenv.  src/obs itself never reads the
-// environment.
-// ---------------------------------------------------------------------------
-
-/// A positive numeric knob from the environment: 0 when `name` is unset or
-/// empty, else the whole value parsed as a finite number > 0 ("1e6" and
-/// "2.5" parse; "four", "64k", "1e6x", "0" and "-1" do not).  An `integer`
-/// knob must also be a whole number no larger than 2^53.  Anything else
-/// CHECK-fails naming the variable, so a typo cannot silently run the
-/// default.  NIMBUS_JOBS, NIMBUS_CELL_MAX_EVENTS, NIMBUS_CELL_WALL_SEC and
-/// NIMBUS_OBS_RING all parse through here.
-double positive_env_number(const char* name, bool integer);
-
-/// NIMBUS_OBS: "off"/"" (default), "counters", "trace".  Unknown values
-/// CHECK-fail rather than silently dropping telemetry.
-obs::Mode obs_mode_from_env();
-
-/// NIMBUS_OBS_DIR: directory for trace/manifest artifacts ("" = none).
-std::string obs_dir_from_env();
-
-/// NIMBUS_OBS_RING: flight-recorder capacity override (default 16384; a
-/// positive whole number, via positive_env_number).
-std::size_t obs_ring_capacity_from_env();
+                         const RunConfig& cfg = process_config());
 
 /// Deterministic artifact stem for one (spec, seed) cell:
 /// "<sanitized-name>-<hash16>-s<seed>" — the hash is spec_hash for

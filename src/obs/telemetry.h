@@ -1,8 +1,7 @@
 // Per-scenario telemetry bundle: one MetricsRegistry + one FlightRecorder
 // plus the mode that gates them.  Owned by exp::ScenarioRun; components
 // receive null-guarded handles, never the bundle, so sim/core stay
-// ignorant of configuration (which lives in the exp layer, where getenv
-// is detlint R1-legal).
+// ignorant of configuration (exp::RunConfig, in the exp layer).
 #pragma once
 
 #include <cstddef>

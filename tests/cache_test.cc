@@ -307,13 +307,14 @@ TEST(ResultCacheTest, InvalidCellsAreNeverStored) {
 // cache=off vs warm cache: byte-identity on a real scenario grid.
 // ---------------------------------------------------------------------------
 
-std::vector<CellResult> run_grid(ResultCache* cache) {
+std::vector<CellResult> run_grid(ResultCache& cache) {
   std::vector<ScenarioSpec> specs;
   for (std::uint64_t i = 0; i < 4; ++i) {
     specs.push_back(small_spec(derive_seed(/*base=*/7, i)));
     specs.back().protagonist.record_rtt = true;  // collect reads the RTTs
   }
-  ShardConfig no_shard;  // pin 1/1 regardless of the test environment
+  RunConfig cfg;  // 1/1 shard regardless of the test environment
+  cfg.jobs = 2;
   return run_scenarios_cached(
       specs,
       [](const ScenarioSpec& spec, ScenarioRun& run) {
@@ -326,8 +327,7 @@ std::vector<CellResult> run_grid(ResultCache* cache) {
         }
         return r;
       },
-      {/*jobs=*/2, /*serial=*/false}, nullptr, nullptr, cache,
-      &no_shard);
+      nullptr, nullptr, cfg, cache);
 }
 
 TEST(ResultCacheTest, WarmCacheIsBitIdenticalToUncached) {
@@ -335,9 +335,9 @@ TEST(ResultCacheTest, WarmCacheIsBitIdenticalToUncached) {
   ResultCache off(tmp.str(), ResultCache::Mode::kOff);
   ResultCache rw(tmp.str(), ResultCache::Mode::kReadWrite);
 
-  const auto uncached = run_grid(&off);
-  const auto cold = run_grid(&rw);   // computes + stores
-  const auto warm = run_grid(&rw);   // pure hits
+  const auto uncached = run_grid(off);
+  const auto cold = run_grid(rw);   // computes + stores
+  const auto warm = run_grid(rw);   // pure hits
 
   EXPECT_EQ(rw.stats().misses, 4);
   EXPECT_EQ(rw.stats().stores, 4);
@@ -359,7 +359,8 @@ TEST(ResultCacheTest, SetupHookCellsCacheLikeAnyOther) {
   // stored on a miss and served on a hit without running the hook.
   TempDir tmp;
   ResultCache rw(tmp.str(), ResultCache::Mode::kReadWrite);
-  const ShardConfig no_shard;
+  RunConfig cfg;  // 1/1 shard
+  cfg.jobs = 2;
   std::vector<ScenarioSpec> specs;
   for (std::uint64_t i = 0; i < 3; ++i) {
     ScenarioSpec spec = small_spec(derive_seed(/*base=*/5, i));
@@ -376,11 +377,11 @@ TEST(ResultCacheTest, SetupHookCellsCacheLikeAnyOther) {
     return CellResult::scalar(static_cast<double>(
         run.built.net->recorder().delivered(1).total()));
   };
-  const auto cold = run_scenarios_cached(specs, collect, {2, false}, nullptr,
-                                         setup, &rw, &no_shard);
+  const auto cold =
+      run_scenarios_cached(specs, collect, nullptr, setup, cfg, rw);
   EXPECT_EQ(hooks.load(), 3);
-  const auto warm = run_scenarios_cached(specs, collect, {2, false}, nullptr,
-                                         setup, &rw, &no_shard);
+  const auto warm =
+      run_scenarios_cached(specs, collect, nullptr, setup, cfg, rw);
   EXPECT_EQ(hooks.load(), 3);  // hits never build a network
   EXPECT_EQ(rw.stats().stores, 3);
   for (std::size_t i = 0; i < specs.size(); ++i) {
@@ -394,15 +395,6 @@ TEST(ResultCacheTest, SetupHookCellsCacheLikeAnyOther) {
 // ---------------------------------------------------------------------------
 // Sharding.
 // ---------------------------------------------------------------------------
-
-TEST(ShardTest, ParseShard) {
-  EXPECT_EQ(parse_shard("1/1").n, 1);
-  EXPECT_FALSE(parse_shard("1/1").active());
-  const ShardConfig s = parse_shard("2/5");
-  EXPECT_EQ(s.k, 2);
-  EXPECT_EQ(s.n, 5);
-  EXPECT_TRUE(s.active());
-}
 
 TEST(ShardTest, PartitionIsADisjointExactCover) {
   // Every cell lands in exactly one shard, for several shard counts.
@@ -459,10 +451,11 @@ TEST(ShardTest, ShardedRunsMergeToTheFullGrid) {
 
   ResultCache rw(tmp.str(), ResultCache::Mode::kReadWrite);
   int computed = 0;
+  RunConfig cfg;
   for (int k = 1; k <= 2; ++k) {
-    const ShardConfig shard{k, 2};
-    const auto part = run_scenarios_cached(specs, collect, {}, nullptr,
-                                           nullptr, &rw, &shard);
+    cfg.shard = {k, 2};
+    const auto part =
+        run_scenarios_cached(specs, collect, nullptr, nullptr, cfg, rw);
     for (const auto& r : part) {
       if (r.valid && !r.from_cache) ++computed;
     }
@@ -470,12 +463,12 @@ TEST(ShardTest, ShardedRunsMergeToTheFullGrid) {
   EXPECT_EQ(computed, 4);  // each cell computed exactly once overall
 
   ResultCache rd(tmp.str(), ResultCache::Mode::kRead);
-  ShardConfig full{1, 1};
-  const auto merged = run_scenarios_cached(specs, collect, {}, nullptr,
-                                           nullptr, &rd, &full);
+  cfg.shard = {1, 1};
+  const auto merged =
+      run_scenarios_cached(specs, collect, nullptr, nullptr, cfg, rd);
   ResultCache off(tmp.str(), ResultCache::Mode::kOff);
-  const auto direct = run_scenarios_cached(specs, collect, {}, nullptr,
-                                           nullptr, &off, &full);
+  const auto direct =
+      run_scenarios_cached(specs, collect, nullptr, nullptr, cfg, off);
   ASSERT_EQ(merged.size(), direct.size());
   for (std::size_t i = 0; i < merged.size(); ++i) {
     EXPECT_TRUE(merged[i].valid);
@@ -493,10 +486,10 @@ TEST(ShardTest, OutOfShardCellsReadNaNPoison) {
     return CellResult::scalar(static_cast<double>(
         run.built.net->recorder().delivered(1).total()));
   };
-  const ShardConfig shard{1, 2};
+  RunConfig cfg;
+  cfg.shard = {1, 2};
   const auto part =
-      run_scenarios_cached(specs, collect, {}, nullptr, nullptr, &off,
-                           &shard);
+      run_scenarios_cached(specs, collect, nullptr, nullptr, cfg, off);
   int valid = 0, skipped = 0;
   for (const auto& r : part) {
     if (r.valid) {

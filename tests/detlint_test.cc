@@ -62,6 +62,25 @@ TEST(DetlintTest, R1PassesDeterministicCode) {
   EXPECT_EQ(r.exit_code, 0) << r.output;
 }
 
+TEST(DetlintTest, R1FlagsEnvironmentReadsOutsideTheConfigParser) {
+  // src/exp/ is no longer exempt: a getenv (or environ walk) anywhere but
+  // src/exp/run_config.cc bypasses the one strict NIMBUS_* parser.
+  LintRun r = run_detlint("--scope src " + fixture("src/exp/r1_exp_getenv.cc"));
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  // getenv, plus environ at its declaration and at its use.
+  EXPECT_EQ(count_of(r.output, "[R1]"), 3u) << r.output;
+  EXPECT_NE(r.output.find("'getenv' outside src/exp/run_config.cc"),
+            std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("'environ' outside"), std::string::npos)
+      << r.output;
+}
+
+TEST(DetlintTest, R1AllowsEnvironmentReadsInTheConfigParser) {
+  LintRun r = run_detlint("--scope src " + fixture("src/exp/run_config.cc"));
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+}
+
 TEST(DetlintTest, R2FlagsUnorderedIteration) {
   LintRun r = run_detlint("--scope src " + fixture("r2_bad.cc"));
   EXPECT_EQ(r.exit_code, 1) << r.output;

@@ -29,7 +29,6 @@ namespace {
 
 namespace fs = std::filesystem;
 using exp::CellResult;
-using exp::RunBudget;
 using exp::ScenarioSpec;
 using sim::ImpairmentConfig;
 using sim::ImpairmentStage;
@@ -477,13 +476,15 @@ ScenarioSpec quick_spec() {
 TEST(WatchdogTest, EventBudgetYieldsFailedCellWithoutStallingTheRunner) {
   exp::ResultCache off("", exp::ResultCache::Mode::kOff);
   const std::vector<ScenarioSpec> specs = {hung_spec(), quick_spec()};
-  const RunBudget budget{/*max_events=*/200000, /*max_wall_seconds=*/0.0};
+  exp::RunConfig cfg;
+  cfg.jobs = 2;
+  cfg.budget = {/*max_events=*/200000, /*max_wall_seconds=*/0.0};
   const auto results = exp::run_scenarios_cached(
       specs,
       [](const ScenarioSpec&, exp::ScenarioRun& run) {
         return CellResult::scalar(to_sec(run.built.net->loop().now()));
       },
-      {}, nullptr, nullptr, &off, nullptr, &budget);
+      nullptr, nullptr, cfg, off);
   ASSERT_EQ(results.size(), 2u);
   EXPECT_FALSE(results[0].valid);
   EXPECT_EQ(results[0].fail, CellResult::Fail::kEventBudget);
@@ -496,13 +497,14 @@ TEST(WatchdogTest, EventBudgetYieldsFailedCellWithoutStallingTheRunner) {
 TEST(WatchdogTest, WallClockTimeoutYieldsTimeoutCell) {
   exp::ResultCache off("", exp::ResultCache::Mode::kOff);
   const std::vector<ScenarioSpec> specs = {hung_spec()};
-  const RunBudget budget{0, /*max_wall_seconds=*/0.1};
+  exp::RunConfig cfg;
+  cfg.budget = {0, /*max_wall_seconds=*/0.1};
   const auto results = exp::run_scenarios_cached(
       specs,
       [](const ScenarioSpec&, exp::ScenarioRun&) {
         return CellResult::scalar(1.0);
       },
-      {}, nullptr, nullptr, &off, nullptr, &budget);
+      nullptr, nullptr, cfg, off);
   ASSERT_EQ(results.size(), 1u);
   EXPECT_FALSE(results[0].valid);
   EXPECT_EQ(results[0].fail, CellResult::Fail::kTimeout);
@@ -516,13 +518,15 @@ TEST(WatchdogTest, FailedCellsAreNeverStoredInTheCache) {
   fs::create_directories(dir);
   exp::ResultCache rw(dir.string(), exp::ResultCache::Mode::kReadWrite);
   const std::vector<ScenarioSpec> specs = {hung_spec(), quick_spec()};
-  const RunBudget budget{/*max_events=*/200000, 0.0};
+  exp::RunConfig cfg;
+  cfg.jobs = 2;
+  cfg.budget = {/*max_events=*/200000, 0.0};
   exp::run_scenarios_cached(
       specs,
       [](const ScenarioSpec&, exp::ScenarioRun& run) {
         return CellResult::scalar(to_sec(run.built.net->loop().now()));
       },
-      {}, nullptr, nullptr, &rw, nullptr, &budget);
+      nullptr, nullptr, cfg, rw);
   EXPECT_EQ(rw.stats().stores, 1);  // only the completed cell
   std::error_code ec;
   fs::remove_all(dir, ec);

@@ -210,10 +210,10 @@ exp::ScenarioSpec obs_spec(std::uint64_t seed) {
 }
 
 TEST(ObsScenarioTest, IdenticalSeedsEmitIdenticalTelemetry) {
-  ::setenv("NIMBUS_OBS", "trace", 1);
-  exp::ScenarioRun a = exp::run_scenario(obs_spec(7));
-  exp::ScenarioRun b = exp::run_scenario(obs_spec(7));
-  ::unsetenv("NIMBUS_OBS");
+  exp::RunConfig cfg;
+  cfg.obs = obs::Mode::kTrace;
+  exp::ScenarioRun a = exp::run_scenario(obs_spec(7), nullptr, cfg);
+  exp::ScenarioRun b = exp::run_scenario(obs_spec(7), nullptr, cfg);
   ASSERT_NE(a.telemetry, nullptr);
   ASSERT_NE(b.telemetry, nullptr);
   EXPECT_EQ(a.telemetry->metrics.snapshot(), b.telemetry->metrics.snapshot());
@@ -234,7 +234,8 @@ TEST(ObsScenarioTest, IdenticalSeedsEmitIdenticalTelemetry) {
 }
 
 TEST(ObsScenarioTest, TelemetryOffLeavesRunUninstrumented) {
-  exp::ScenarioRun run = exp::run_scenario(obs_spec(7));
+  exp::ScenarioRun run =
+      exp::run_scenario(obs_spec(7), nullptr, exp::RunConfig{});
   EXPECT_EQ(run.telemetry, nullptr);
 }
 
@@ -257,18 +258,14 @@ TEST(ObsSweepTest, ParallelManifestMatchesSerial) {
                                       exp::ScenarioRun& run) {
     return exp::CellResult::scalar(exp::score_accuracy(run, spec));
   };
-  const auto sweep = [&](const std::string& dir, bool serial) {
-    ::setenv("NIMBUS_OBS", "counters", 1);
-    ::setenv("NIMBUS_OBS_DIR", dir.c_str(), 1);
+  const auto sweep = [&](const std::string& dir, int jobs) {
+    exp::RunConfig cfg;  // no shard, unlimited budget
+    cfg.jobs = jobs;
+    cfg.obs = obs::Mode::kCounters;
+    cfg.obs_dir = dir;
     exp::ResultCache cache("", exp::ResultCache::Mode::kOff);
-    exp::ShardConfig shard;  // inactive
-    exp::RunBudget budget;   // unlimited
-    const auto results = exp::run_scenarios_cached(
-        specs, collect, {/*jobs=*/4, serial}, nullptr, nullptr, &cache,
-        &shard, &budget);
-    ::unsetenv("NIMBUS_OBS");
-    ::unsetenv("NIMBUS_OBS_DIR");
-    return results;
+    return exp::run_scenarios_cached(specs, collect, nullptr, nullptr, cfg,
+                                     cache);
   };
   const std::string dir_s =
       std::filesystem::temp_directory_path() / "obs_manifest_serial";
@@ -276,8 +273,8 @@ TEST(ObsSweepTest, ParallelManifestMatchesSerial) {
       std::filesystem::temp_directory_path() / "obs_manifest_parallel";
   std::filesystem::create_directories(dir_s);
   std::filesystem::create_directories(dir_p);
-  const auto serial = sweep(dir_s, /*serial=*/true);
-  const auto parallel = sweep(dir_p, /*serial=*/false);
+  const auto serial = sweep(dir_s, /*jobs=*/1);
+  const auto parallel = sweep(dir_p, /*jobs=*/4);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i].values, parallel[i].values);
@@ -308,11 +305,10 @@ TEST(ObsSweepTest, ParallelManifestMatchesSerial) {
 }
 
 TEST(ObsSweepTest, BudgetTrippedCellCarriesPostMortem) {
-  ::setenv("NIMBUS_OBS", "trace", 1);
+  exp::RunConfig cfg;
+  cfg.obs = obs::Mode::kTrace;
+  cfg.budget.max_events = 20000;  // trips mid-run, well after traffic starts
   exp::ResultCache cache("", exp::ResultCache::Mode::kOff);
-  exp::ShardConfig shard;
-  exp::RunBudget budget;
-  budget.max_events = 20000;  // trips mid-run, well after traffic starts
   const std::vector<exp::ScenarioSpec> specs = {obs_spec(7)};
   const auto results = exp::run_scenarios_cached(
       specs,
@@ -320,9 +316,7 @@ TEST(ObsSweepTest, BudgetTrippedCellCarriesPostMortem) {
         ADD_FAILURE() << "collect must not run on a truncated cell";
         return exp::CellResult::scalar(0.0);
       },
-      {/*jobs=*/1, /*serial=*/true}, nullptr, nullptr, &cache, &shard,
-      &budget);
-  ::unsetenv("NIMBUS_OBS");
+      nullptr, nullptr, cfg, cache);
   ASSERT_EQ(results.size(), 1u);
   EXPECT_FALSE(results[0].valid);
   EXPECT_STREQ(results[0].fail_label(), "EVENT-BUDGET");

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <limits>
 #include <numeric>
 #include <set>
@@ -23,23 +22,15 @@ namespace {
 // ---------------------------------------------------------------------------
 
 TEST(ParallelRunnerTest, CoversAllIndicesOnce) {
-  ParallelRunner runner({/*jobs=*/4, /*serial=*/false});
+  ParallelRunner runner(/*jobs=*/4);
   std::vector<std::atomic<int>> hits(64);
   runner.for_each(hits.size(),
                   [&](std::size_t i) { hits[i].fetch_add(1); });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ParallelRunnerTest, MapPreservesInputOrder) {
-  ParallelRunner runner({/*jobs=*/4, /*serial=*/false});
-  const auto out = runner.map<std::size_t>(
-      100, [](std::size_t i) { return i * i; });
-  ASSERT_EQ(out.size(), 100u);
-  for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i * i);
-}
-
 TEST(ParallelRunnerTest, OnDoneFiresInIndexOrder) {
-  ParallelRunner runner({/*jobs=*/4, /*serial=*/false});
+  ParallelRunner runner(/*jobs=*/4);
   std::vector<std::size_t> order;
   runner.for_each(
       32, [](std::size_t) {},
@@ -49,14 +40,19 @@ TEST(ParallelRunnerTest, OnDoneFiresInIndexOrder) {
 }
 
 TEST(ParallelRunnerTest, SerialPathMatchesParallel) {
-  const auto fn = [](std::size_t i) { return 3.5 * static_cast<double>(i); };
-  ParallelRunner parallel({/*jobs=*/4, /*serial=*/false});
-  ParallelRunner serial({/*jobs=*/4, /*serial=*/true});
-  EXPECT_EQ(parallel.map<double>(40, fn), serial.map<double>(40, fn));
+  // Each task writes its own slot, the way run_scenarios_cached does.
+  const auto fill = [](int jobs) {
+    std::vector<double> out(40);
+    ParallelRunner(jobs).for_each(out.size(), [&](std::size_t i) {
+      out[i] = 3.5 * static_cast<double>(i);
+    });
+    return out;
+  };
+  EXPECT_EQ(fill(/*jobs=*/4), fill(/*jobs=*/1));
 }
 
 TEST(ParallelRunnerTest, TaskExceptionPropagates) {
-  ParallelRunner runner({/*jobs=*/4, /*serial=*/false});
+  ParallelRunner runner(/*jobs=*/4);
   EXPECT_THROW(runner.for_each(16,
                                [](std::size_t i) {
                                  if (i == 7) throw std::runtime_error("boom");
@@ -66,7 +62,7 @@ TEST(ParallelRunnerTest, TaskExceptionPropagates) {
 
 TEST(ParallelRunnerTest, CompletedPrefixReportedBeforeErrorRethrow) {
   // Serial semantics: tasks before the throwing index still report.
-  ParallelRunner runner({/*jobs=*/2, /*serial=*/false});
+  ParallelRunner runner(/*jobs=*/2);
   std::atomic<bool> zero_reported{false};
   std::vector<std::size_t> reported;
   EXPECT_THROW(
@@ -90,7 +86,7 @@ TEST(ParallelRunnerTest, CompletedPrefixReportedBeforeErrorRethrow) {
 TEST(ParallelRunnerTest, CallbackExceptionPropagatesLikeSerial) {
   // on_done errors must reach the caller from the parallel path too, not
   // std::terminate a worker thread.
-  ParallelRunner runner({/*jobs=*/4, /*serial=*/false});
+  ParallelRunner runner(/*jobs=*/4);
   EXPECT_THROW(runner.for_each(
                    16, [](std::size_t) {},
                    [](std::size_t i) {
@@ -100,49 +96,16 @@ TEST(ParallelRunnerTest, CallbackExceptionPropagatesLikeSerial) {
 }
 
 TEST(ParallelRunnerTest, JobsResolution) {
-  EXPECT_EQ(ParallelRunner({/*jobs=*/3, /*serial=*/false}).jobs(), 3);
-  ::setenv("NIMBUS_JOBS", "5", 1);
-  EXPECT_EQ(ParallelRunner().jobs(), 5);
-  ::unsetenv("NIMBUS_JOBS");
-  EXPECT_GE(ParallelRunner().jobs(), 1);
+  EXPECT_EQ(ParallelRunner(/*jobs=*/3).jobs(), 3);
+  const char* jobs5[] = {"NIMBUS_JOBS=5", nullptr};
+  EXPECT_EQ(ParallelRunner(parse_run_config(jobs5).jobs).jobs(), 5);
+  const char* unset[] = {nullptr};
+  EXPECT_GE(ParallelRunner(parse_run_config(unset).jobs).jobs(), 1);
+  EXPECT_EQ(ParallelRunner(RunConfig{}.jobs).jobs(), 1);
 }
 
-// ---------------------------------------------------------------------------
-// Numeric env knobs: whole-string positive numbers or a loud failure.
-// ---------------------------------------------------------------------------
-
-TEST(EnvKnobTest, PositiveNumbersParseWholeString) {
-  ::setenv("NIMBUS_CELL_MAX_EVENTS", "1e6", 1);
-  ::setenv("NIMBUS_CELL_WALL_SEC", "2.5", 1);
-  const RunBudget b = cell_budget_from_env();
-  EXPECT_EQ(b.max_events, 1000000u);
-  EXPECT_EQ(b.max_wall_seconds, 2.5);
-  ::setenv("NIMBUS_CELL_MAX_EVENTS", "", 1);  // empty = unset
-  ::unsetenv("NIMBUS_CELL_WALL_SEC");
-  EXPECT_FALSE(cell_budget_from_env().limited());
-  ::unsetenv("NIMBUS_CELL_MAX_EVENTS");
-  ::setenv("NIMBUS_OBS_RING", "64", 1);
-  EXPECT_EQ(obs_ring_capacity_from_env(), 64u);
-  ::unsetenv("NIMBUS_OBS_RING");
-}
-
-TEST(EnvKnobDeathTest, GarbageNumbersFailNamingTheVariable) {
-  const auto fails = [](const char* name, const char* value) {
-    ::setenv(name, value, 1);
-    (void)resolve_jobs();
-    (void)cell_budget_from_env();
-    (void)obs_ring_capacity_from_env();
-  };
-  EXPECT_DEATH(fails("NIMBUS_JOBS", "four"), "NIMBUS_JOBS=\"four\"");
-  EXPECT_DEATH(fails("NIMBUS_JOBS", "0"), "NIMBUS_JOBS");
-  EXPECT_DEATH(fails("NIMBUS_JOBS", "2.5"), "positive whole number");
-  EXPECT_DEATH(fails("NIMBUS_CELL_MAX_EVENTS", "1e6x"),
-               "NIMBUS_CELL_MAX_EVENTS");
-  EXPECT_DEATH(fails("NIMBUS_CELL_MAX_EVENTS", "-5"),
-               "NIMBUS_CELL_MAX_EVENTS");
-  EXPECT_DEATH(fails("NIMBUS_CELL_WALL_SEC", "abc"), "NIMBUS_CELL_WALL_SEC");
-  EXPECT_DEATH(fails("NIMBUS_CELL_WALL_SEC", "nan"), "positive number");
-  EXPECT_DEATH(fails("NIMBUS_OBS_RING", "64k"), "NIMBUS_OBS_RING");
+TEST(ParallelRunnerDeathTest, NeedsAtLeastOneJob) {
+  EXPECT_DEATH(ParallelRunner(0), "at least one job");
 }
 
 TEST(ParallelRunnerTest, DerivedSeedsAreDeterministicAndDistinct) {
@@ -416,13 +379,13 @@ TEST(ScenarioDeathTest, NonFiniteBufferSizingFailsBeforeTheLink) {
 // here whatever the test environment sets.
 std::vector<CellResult> run_uncached(
     const std::vector<ScenarioSpec>& specs, const CellCollect& collect,
-    ParallelRunner::Options opts,
+    int jobs,
     const std::function<void(std::size_t, CellResult&)>& on_result =
         nullptr) {
+  RunConfig cfg;
+  cfg.jobs = jobs;
   ResultCache off("", ResultCache::Mode::kOff);
-  const ShardConfig no_shard;
-  return run_scenarios_cached(specs, collect, opts, on_result, nullptr, &off,
-                              &no_shard);
+  return run_scenarios_cached(specs, collect, on_result, nullptr, cfg, off);
 }
 
 TEST(RunnerScenarioTest, ParallelMatchesSerialExactly) {
@@ -433,10 +396,8 @@ TEST(RunnerScenarioTest, ParallelMatchesSerialExactly) {
   const CellCollect collect = [](const ScenarioSpec& spec, ScenarioRun& run) {
     return CellResult::vec(recorder_digest(spec, run));
   };
-  const auto parallel =
-      run_uncached(specs, collect, {/*jobs=*/4, /*serial=*/false});
-  const auto serial =
-      run_uncached(specs, collect, {/*jobs=*/4, /*serial=*/true});
+  const auto parallel = run_uncached(specs, collect, /*jobs=*/4);
+  const auto serial = run_uncached(specs, collect, /*jobs=*/1);
   ASSERT_EQ(parallel.size(), serial.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
     EXPECT_FALSE(parallel[i].from_cache);
@@ -457,7 +418,7 @@ TEST(RunnerScenarioTest, ResultCallbackInSpecOrderWithResults) {
         return CellResult::scalar(static_cast<double>(
             run.built.net->recorder().delivered(1).total()));
       },
-      {/*jobs=*/3, /*serial=*/false},
+      /*jobs=*/3,
       [&](std::size_t i, CellResult& r) {
         order.push_back(i);
         EXPECT_GT(r.value(), 0.0);

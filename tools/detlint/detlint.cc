@@ -21,9 +21,10 @@
 // Rules (scopes refer to the repo-relative path prefix):
 //   R1  forbidden nondeterminism APIs in sim scope (src/): std::rand,
 //       std::random_device, time(), clock(), gettimeofday, clock_gettime,
-//       <any>_clock::now, getenv.  getenv is permitted under src/exp/ —
-//       the runner/cache layer owns NIMBUS_* process configuration — and
-//       the EventLoop watchdog's wall-deadline reads carry allow pragmas.
+//       <any>_clock::now, getenv/environ.  The environment may be read
+//       only in src/exp/run_config.cc, the one parser of the NIMBUS_*
+//       process configuration; the EventLoop watchdog's wall-deadline
+//       reads carry allow pragmas.
 //   R2  no iteration over unordered containers in src/: range-for over, or
 //       .begin()/.end()-family traversal of, any variable declared with an
 //       unordered_{map,set,...} type.  Lookup (find/at/operator[]/count)
@@ -449,7 +450,7 @@ class Linter {
 
   // R1: nondeterminism APIs.
   void rule1() {
-    const bool exp_scope = f_.rel.find("src/exp/") != std::string::npos;
+    const bool config_parser = ends_with(f_.rel, "src/exp/run_config.cc");
     for (std::size_t i = 0; i < f_.toks.size(); ++i) {
       const Tok& t = f_.toks[i];
       if (t.kind != Tok::kIdent) continue;
@@ -481,10 +482,9 @@ class Linter {
                 "pragma)");
         continue;
       }
-      if (s == "getenv" && !exp_scope) {
+      if ((s == "getenv" || s == "environ") && !config_parser) {
         add(t.line, "R1",
-            "getenv in sim scope — process configuration belongs to the "
-            "runner layer (src/exp/)");
+            "'" + s + "' outside src/exp/run_config.cc, the config parser");
       }
     }
   }
