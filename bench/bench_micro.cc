@@ -25,12 +25,14 @@
 #include "exp/scenario.h"
 #include "obs/metrics.h"
 #include "sim/event_loop.h"
+#include "sim/loss_detector.h"
 #include "sim/network.h"
 #include "sim/rate_sampler.h"
 #include "sim/recorder.h"
 #include "sim/seq_ring.h"
 #include "spectral/fft.h"
 #include "spectral/goertzel.h"
+#include "util/ring_deque.h"
 #include "util/rng.h"
 
 namespace nimbus {
@@ -279,8 +281,9 @@ BENCHMARK(BM_EventLoopSameTimeBurst);
 // Steady-state ACK clocking over a W-packet window on the seq-indexed ring
 // the transport uses: every ACK retires the lowest outstanding sequence
 // and sends a new one at the frontier; every 16th ACK opens a SACK hole
-// (erase mid-window, later re-inserted as a retransmission) and runs the
-// detect_losses scan over the hole region.  Items = ACKs.
+// (erase mid-window, later re-inserted as a retransmission) and walks the
+// ring from its lowest sequence to just past the hole with for_each_in.
+// Items = ACKs.
 void BM_AckPathOutstandingRing(benchmark::State& state) {
   constexpr std::uint64_t kWindow = 256;
   constexpr int kAcks = 8192;
@@ -327,6 +330,72 @@ void BM_AckPathOutstandingRing(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kAcks);
 }
 BENCHMARK(BM_AckPathOutstandingRing);
+
+// Loss detection over a lossy window, the regime of fig26's Vivace cell:
+// a 2048-packet flight on a synthetic ACK clock (one ACK per tick, so the
+// RTT is 2048 ticks) where 30% of sends are dropped.  SACKs leave holes
+// all over the window, each declared loss is re-sent young into the same
+// window (and dropped again 30% of the time), and every ACK runs
+// LossDetector::collect as the transport does.  Items = ACKs.
+void BM_LossDetectLossyWindow(benchmark::State& state) {
+  constexpr std::uint64_t kFlight = 2048;
+  constexpr TimeNs kMinAge = kFlight - kFlight / 8;
+  constexpr int kAcks = 8192;
+  struct InFlight {
+    std::uint64_t seq;
+    bool dropped;
+  };
+  sim::SeqRing<sim::SentRecord> out;
+  sim::LossDetector detector;
+  util::RingDeque<InFlight> flight;
+  util::RingDeque<std::uint64_t> retx;
+  util::Rng rng(11);
+  TimeNs now = 0;
+  std::uint64_t snd_nxt = 0;
+  std::uint64_t highest = 0;
+  std::uint64_t lost = 0;
+  auto lost_below = [&] { return highest >= 3 ? highest - 2 : 0; };
+  auto send = [&] {
+    std::uint64_t seq = snd_nxt;
+    if (retx.empty()) {
+      ++snd_nxt;
+    } else {
+      seq = retx.front();
+      retx.pop_front();
+    }
+    out.insert(seq, detector.on_send(seq, now, lost_below()));
+    flight.push_back({seq, rng.uniform() < 0.3});
+  };
+  // One tick: the oldest send's ACK arrives (unless it was dropped), loss
+  // detection runs, and one packet goes out in its place.
+  auto tick = [&] {
+    ++now;
+    const InFlight f = flight.front();
+    flight.pop_front();
+    if (!f.dropped) {
+      out.erase(f.seq);
+      highest = std::max(highest, f.seq);
+    }
+    if (lost_below() > 0 && !out.empty()) {
+      for (std::uint64_t seq :
+           detector.collect(out, lost_below(), now, kMinAge)) {
+        out.erase(seq);
+        retx.push_back(seq);
+        ++lost;
+      }
+    }
+    send();
+  };
+  for (std::uint64_t i = 0; i < kFlight; ++i) send();
+  // Warm-up: every ring reaches its high-water mark before timing.
+  for (int a = 0; a < 4 * kAcks; ++a) tick();
+  for (auto _ : state) {
+    for (int a = 0; a < kAcks; ++a) tick();
+    benchmark::DoNotOptimize(lost);
+  }
+  state.SetItemsProcessed(state.iterations() * kAcks);
+}
+BENCHMARK(BM_LossDetectLossyWindow);
 
 // --- ACK path: rate sampling --------------------------------------------
 

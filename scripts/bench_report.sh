@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Perf measurement layer: runs the event-loop, ACK-path, delivery-path,
-# spectral-detector, sweep-cache, telemetry-overhead, and end-to-end
-# microbenchmarks, times the full strict-shape quick bench suite cold
-# (NIMBUS_CACHE=off) and warm (result cache pre-populated), and emits a
-# BENCH_*.json snapshot so every later PR can be compared against this one.
+# Perf measurement layer: runs the event-loop, ACK-path, loss-detection,
+# delivery-path, spectral-detector, sweep-cache, telemetry-overhead, and
+# end-to-end microbenchmarks, times the full strict-shape quick bench suite
+# cold (NIMBUS_CACHE=off; in total and bench by bench) and warm (result
+# cache pre-populated), and emits a BENCH_*.json snapshot so every later
+# PR can be compared against this one.
 #
 # Usage: scripts/bench_report.sh [--quick] [--compare BASELINE.json] [output.json]
 #
@@ -18,14 +19,14 @@
 #               the cross-file table is printed for trajectory only; the
 #               gate uses same-run, same-process pairs.  Kernel regressions
 #               against an earlier commit are scripts/bench_ab.sh's job.)
-#   output      defaults to BENCH_PR19.json in the repo root
+#   output      defaults to BENCH_PR21.json in the repo root
 #
 # All micro numbers are medians of 3 repetitions.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 QUICK=0
-OUT=BENCH_PR19.json
+OUT=BENCH_PR21.json
 COMPARE=""
 while [ $# -gt 0 ]; do
   case "$1" in
@@ -56,7 +57,7 @@ trap 'rm -f "$MICRO_JSON"' EXIT
 
 echo "== bench_micro (min_time=${MIN_TIME}s, median of 3) =="
 "$MICRO" \
-  --benchmark_filter='EventLoop|Timer|SimulatedSecond|AckPath|Delivery|Spectral|SweepCell' \
+  --benchmark_filter='EventLoop|Timer|SimulatedSecond|AckPath|LossDetect|Delivery|Spectral|SweepCell' \
   --benchmark_min_time="$MIN_TIME" \
   --benchmark_repetitions=3 \
   --benchmark_report_aggregates_only=true \
@@ -89,8 +90,10 @@ fi
 # fast" number the ROADMAP tracks, and strict shape checking makes this a
 # correctness gate at the same time (a WARNing bench fails the report).
 echo "== bench_suite quick mode (strict shape checks, cold, total wall clock) =="
+SUITE_LOG=$(mktemp)
+trap 'rm -f "$MICRO_JSON" "$SUITE_LOG"' EXIT
 SUITE_START=$(date +%s.%N)
-NIMBUS_CACHE=off NIMBUS_SHARD= scripts/bench_suite.sh
+NIMBUS_CACHE=off NIMBUS_SHARD= scripts/bench_suite.sh | tee "$SUITE_LOG"
 SUITE_END=$(date +%s.%N)
 SUITE_SECS=$(echo "$SUITE_END $SUITE_START" | awk '{printf "%.2f", $1 - $2}')
 echo "bench_suite quick total (cold): ${SUITE_SECS}s"
@@ -102,7 +105,7 @@ echo "bench_suite quick total (cold): ${SUITE_SECS}s"
 # stdout byte-for-byte).
 CACHE_DIR=$(mktemp -d)
 WARM_LOG=$(mktemp)
-trap 'rm -f "$MICRO_JSON" "$WARM_LOG"; rm -rf "$CACHE_DIR"' EXIT
+trap 'rm -f "$MICRO_JSON" "$SUITE_LOG" "$WARM_LOG"; rm -rf "$CACHE_DIR"' EXIT
 echo "== bench_suite warm pass (populate + reread from result cache) =="
 NIMBUS_CACHE=readwrite NIMBUS_CACHE_DIR="$CACHE_DIR" NIMBUS_SHARD= \
   scripts/bench_suite.sh > /dev/null
@@ -119,10 +122,12 @@ echo "bench_suite quick total (warm): ${WARM_SECS}s (hit rate ${HIT_RATE:-n/a})"
 
 OUT="$OUT" MICRO_JSON="$MICRO_JSON" FIG08_SECS="$FIG08_SECS" QUICK="$QUICK" \
 VARLINK_SECS="$VARLINK_SECS" SUITE_SECS="$SUITE_SECS" COMPARE="$COMPARE" \
+SUITE_LOG="$SUITE_LOG" \
 WARM_SECS="$WARM_SECS" HIT_RATE="$HIT_RATE" \
 python3 - <<'EOF'
 import json
 import os
+import re
 import sys
 
 micro = json.load(open(os.environ["MICRO_JSON"]))
@@ -147,11 +152,20 @@ def pair(current, baseline, min_speedup):
         out["speedup"] = round(after / before, 2)
     return out
 
+# Per-bench cold wall seconds from the suite's "ok|FAIL  <bench> (<s>s, ..."
+# rows.
+by_bench = {}
+with open(os.environ["SUITE_LOG"]) as f:
+    for line in f:
+        m = re.match(r"(?:ok|FAIL)\s+(\S+) \((?:rc=\d+, )?([0-9.]+)s,", line)
+        if m:
+            by_bench[m.group(1)] = float(m.group(2))
+
 cubic = by_name.get("BM_SimulatedSecondCubic")
 scenario = by_name.get("BM_SimulatedSecondScenario")
 
 report = {
-    "pr": 19,
+    "pr": 21,
     "generated_by": "scripts/bench_report.sh"
                     + (" --quick" if os.environ["QUICK"] == "1" else ""),
     "host": micro.get("context", {}),
@@ -192,6 +206,9 @@ report = {
         "bench_suite_quick_total_wall_seconds":
             float(os.environ["SUITE_SECS"])
             if os.environ.get("SUITE_SECS") else None,
+        # PR 21: the same cold pass, bench by bench (wall seconds each, as
+        # bench_suite.sh times them).
+        "bench_suite_quick_cold_wall_seconds_by_bench": by_bench,
         # PR 7, informational: the same suite re-run from a result cache
         # populated moments earlier (NIMBUS_CACHE=read), and the aggregate
         # cache hit rate during that run.  Every bench sweeps through
@@ -296,6 +313,12 @@ if baseline_path:
     if w_cur and w_prev:
         print(f"{'fig08 quick wall (s)':52} {w_prev:11.2f} {w_cur:11.2f}"
               f" {(w_cur / w_prev - 1.0) * 100.0:+7.1f}%")
+    b_prev = e_prev.get("bench_suite_quick_cold_wall_seconds_by_bench", {})
+    for name, w in sorted(report["end_to_end"][
+            "bench_suite_quick_cold_wall_seconds_by_bench"].items()):
+        if b_prev.get(name):
+            print(f"{name + ' quick cold wall (s)':52} {b_prev[name]:11.2f}"
+                  f" {w:11.2f} {(w / b_prev[name] - 1.0) * 100.0:+7.1f}%")
     s_cur = report["end_to_end"].get("bench_suite_quick_total_wall_seconds")
     s_prev = e_prev.get("bench_suite_quick_total_wall_seconds")
     if s_cur and s_prev:

@@ -9,6 +9,9 @@
 # Usage: scripts/bench_suite.sh [--shard k/n] [bench...]
 #        (default: all build/bench/*)
 #
+# Each bench gets one "ok|FAIL  <bench> (<wall>s, ...)" row; the wall time
+# is in seconds with two decimals (scripts/bench_report.sh reads it).
+#
 #   --shard k/n   export NIMBUS_SHARD=k/n: each bench computes only its
 #                 shard's cells; out-of-shard cells are served from the
 #                 result cache when present and otherwise SKIP their shape
@@ -75,7 +78,7 @@ TIMEOUT_SEC="${NIMBUS_BENCH_TIMEOUT:-600}"
 FAILED=()
 for b in "${BENCHES[@]}"; do
   name=$(basename "$b")
-  start=$(date +%s)
+  start=$(date +%s.%N)
   if [ "$TIMEOUT_SEC" != 0 ]; then
     NIMBUS_SHAPE_STRICT=1 NIMBUS_SHARD="${SHARD}" \
       timeout -k 10 "$TIMEOUT_SEC" "$b" \
@@ -85,7 +88,7 @@ for b in "${BENCHES[@]}"; do
       >"$STDOUT_TMP" 2>"$STDERR_TMP"
   fi
   rc=$?
-  secs=$(( $(date +%s) - start ))
+  secs=$(awk -v a="$start" -v b="$(date +%s.%N)" 'BEGIN {printf "%.2f", b - a}')
   # timeout(1) reports 124 (TERM) or 137 (KILL'd after --signal=KILL).
   if [ "$TIMEOUT_SEC" != 0 ] && { [ $rc -eq 124 ] || [ $rc -eq 137 ]; }; then
     echo "TIMEOUT $name (killed after ${TIMEOUT_SEC}s)"

@@ -53,6 +53,10 @@ class SeqRing {
     Slot& s = slots_[seq & mask_];
     return s.occupied && s.seq == seq ? &s.value : nullptr;
   }
+  const T* find(std::uint64_t seq) const {
+    const Slot& s = slots_[seq & mask_];
+    return s.occupied && s.seq == seq ? &s.value : nullptr;
+  }
 
   /// Inserts `seq` (must not be present).
   void insert(std::uint64_t seq, T value) {

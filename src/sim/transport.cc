@@ -154,7 +154,8 @@ void TransportFlow::send_one() {
   p.is_transport = true;
   p.is_retransmit = retransmit;
 
-  outstanding_.insert(seq, {p.sent_at, retransmit});
+  outstanding_.insert(seq,
+                      loss_detector_.on_send(seq, p.sent_at, lost_below()));
   ++sent_packets_total_;
   if (retransmit) obs_.retransmits.inc();
   if (!rto_timer_.armed()) arm_or_cancel_rto();
@@ -248,25 +249,26 @@ void TransportFlow::handle_ack(const Ack& ack) {
   if (!completed_) maybe_send();
 }
 
+std::uint64_t TransportFlow::lost_below() const {
+  return any_acked_ && highest_acked_ >= kDupThreshold
+             ? highest_acked_ - kDupThreshold + 1
+             : 0;
+}
+
 void TransportFlow::detect_losses() {
-  if (!any_acked_ || highest_acked_ < kDupThreshold) return;
+  const std::uint64_t boundary = lost_below();
+  if (boundary == 0) return;
   if (outstanding_.empty() || outstanding_.lowest() >= highest_acked_) return;
-  const std::uint64_t lost_below = highest_acked_ - kDupThreshold + 1;
-  const TimeNs t = loop_->now();
   // RACK-style time guard: never declare a packet lost within ~1 RTT of its
   // (re)transmission, so SACKs of pre-retransmission packets cannot kill a
   // fresh retransmission.
   const TimeNs min_age = latest_rtt_ - latest_rtt_ / 8;
-
-  // Ascending ring scan over the hole region [lowest, lost_below); empty
-  // in the no-loss steady state (the cumulative ACK keeps lowest() at the
-  // frontier), and bounded by the window during recovery.  declare_lost
-  // only erases the sequence it is called with, which for_each_in permits.
-  outstanding_.for_each_in(
-      outstanding_.lowest(), lost_below,
-      [&](std::uint64_t seq, const SentRecord& rec) {
-        if (t - rec.sent_at >= min_age) declare_lost(seq);
-      });
+  // Ascending seq order: loss_event_end_ and retx_queue_ depend on it.
+  // declare_lost erases each one before the next collect, as required.
+  for (std::uint64_t seq : loss_detector_.collect(
+           outstanding_, boundary, loop_->now(), min_age)) {
+    declare_lost(seq);
+  }
 }
 
 void TransportFlow::declare_lost(std::uint64_t seq) {
@@ -347,6 +349,7 @@ void TransportFlow::on_rto_fired() {
                              retx_scratch_.push_back(seq);
                            });
   outstanding_.clear();
+  loss_detector_.on_rto();
   lost_packets_total_ += retx_scratch_.size() - already_queued;
   lost_since_report_ += retx_scratch_.size() - already_queued;
   std::sort(retx_scratch_.begin(), retx_scratch_.end());

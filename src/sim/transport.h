@@ -18,16 +18,21 @@
 // property the paper's elasticity detector keys on.  Rate-based flows use a
 // pacing timer.
 //
-// Data-path design (PR 3): sequences are dense and monotonic, so all
-// per-packet state is index-addressable instead of node-based.  The
-// sender's outstanding window is a SeqRing (power-of-two ring addressed by
+// Data-path design: sequences are dense and monotonic, so all per-packet
+// state is index-addressable instead of node-based.  The sender's
+// outstanding window is a SeqRing (power-of-two ring addressed by
 // seq & mask), the receiver's out-of-order set is a SeqScoreboard bit
 // ring, the retransmit queue is a RingDeque, and the rate sampler keeps
-// running prefix sums — every per-ACK operation is O(1) amortized and the
-// steady-state ACK path performs no heap allocation (tests pin this with
-// an operator-new hook).  All structures grow by doubling and re-placing
-// the live window, so behavior is bit-identical to the PR 2 map/set
-// implementation at any window size.
+// running prefix sums.  Loss detection (sim/loss_detector.h) reads the
+// outstanding packets as two streams in send order: a frontier walk over
+// the ring for packets sent at or above the loss boundary (originals and
+// go-back-N retransmissions), and a FIFO of the retransmissions sent
+// below it.  Each ACK reads only the aged prefix of each, so it costs
+// O(1 + newly lost) amortized, not O(window).  Every other per-ACK
+// operation is O(1) amortized, and the steady-state ACK path performs no
+// heap allocation (tests pin this with an operator-new hook).  All
+// structures grow by doubling and re-placing the live window, so behavior
+// is the same at any window size.
 #pragma once
 
 #include <cstdint>
@@ -41,6 +46,7 @@
 #include "sim/cc_interface.h"
 #include "sim/event_loop.h"
 #include "sim/link.h"
+#include "sim/loss_detector.h"
 #include "sim/packet.h"
 #include "sim/rate_sampler.h"
 #include "sim/seq_ring.h"
@@ -149,11 +155,6 @@ class TransportFlow : public CcContext {
   util::Rng& rng() override { return rng_; }
 
  private:
-  struct SentRecord {
-    TimeNs sent_at;
-    bool retransmit;
-  };
-
   // ACK-arrival event: this + the 48-byte Ack fill the event loop's 56-byte
   // inline callback buffer exactly, so per-packet ACK delivery (the hottest
   // schedule site in every scenario) never allocates.
@@ -168,6 +169,9 @@ class TransportFlow : public CcContext {
   bool can_send() const;
   void send_one();
   void handle_ack(const Ack& ack);
+  /// Seqs below this (three under the highest SACKed) are lost once aged;
+  /// 0 until an ACK arms detection.  Never decreases.
+  std::uint64_t lost_below() const;
   void detect_losses();
   void declare_lost(std::uint64_t seq);
   void update_rtt(TimeNs sample);
@@ -199,6 +203,7 @@ class TransportFlow : public CcContext {
   std::uint64_t highest_acked_ = 0;
   bool any_acked_ = false;
   SeqRing<SentRecord> outstanding_;
+  LossDetector loss_detector_;
   util::RingDeque<std::uint64_t> retx_queue_;
   std::vector<std::uint64_t> retx_scratch_;  // on_rto sort/dedup staging
   std::uint64_t loss_event_end_ = 0;  // congestion-event dedup boundary
