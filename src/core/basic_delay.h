@@ -21,15 +21,10 @@ namespace nimbus::core {
 /// The rate rule itself, reusable inside Nimbus's delay mode.
 class BasicDelayCore {
  public:
-  struct Params {
-    double alpha = 0.8;
-    double beta = 0.5;
-    TimeNs target_delay = from_ms(12.5);  // d_t (paper section 8.1)
-    double min_rate_bps = 0.1e6;
-  };
-
-  BasicDelayCore();
-  explicit BasicDelayCore(const Params& params);
+  static constexpr double kAlpha = 0.8;
+  static constexpr double kBeta = 0.5;
+  static constexpr TimeNs kTargetDelay = from_ms(12.5);  // d_t (section 8.1)
+  static constexpr double kMinRateBps = 0.1e6;
 
   void init(double initial_rate_bps);
 
@@ -39,10 +34,8 @@ class BasicDelayCore {
 
   double rate_bps() const { return rate_bps_; }
   void set_rate_bps(double r) { rate_bps_ = r; }
-  const Params& params() const { return p_; }
 
  private:
-  Params p_;
   double rate_bps_ = 1e6;
 };
 
@@ -52,7 +45,6 @@ class BasicDelayCore {
 class BasicDelayCc final : public sim::CcAlgorithm {
  public:
   struct Config {
-    BasicDelayCore::Params params;
     double known_mu_bps = 0.0;  // 0: estimate from max receive rate
   };
 

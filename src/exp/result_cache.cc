@@ -92,6 +92,12 @@ std::optional<CellResult> decode_entry(const std::string& text,
   char* end = nullptr;
   const unsigned long long n = std::strtoull(line.c_str() + 2, &end, 10);
   if (end == nullptr || *end != '\0') return std::nullopt;
+  // Each value is a 16-hex-digit line plus '\n': a count the rest of the
+  // payload cannot hold is corrupt, and must not reach reserve().
+  const std::streamoff pos = in.tellg();
+  if (pos < 0 || n > (payload.size() - static_cast<std::size_t>(pos)) / 17) {
+    return std::nullopt;
+  }
 
   CellResult r;
   r.values.reserve(n);

@@ -136,9 +136,7 @@ namespace {
 
 std::unique_ptr<sim::Network> make_bottleneck(const ScenarioSpec& spec) {
   const std::int64_t buf_bytes =
-      spec.buffer_bytes > 0
-          ? spec.buffer_bytes
-          : sim::buffer_bytes_for_bdp(spec.mu_bps, spec.rtt, spec.buffer_bdp);
+      sim::buffer_bytes_for_bdp(spec.mu_bps, spec.rtt, spec.buffer_bdp);
   std::unique_ptr<sim::Network> net;
   if (spec.queue == QueueKind::kPie) {
     sim::PieQueue::Config pc;
@@ -328,10 +326,7 @@ std::unique_ptr<sim::RateSchedule> make_link_schedule(
           l.seed != 0 ? l.seed : flow_seed(spec.seed, /*legacy=*/97));
     case LinkSpec::Kind::kTrace: {
       sim::RateSchedule::TraceConfig cfg;
-      cfg.bytes_per_opportunity = l.trace_opportunity_bytes;
       cfg.bucket = l.trace_bucket;
-      cfg.min_rate_bps = l.trace_min_rate_bps;
-      cfg.scale = l.trace_scale;
       return sim::RateSchedule::from_trace_file(l.trace_path, cfg);
     }
   }
@@ -430,8 +425,7 @@ ScenarioRun run_scenario(const ScenarioSpec& spec,
     NIMBUS_CHECK_MSG(copa != nullptr,
                      "log_copa_mode needs a Copa protagonist");
     run.mode_log = std::make_unique<ModeLog>();
-    attach_copa_poller(run.built.net.get(), copa, run.mode_log.get(),
-                       spec.copa_poll_interval);
+    attach_copa_poller(run.built.net.get(), copa, run.mode_log.get());
   }
   if (run.built.nimbus != nullptr) {
     run.mode_log = std::make_unique<ModeLog>();

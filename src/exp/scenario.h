@@ -165,10 +165,7 @@ struct LinkSpec {
 
   // kTrace: Mahimahi .trace file (ms-granularity delivery opportunities).
   std::string trace_path;
-  std::int64_t trace_opportunity_bytes = 1504;
   TimeNs trace_bucket = from_ms(10);
-  double trace_min_rate_bps = 0.0;  // 0 = one opportunity per bucket
-  double trace_scale = 1.0;
 
   static LinkSpec constant() { return {}; }
   static LinkSpec make_steps(std::vector<sim::RateStep> s);
@@ -211,7 +208,6 @@ struct ScenarioSpec {
   LinkSpec link;                     // µ(t); default = constant mu_bps
   TimeNs rtt = from_ms(50);          // protagonist propagation RTT
   double buffer_bdp = 2.0;
-  std::int64_t buffer_bytes = 0;     // >0 overrides buffer_bdp
   QueueKind queue = QueueKind::kDropTail;
   TimeNs pie_target_delay = from_ms(15);
   double random_loss = 0.0;
@@ -235,12 +231,11 @@ struct ScenarioSpec {
   std::uint64_t seed = kDefaultBaseSeed;
 
   /// When the protagonist is a Copa flow, poll its mode into
-  /// ScenarioRun::mode_log every copa_poll_interval (the Fig. 14/23
-  /// comparisons score Copa's classifier).  Off by default: the poller
-  /// schedules events, and scenarios that don't need it should not pay
-  /// for — or have their event stream reshaped by — the extra ticks.
+  /// ScenarioRun::mode_log every 10 ms (the Fig. 14/23 comparisons score
+  /// Copa's classifier).  Off by default: the poller schedules events, and
+  /// scenarios that don't need it should not pay for — or have their
+  /// event stream reshaped by — the extra ticks.
   bool log_copa_mode = false;
-  TimeNs copa_poll_interval = from_ms(10);
 
   /// Returns a copy with `seed` replaced (sweep convenience).
   ScenarioSpec with_seed(std::uint64_t s) const;

@@ -28,7 +28,6 @@ NIMBUS_CANON_GUARD(sim::PolicerConfig, kCanonSizeofPolicerConfig);
 NIMBUS_CANON_GUARD(sim::Outage, kCanonSizeofOutage);
 NIMBUS_CANON_GUARD(sim::ImpairmentConfig, kCanonSizeofImpairmentConfig);
 NIMBUS_CANON_GUARD(ImpairmentSpec, kCanonSizeofImpairmentSpec);
-NIMBUS_CANON_GUARD(core::BasicDelayCore::Params, kCanonSizeofBasicDelayParams);
 NIMBUS_CANON_GUARD(core::Nimbus::Config, kCanonSizeofNimbusConfig);
 NIMBUS_CANON_GUARD(traffic::FlowSizeDist::Band, kCanonSizeofFlowSizeBand);
 NIMBUS_CANON_GUARD(traffic::FlowSizeDist, kCanonSizeofFlowSizeDist);
@@ -114,39 +113,16 @@ class Canon {
   std::string out_;
 };
 
-void emit_basic_delay(Canon& c, const std::string& p,
-                      const core::BasicDelayCore::Params& bd) {
-  c.d(p + ".alpha", bd.alpha);
-  c.d(p + ".beta", bd.beta);
-  c.i64(p + ".target_delay", bd.target_delay);
-  c.d(p + ".min_rate_bps", bd.min_rate_bps);
-}
-
 void emit_nimbus(Canon& c, const std::string& p,
                  const core::Nimbus::Config& n) {
   c.d(p + ".known_mu_bps", n.known_mu_bps);
   c.d(p + ".pulse_amplitude_frac", n.pulse_amplitude_frac);
   c.d(p + ".fp_competitive_hz", n.fp_competitive_hz);
   c.d(p + ".fp_delay_hz", n.fp_delay_hz);
-  c.d(p + ".sample_rate_hz", n.sample_rate_hz);
   c.d(p + ".fft_duration_sec", n.fft_duration_sec);
   c.d(p + ".eta_threshold", n.eta_threshold);
   c.e(p + ".delay_algo", static_cast<int>(n.delay_algo));
-  c.e(p + ".competitive_algo", static_cast<int>(n.competitive_algo));
-  emit_basic_delay(c, p + ".basic_delay", n.basic_delay);
   c.b(p + ".multiflow", n.multiflow);
-  c.d(p + ".kappa", n.kappa);
-  c.d(p + ".watcher_cutoff_hz", n.watcher_cutoff_hz);
-  c.d(p + ".pulser_presence_eta", n.pulser_presence_eta);
-  c.d(p + ".conflict_margin", n.conflict_margin);
-  c.d(p + ".conflict_switch_prob", n.conflict_switch_prob);
-  c.i64(p + ".conflict_persistence_reports", n.conflict_persistence_reports);
-  c.b(p + ".start_in_delay_mode", n.start_in_delay_mode);
-  c.d(p + ".eta_smoothing_tau_sec", n.eta_smoothing_tau_sec);
-  c.d(p + ".exit_hysteresis", n.exit_hysteresis);
-  c.d(p + ".z_significance_frac", n.z_significance_frac);
-  c.d(p + ".measurement_window_divisor", n.measurement_window_divisor);
-  c.b(p + ".enable_pulses", n.enable_pulses);
   c.b(p + ".enable_rate_reset", n.enable_rate_reset);
 }
 
@@ -179,10 +155,7 @@ void emit_link(Canon& c, const std::string& p, const LinkSpec& l) {
   c.line(p + ".trace_content", l.kind == LinkSpec::Kind::kTrace
                                    ? trace_content_hash(l.trace_path).hex()
                                    : "-");
-  c.i64(p + ".trace_opportunity_bytes", l.trace_opportunity_bytes);
   c.i64(p + ".trace_bucket", l.trace_bucket);
-  c.d(p + ".trace_min_rate_bps", l.trace_min_rate_bps);
-  c.d(p + ".trace_scale", l.trace_scale);
 }
 
 void emit_policer(Canon& c, const std::string& p,
@@ -267,14 +240,6 @@ void emit_workload(Canon& c, const std::string& p,
   c.i64(p + ".start_time", w.start_time);
   c.i64(p + ".stop_time", w.stop_time);
   c.u64(p + ".seed", w.seed);
-  c.u64(p + ".mss", w.mss);
-  // A std::function has no serializable content: refuse rather than hash a
-  // spec whose behaviour the text does not capture (spec_cacheable gates
-  // call sites; reaching this CHECK means a gate was skipped).
-  NIMBUS_CHECK_MSG(!w.cc_factory,
-                   "canonical_spec: workload cc_factory is not serializable");
-  c.b(p + ".cc_factory", false);
-  c.u64(p + ".elastic_threshold_pkts", w.elastic_threshold_pkts);
 }
 
 }  // namespace
@@ -283,13 +248,15 @@ std::string canonical_spec(const ScenarioSpec& spec) {
   Canon c;
   // v2: added the per-direction impairment block (PR 8).
   // v3: added protagonist.record_rtt.
-  c.line("format", "scenario-canon/v3");
+  // v4: dropped the fields that became constants (Nimbus tuning, the
+  //     BasicDelay gains, buffer_bytes, copa_poll_interval, the trace
+  //     opportunity/floor/scale knobs, the workload mss/threshold/factory).
+  c.line("format", "scenario-canon/v4");
   c.s("name", spec.name);
   c.d("mu_bps", spec.mu_bps);
   emit_link(c, "link", spec.link);
   c.i64("rtt", spec.rtt);
   c.d("buffer_bdp", spec.buffer_bdp);
-  c.i64("buffer_bytes", spec.buffer_bytes);
   c.e("queue", static_cast<int>(spec.queue));
   c.i64("pie_target_delay", spec.pie_target_delay);
   c.d("random_loss", spec.random_loss);
@@ -306,7 +273,6 @@ std::string canonical_spec(const ScenarioSpec& spec) {
   c.i64("duration", spec.duration);
   c.u64("seed", spec.seed);
   c.b("log_copa_mode", spec.log_copa_mode);
-  c.i64("copa_poll_interval", spec.copa_poll_interval);
   return c.take();
 }
 
@@ -315,7 +281,6 @@ Hash128 spec_hash(const ScenarioSpec& spec) {
 }
 
 bool spec_cacheable(const ScenarioSpec& spec) {
-  if (spec.workload.cc_factory) return false;
   if (spec.link.kind == LinkSpec::Kind::kTrace) {
     std::ifstream in(spec.link.trace_path, std::ios::binary);
     if (!in.good()) return false;

@@ -8,9 +8,9 @@
 //
 //   * canonical_spec(spec) — a total, stable text serialization.  Every
 //     field of ScenarioSpec and every nested struct (CrossSpec, LinkSpec,
-//     ProtagonistSpec, Nimbus::Config, BasicDelayCore::Params,
-//     FlowWorkload::Config, FlowSizeDist, PolicerConfig, RateStep,
-//     ImpairmentSpec, ImpairmentConfig, Outage) is
+//     ProtagonistSpec, Nimbus::Config, FlowWorkload::Config,
+//     FlowSizeDist, PolicerConfig, RateStep, ImpairmentSpec,
+//     ImpairmentConfig, Outage) is
 //     emitted in a fixed order with defaults made explicit; doubles are
 //     serialized as their exact IEEE-754 bit patterns (no rounding, no
 //     locale); trace-file link specs embed a hash of the trace *content*,
@@ -63,11 +63,9 @@ std::string canonical_spec(const ScenarioSpec& spec);
 Hash128 spec_hash(const ScenarioSpec& spec);
 
 /// True if the spec's behaviour is fully captured by canonical_spec.  The
-/// one escape hatch today is FlowWorkload::Config::cc_factory: a
-/// std::function cannot be serialized, so specs installing a custom cross
-/// CC factory are not content-addressable (they run uncached).  A kTrace
-/// link whose trace file is unreadable is also uncacheable (the content
-/// hash cannot be computed; build_network would fail on it anyway).
+/// one exception is a kTrace link whose trace file is unreadable: the
+/// content hash cannot be computed (build_network would fail on it
+/// anyway), so the spec runs uncached.
 bool spec_cacheable(const ScenarioSpec& spec);
 
 // ---------------------------------------------------------------------------
@@ -80,14 +78,13 @@ inline constexpr std::size_t kCanonSizeofPolicerConfig = 24;
 inline constexpr std::size_t kCanonSizeofOutage = 16;
 inline constexpr std::size_t kCanonSizeofImpairmentConfig = 120;
 inline constexpr std::size_t kCanonSizeofImpairmentSpec = 240;
-inline constexpr std::size_t kCanonSizeofBasicDelayParams = 32;
-inline constexpr std::size_t kCanonSizeofNimbusConfig = 192;
+inline constexpr std::size_t kCanonSizeofNimbusConfig = 56;
 inline constexpr std::size_t kCanonSizeofFlowSizeBand = 24;
 inline constexpr std::size_t kCanonSizeofFlowSizeDist = 56;
-inline constexpr std::size_t kCanonSizeofWorkloadConfig = 144;
-inline constexpr std::size_t kCanonSizeofLinkSpec = 144;
-inline constexpr std::size_t kCanonSizeofCrossSpec = 288;
-inline constexpr std::size_t kCanonSizeofProtagonistSpec = 272;
-inline constexpr std::size_t kCanonSizeofScenarioSpec = 984;
+inline constexpr std::size_t kCanonSizeofWorkloadConfig = 96;
+inline constexpr std::size_t kCanonSizeofLinkSpec = 120;
+inline constexpr std::size_t kCanonSizeofCrossSpec = 152;
+inline constexpr std::size_t kCanonSizeofProtagonistSpec = 136;
+inline constexpr std::size_t kCanonSizeofScenarioSpec = 760;
 
 }  // namespace nimbus::exp

@@ -14,6 +14,11 @@
 
 namespace nimbus::sim {
 
+/// CCP report cadence (section 4.2): every transport flow calls
+/// CcAlgorithm::on_report this often, and Nimbus samples z(t) once per
+/// report, so its detector's sample rate is 1 / kReportInterval = 100 Hz.
+inline constexpr TimeNs kReportInterval = from_ms(10);
+
 /// Per-ACK information handed to the algorithm.
 struct AckInfo {
   TimeNs now = 0;
@@ -98,7 +103,7 @@ class CcAlgorithm {
   virtual void on_loss(CcContext& /*ctx*/, const LossInfo& /*loss*/) {}
   /// Retransmission timeout: the whole window was lost.
   virtual void on_rto(CcContext& /*ctx*/) {}
-  /// Periodic CCP-style report (every TransportConfig::report_interval).
+  /// Periodic CCP-style report (every kReportInterval).
   virtual void on_report(CcContext& /*ctx*/, const CcReport& /*report*/) {}
 };
 

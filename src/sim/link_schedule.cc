@@ -154,10 +154,7 @@ class TraceFold {
  public:
   TraceFold(const RateSchedule::TraceConfig& cfg, const std::string& origin)
       : bucket_(cfg.bucket), origin_(origin) {
-    NIMBUS_CHECK_MSG(cfg.bucket > 0 && cfg.bytes_per_opportunity > 0 &&
-                         cfg.scale > 0,
-                     "trace config: bucket, opportunity bytes, and scale "
-                     "must be > 0");
+    NIMBUS_CHECK_MSG(cfg.bucket > 0, "trace config: bucket must be > 0");
   }
 
   void add(std::int64_t ms) {
@@ -208,24 +205,25 @@ class TraceFold {
   std::vector<std::int64_t> counts_;
 };
 
+/// Bytes one trace delivery opportunity carries (Mahimahi's default MTU).
+constexpr std::int64_t kTraceOpportunityBytes = 1504;
+
 class TraceSchedule final : public RateSchedule {
  public:
   TraceSchedule(TraceFold& fold, const RateSchedule::TraceConfig& cfg)
       : bucket_(cfg.bucket) {
     const std::vector<std::int64_t> counts = fold.finish(&period_);
-    const double opp_bits = static_cast<double>(cfg.bytes_per_opportunity) * 8.0;
+    const double opp_bits =
+        static_cast<double>(kTraceOpportunityBytes) * 8.0;
     const double bucket_sec = to_sec(bucket_);
     // Floor: one opportunity per bucket, so a trace outage slows the link
     // to ~1 MTU per bucket instead of dividing by zero / stalling.
-    const double floor_bps = cfg.min_rate_bps > 0.0
-                                 ? cfg.min_rate_bps
-                                 : opp_bits / bucket_sec;
+    const double floor_bps = opp_bits / bucket_sec;
     double sum = 0.0;
     rates_.reserve(counts.size());
     for (std::int64_t c : counts) {
       const double r = std::max(
-          static_cast<double>(c) * opp_bits / bucket_sec * cfg.scale,
-          floor_bps);
+          static_cast<double>(c) * opp_bits / bucket_sec, floor_bps);
       rates_.push_back(r);
       sum += r;
     }

@@ -23,13 +23,15 @@
 //                     rate_at() is random access yet deterministic.
 //   * trace         — a Mahimahi-format packet-delivery trace (one integer
 //                     millisecond timestamp per line; each line is one
-//                     delivery opportunity of `bytes_per_opportunity`
-//                     bytes; the final timestamp is the looping period).
-//                     Opportunities are bucketed into `bucket`-wide windows
-//                     and each window becomes one piecewise-constant rate,
-//                     floored at `min_rate_bps` so outages never stall the
-//                     work-conserving link forever (a deliberate deviation
-//                     from Mahimahi, which can park packets indefinitely).
+//                     delivery opportunity of 1504 bytes, Mahimahi's
+//                     default MTU; the final timestamp is the looping
+//                     period).  Opportunities are bucketed into
+//                     `bucket`-wide windows and each window becomes one
+//                     piecewise-constant rate, floored at one opportunity
+//                     per bucket so outages slow the work-conserving link
+//                     to a crawl instead of stalling it forever (a
+//                     deliberate deviation from Mahimahi, which can park
+//                     packets indefinitely).
 //
 // Determinism: schedules own their RNG state (seeded at construction) and
 // never touch global randomness, so a (spec, seed) pair replays the same
@@ -55,19 +57,12 @@ struct RateStep {
   double rate_bps = 0.0;
 };
 
-/// Conversion knobs for Mahimahi packet-delivery traces (namespace scope —
+/// Conversion knob for Mahimahi packet-delivery traces (namespace scope —
 /// a nested struct's member initializers cannot feed a default argument of
 /// the enclosing class; aliased as RateSchedule::TraceConfig).
 struct TraceScheduleConfig {
-  /// Bytes one delivery opportunity carries (Mahimahi's default MTU).
-  std::int64_t bytes_per_opportunity = 1504;
   /// Smoothing window: opportunities per bucket become one rate.
   TimeNs bucket = from_ms(10);
-  /// Rate floor; 0 means "one opportunity per bucket" so trace outages
-  /// slow the link to a crawl instead of stalling it.
-  double min_rate_bps = 0.0;
-  /// Multiplies every bucket rate (scale a trace to a target mean).
-  double scale = 1.0;
 };
 
 class RateSchedule {

@@ -8,6 +8,8 @@ namespace nimbus::sim {
 
 namespace {
 constexpr std::uint64_t kDupThreshold = 3;
+constexpr double kInitialCwndPkts = 10;  // Linux IW10
+constexpr TimeNs kMinRto = from_ms(200);
 constexpr TimeNs kMaxRto = from_sec(60);
 constexpr std::int64_t kBackloggedBytes =
     std::numeric_limits<std::int64_t>::max() / 2;
@@ -43,7 +45,7 @@ TransportFlow::TransportFlow(EventLoop* loop, BottleneckLink* link,
   NIMBUS_CHECK(cfg_.mss > 0);
   backlogged_ = cfg_.app_bytes < 0;
   app_bytes_remaining_ = backlogged_ ? kBackloggedBytes : cfg_.app_bytes;
-  cwnd_bytes_ = cfg_.initial_cwnd_pkts * cfg_.mss;
+  cwnd_bytes_ = kInitialCwndPkts * cfg_.mss;
 }
 
 TransportFlow::~TransportFlow() = default;
@@ -59,7 +61,7 @@ void TransportFlow::begin() {
   if (cfg_.stop_time != std::numeric_limits<TimeNs>::max()) {
     stop_timer_.arm(cfg_.stop_time, [this]() { app_bytes_remaining_ = 0; });
   }
-  report_timer_.arm_in(cfg_.report_interval, [this]() { report_tick(); });
+  report_timer_.arm_in(kReportInterval, [this]() { report_tick(); });
   maybe_send();
 }
 
@@ -310,7 +312,7 @@ void TransportFlow::update_rtt(TimeNs sample) {
 
 TimeNs TransportFlow::current_rto() const {
   TimeNs rto = have_rtt_ ? srtt_ + 4 * rttvar_ : from_sec(1);
-  rto = std::max(rto, cfg_.min_rto);
+  rto = std::max(rto, kMinRto);
   rto <<= std::min(rto_backoff_, 6);
   return std::min(rto, kMaxRto);
 }
@@ -384,7 +386,7 @@ void TransportFlow::report_tick() {
 
   cc_->on_report(*this, r);
   maybe_send();  // the report may have changed cwnd / pacing
-  report_timer_.arm_in(cfg_.report_interval, [this]() { report_tick(); });
+  report_timer_.arm_in(kReportInterval, [this]() { report_tick(); });
 }
 
 void TransportFlow::check_completion() {

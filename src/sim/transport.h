@@ -80,9 +80,6 @@ class TransportFlow : public CcContext {
     std::int64_t app_bytes = -1;
     /// After this time the app offers no new data (flow drains and idles).
     TimeNs stop_time = std::numeric_limits<TimeNs>::max();
-    double initial_cwnd_pkts = 10;    // Linux IW10
-    TimeNs report_interval = from_ms(10);  // CCP report cadence
-    TimeNs min_rto = from_ms(200);
     std::uint64_t seed = 1;           // per-flow RNG stream
   };
 

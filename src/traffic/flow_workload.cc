@@ -5,13 +5,16 @@
 
 namespace nimbus::traffic {
 
+namespace {
+/// Flows larger than this many packets are "elastic" for ground truth
+/// (the paper: flows larger than the initial window of 10 packets).
+constexpr std::uint32_t kElasticThresholdPkts = 10;
+}  // namespace
+
 FlowWorkload::FlowWorkload(sim::Network* net, Config cfg)
     : net_(net), cfg_(std::move(cfg)), rng_(cfg_.seed) {
   NIMBUS_CHECK(net_ != nullptr);
   NIMBUS_CHECK(cfg_.offered_load_fraction > 0);
-  if (!cfg_.cc_factory) {
-    cfg_.cc_factory = []() { return std::make_unique<cc::Cubic>(); };
-  }
   const double load_Bps =
       cfg_.offered_load_fraction * net_->link_rate_bps() / 8.0;
   mean_interarrival_sec_ = cfg_.dist.mean_bytes() / load_Bps;
@@ -31,20 +34,18 @@ void FlowWorkload::schedule_next_arrival() {
 void FlowWorkload::spawn_flow(std::int64_t size_bytes) {
   sim::TransportFlow::Config fc;
   fc.id = net_->next_flow_id();
-  fc.mss = cfg_.mss;
   fc.rtt_prop = cfg_.rtt_prop;
   fc.start_time = net_->loop().now();
   fc.app_bytes = size_bytes;
   fc.seed = rng_.next_u64();
-  net_->add_flow(fc, cfg_.cc_factory());
+  net_->add_flow(fc, std::make_unique<cc::Cubic>());
 
   Arrival a;
   a.id = fc.id;
   a.start = fc.start_time;
   a.size_bytes = size_bytes;
   a.elastic = size_bytes >
-              static_cast<std::int64_t>(cfg_.elastic_threshold_pkts) *
-                  cfg_.mss;
+              static_cast<std::int64_t>(kElasticThresholdPkts) * fc.mss;
   arrivals_.push_back(a);
 }
 

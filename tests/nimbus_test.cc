@@ -1,6 +1,9 @@
 // End-to-end tests of the Nimbus system: elasticity detection accuracy,
 // mode switching latency, throughput fairness, and delay behaviour —
 // the paper's headline claims at test scale.
+#include <limits>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "cc/cubic.h"
@@ -238,6 +241,87 @@ TEST(NimbusTest, StatusHandlerStreamsState) {
   h.net.run_until(from_sec(5));
   EXPECT_GT(count, 400);  // ~100 Hz reports
   EXPECT_TRUE(saw_mu);
+}
+
+// One report cadence drives both layers: the transport calls on_report
+// (which streams the status) every sim::kReportInterval, and the detector
+// window is sized at that same rate.
+TEST(NimbusTest, OneReportCadenceFeedsTransportAndDetector) {
+  Harness h;
+  std::vector<TimeNs> at;
+  h.nimbus->set_status_handler(
+      [&](const Nimbus::Status& s) { at.push_back(s.now); });
+  h.net.run_until(from_sec(2));
+  ASSERT_GT(at.size(), 100u);
+  EXPECT_EQ(at.front(), sim::kReportInterval);
+  for (std::size_t i = 1; i < at.size(); ++i) {
+    ASSERT_EQ(at[i] - at[i - 1], sim::kReportInterval) << "report " << i;
+  }
+  const Nimbus::Config cfg;
+  EXPECT_EQ(h.nimbus->detector().window_samples(),
+            static_cast<std::size_t>(
+                cfg.fft_duration_sec / to_sec(sim::kReportInterval) + 0.5));
+  EXPECT_EQ(h.nimbus->detector().window_samples(), 500u);
+}
+
+// Every knob value a bench runs with constructs.
+TEST(NimbusConfigTest, AcceptsEveryBenchValue) {
+  for (double amp : {0.0625, 0.125, 0.25, 0.5, 1.0}) {
+    Nimbus::Config cfg;
+    cfg.pulse_amplitude_frac = amp;
+    EXPECT_EQ(Nimbus(cfg).config().pulse_amplitude_frac, amp);
+  }
+  for (double fp : {2.0, 5.0}) {  // fig26: delay frequency f_p + 1
+    Nimbus::Config cfg;
+    cfg.fp_competitive_hz = fp;
+    cfg.fp_delay_hz = fp + 1.0;
+    EXPECT_EQ(Nimbus(cfg).config().fp_delay_hz, fp + 1.0);
+  }
+  for (double d : {1.0, 2.0, 5.0, 10.0}) {  // ablation FFT windows
+    Nimbus::Config cfg;
+    cfg.fft_duration_sec = d;
+    EXPECT_EQ(Nimbus(cfg).config().fft_duration_sec, d);
+  }
+  Nimbus::Config cfg;
+  cfg.eta_threshold = 1e9;  // the "hold delay mode" sentinel
+  cfg.known_mu_bps = 96e6;
+  EXPECT_EQ(Nimbus(cfg).config().eta_threshold, 1e9);
+}
+
+// Builds a Nimbus from the default config with one knob changed by `set`.
+template <typename Set>
+void construct_with(Set set) {
+  Nimbus::Config cfg;
+  set(cfg);
+  Nimbus n(cfg);
+}
+
+TEST(NimbusConfigDeathTest, RejectsInvalidKnobs) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double v : {-1.0, nan, inf}) {
+    EXPECT_DEATH(construct_with([v](auto& c) { c.known_mu_bps = v; }),
+                 "known_mu_bps");
+  }
+  for (double v : {0.0, -0.25, 1.5, nan}) {
+    EXPECT_DEATH(construct_with([v](auto& c) { c.pulse_amplitude_frac = v; }),
+                 "pulse_amplitude_frac");
+  }
+  // 2 f_p must stay below the 50 Hz Nyquist limit of 100 Hz reports.
+  for (double v : {0.0, -5.0, 25.0, 30.0, nan, inf}) {
+    EXPECT_DEATH(construct_with([v](auto& c) { c.fp_competitive_hz = v; }),
+                 "pulse frequencies");
+    EXPECT_DEATH(construct_with([v](auto& c) { c.fp_delay_hz = v; }),
+                 "pulse frequencies");
+  }
+  EXPECT_DEATH(construct_with([](auto& c) { c.fp_delay_hz = 5.0; }),
+               "must differ");
+  for (double v : {0.0, -5.0, nan, inf}) {
+    EXPECT_DEATH(construct_with([v](auto& c) { c.fft_duration_sec = v; }),
+                 "fft_duration_sec");
+    EXPECT_DEATH(construct_with([v](auto& c) { c.eta_threshold = v; }),
+                 "eta_threshold");
+  }
 }
 
 }  // namespace
