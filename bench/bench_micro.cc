@@ -247,10 +247,8 @@ void BM_TimerRearm(benchmark::State& state) {
   std::uint64_t fired = 0;
   for (auto _ : state) {
     sim::EventLoop loop;
-    sim::Timer rto(&loop);
-    for (int i = 0; i < kRearms; ++i) {
-      rto.arm_in(from_ms(200), [&fired]() { ++fired; });
-    }
+    sim::Timer rto(&loop, [&fired]() { ++fired; });
+    for (int i = 0; i < kRearms; ++i) rto.arm_in(from_ms(200));
     loop.run_until(from_sec(1));
     benchmark::DoNotOptimize(fired);
   }
@@ -275,6 +273,38 @@ void BM_EventLoopSameTimeBurst(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kEvents);
 }
 BENCHMARK(BM_EventLoopSameTimeBurst);
+
+// k events due inside one wheel bucket (2^13 ns), cancelled in a random
+// order: a cancel unlinks its slot from the bucket in O(1), so the whole
+// pass is O(k) (a bucket scan per cancel would make it O(k^2)).
+// Items = cancelled events.
+void BM_EventLoopSameBucketCancel(benchmark::State& state) {
+  const auto k = static_cast<std::size_t>(state.range(0));
+  util::Rng rng(17);
+  std::vector<std::size_t> cancel_order(k);
+  for (std::size_t i = 0; i < k; ++i) cancel_order[i] = i;
+  for (std::size_t i = k - 1; i > 0; --i) {
+    std::swap(cancel_order[i],
+              cancel_order[static_cast<std::size_t>(
+                  rng.uniform_int(0, static_cast<std::int64_t>(i)))]);
+  }
+  std::uint64_t count = 0;
+  sim::EventLoop loop;
+  std::vector<sim::EventId> ids(k);
+  for (auto _ : state) {
+    // The start of a bucket 1 ms ahead; every offset stays inside it.
+    const TimeNs base = (loop.now() + from_ms(1)) >> 13 << 13;
+    for (std::size_t i = 0; i < k; ++i) {
+      ids[i] = loop.schedule(base + static_cast<TimeNs>(i % 4096),
+                             AckSizedEvent{&count, {}});
+    }
+    for (std::size_t i : cancel_order) loop.cancel(ids[i]);
+    benchmark::DoNotOptimize(count);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(k));
+}
+BENCHMARK(BM_EventLoopSameBucketCancel)->Arg(64)->Arg(1024);
 
 // --- ACK path: outstanding-packet tracking ------------------------------
 
@@ -421,6 +451,29 @@ void BM_AckPathRateSamplerRing(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kAcks);
 }
 BENCHMARK(BM_AckPathRateSamplerRing)->Arg(64)->Arg(256)->Arg(1024);
+
+// Five fresh flows, ACKed in turn, each for its first kMaxHistory ACKs:
+// every flow's sample history grows from empty to its cap, the cost each
+// new flow pays once.  Items = ACKs.
+void BM_AckPathRateSamplerFreshFlow(benchmark::State& state) {
+  constexpr int kFlows = 5;
+  constexpr auto kAcks = static_cast<int>(sim::RateSampler::kMaxHistory);
+  double sink = 0;
+  for (auto _ : state) {
+    std::array<sim::RateSampler, kFlows> flows;
+    TimeNs sent = 0;
+    TimeNs acked = from_ms(50);
+    for (int a = 0; a < kAcks; ++a) {
+      sent += 1'000'000;
+      acked += 1'000'000;
+      for (sim::RateSampler& s : flows) s.on_ack(sent, acked, 1500);
+    }
+    for (const sim::RateSampler& s : flows) sink += s.rates(64).send_bps;
+    benchmark::DoNotOptimize(sink);
+  }
+  state.SetItemsProcessed(state.iterations() * kFlows * kAcks);
+}
+BENCHMARK(BM_AckPathRateSamplerFreshFlow);
 
 // --- delivery path ------------------------------------------------------
 

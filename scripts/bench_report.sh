@@ -19,14 +19,14 @@
 #               the cross-file table is printed for trajectory only; the
 #               gate uses same-run, same-process pairs.  Kernel regressions
 #               against an earlier commit are scripts/bench_ab.sh's job.)
-#   output      defaults to BENCH_PR21.json in the repo root
+#   output      defaults to BENCH_PR23.json in the repo root
 #
 # All micro numbers are medians of 3 repetitions.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 QUICK=0
-OUT=BENCH_PR21.json
+OUT=BENCH_PR23.json
 COMPARE=""
 while [ $# -gt 0 ]; do
   case "$1" in
@@ -149,7 +149,9 @@ def pair(current, baseline, min_speedup):
     out = {"before_events_per_sec": before, "after_events_per_sec": after,
            "min_speedup": min_speedup}
     if before and after:
-        out["speedup"] = round(after / before, 2)
+        # Unrounded: the gate compares this value, so a ratio just under
+        # its floor must not round up to it.  Displays format it.
+        out["speedup"] = after / before
     return out
 
 # Per-bench cold wall seconds from the suite's "ok|FAIL  <bench> (<s>s, ..."
@@ -165,7 +167,7 @@ cubic = by_name.get("BM_SimulatedSecondCubic")
 scenario = by_name.get("BM_SimulatedSecondScenario")
 
 report = {
-    "pr": 21,
+    "pr": 23,
     "generated_by": "scripts/bench_report.sh"
                     + (" --quick" if os.environ["QUICK"] == "1" else ""),
     "host": micro.get("context", {}),
@@ -257,21 +259,21 @@ def rows(rep):
                 if isinstance(p, dict) and p.get("after_events_per_sec"):
                     yield f"{s}.{name}", p
 
-def ratio(p):
+def ratio(p, digits=2):
     if p.get("speedup") is None:
         return f"{'-':>7}"
-    return f"{p['speedup']:6.2f}x"
+    return f"{p['speedup']:6.{digits}f}x"
 
 sweep = report["sweep_cache_microbench"]["warm_vs_cold_cell"]
 obs = report["obs_microbench"]["counters_on_vs_off"]
 print(f"wrote {out}")
 print(f"telemetry overhead, counters-on vs off events/sec: "
       f"{obs['before_events_per_sec']:.3g} -> "
-      f"{obs['after_events_per_sec']:.3g} ({obs.get('speedup', '?')}x, "
+      f"{obs['after_events_per_sec']:.3g} ({ratio(obs, 3).strip()}, "
       f"gate >= {obs['min_speedup']}x)")
 print(f"sweep cells/sec, warm cache vs cold compute: "
       f"{sweep['before_events_per_sec']:.3g} -> "
-      f"{sweep['after_events_per_sec']:.3g} ({sweep.get('speedup', '?')}x, "
+      f"{sweep['after_events_per_sec']:.3g} ({ratio(sweep, 3).strip()}, "
       f"gate >= {sweep['min_speedup']}x)")
 e2e = report["end_to_end"]
 print(f"bench_suite quick total wall: "
@@ -332,7 +334,7 @@ if baseline_path:
     for sec in ("sweep_cache_microbench", "obs_microbench"):
         for name, p in report[sec].items():
             if p.get("speedup") is None or p["speedup"] < p["min_speedup"]:
-                failures.append(f"{sec}.{name}: {p.get('speedup')}x "
+                failures.append(f"{sec}.{name}: {ratio(p, 3).strip()} "
                                 f"(floor {p['min_speedup']}x)")
     if failures:
         print("\nREGRESSIONS:")

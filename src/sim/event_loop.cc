@@ -5,78 +5,72 @@
 
 namespace nimbus::sim {
 
-EventLoop::EventLoop() { bucket_head_.fill(kNilNode); }
+EventLoop::EventLoop() { bucket_head_.fill(kNoSlot); }
 
 std::uint32_t EventLoop::acquire_slot(TimeNs t) {
   NIMBUS_CHECK_MSG(t >= now_, "cannot schedule events in the past");
   if (free_head_ != kNoSlot) {
     const std::uint32_t s = free_head_;
-    free_head_ = slot_ref(s).next_free;
+    free_head_ = slot_ref(s).wnext;
     return s;
   }
   NIMBUS_CHECK_MSG(total_slots_ <= kSlotMask, "event slot pool exhausted");
-  if (total_slots_ == chunks_.size() * kChunkSize) {
-    chunks_.push_back(std::make_unique<Slot[]>(kChunkSize));
+  if (total_slots_ == slots_.size()) {
+    callbacks_.push_back(std::make_unique<Callback[]>(kChunkSize));
+    slots_.resize(slots_.size() + kChunkSize);
   }
   return total_slots_++;
 }
 
-void EventLoop::fire_slot(Slot& slot, std::uint64_t id, TimeNs t) {
+void EventLoop::fire_slot(std::uint32_t s, TimeNs t) {
   now_ = t;
-  slot.pending_id = 0;  // a self-cancel inside the callback is a no-op
-  slot.extracted = false;
+  slot_ref(s).pending_id = 0;  // a self-cancel inside the callback is a no-op
   --live_;
   ++processed_;
   obs_fired_.inc();
-  // In-place invocation: chunked slots have stable addresses, so the
+  // In-place invocation: chunked callbacks have stable addresses, so the
   // callback may grow the pools or the queue freely while running.  The
   // slot is not on the free list yet, so nothing can re-occupy it.
-  slot.cb();
-  slot.cb.reset();
-  slot.next_free = free_head_;
-  free_head_ = static_cast<std::uint32_t>(id & kSlotMask);
+  Callback& cb = callback_ref(s);
+  cb();
+  cb.reset();
+  slot_ref(s).wnext = free_head_;  // re-indexed: slots_ may have grown
+  free_head_ = s;
 }
 
 void EventLoop::release_slot(std::uint32_t s) {
   Slot& slot = slot_ref(s);
   slot.pending_id = 0;
   slot.anchor_id = 0;  // a pending anchor entry becomes a tombstone
-  slot.extracted = false;
-  slot.cb.reset();  // free for inline callables (no destructor work)
-  slot.next_free = free_head_;
+  callback_ref(s).reset();  // free for inline callables (no destructor work)
+  slot.wnext = free_head_;
   free_head_ = s;
 }
 
-void EventLoop::wheel_insert(TimeNs t, std::uint64_t id,
+void EventLoop::wheel_insert(std::uint32_t s, Slot& slot,
                              std::uint64_t abs_bucket) {
-  std::uint32_t n;
-  if (node_free_ != kNilNode) {
-    n = node_free_;
-    node_free_ = pool_[n].next;
-  } else {
-    n = static_cast<std::uint32_t>(pool_.size());
-    pool_.emplace_back();
-  }
   const std::uint64_t b = abs_bucket & kWheelMask;
-  pool_[n] = {static_cast<std::uint64_t>(t), id, bucket_head_[b]};
-  bucket_head_[b] = n;
+  const std::uint32_t head = bucket_head_[b];
+  slot.wnext = head;
+  slot.wprev = kNoSlot;
+  if (head != kNoSlot) slot_ref(head).wprev = s;
+  bucket_head_[b] = s;
   occ_[b >> 6] |= std::uint64_t{1} << (b & 63);
   ++wheel_count_;
   obs_wheel_inserts_.inc();
 }
 
-void EventLoop::enqueue_entry(TimeNs t, std::uint64_t id) {
+void EventLoop::enqueue_entry(std::uint32_t s, Slot& slot) {
   // Clamp to the cursor: after a run_until() boundary the cursor can sit
   // ahead of now(), and an entry bucketed below it could alias a bucket a
   // full wheel turn away.  Clamping is order-preserving — every bucket
   // below the cursor is empty, and buckets drain by smallest (time, seq)
   // key, so an early entry placed in the cursor bucket still fires first.
-  const std::uint64_t ab = std::max(
-      static_cast<std::uint64_t>(t) >> kBucketShift, cursor_);
+  const std::uint64_t ab = std::max(slot.time >> kBucketShift, cursor_);
   if (ab >= cursor_ + kWheelSize) {
-    heap_push({pack_key(t, id)});
+    heap_push({slot_key(slot)});
   } else {
-    wheel_insert(t, id, ab);
+    wheel_insert(s, slot, ab);
   }
 }
 
@@ -95,37 +89,38 @@ std::uint64_t EventLoop::next_nonempty_bucket() const {
   return pos >= start ? base + pos : base + pos + kWheelSize;
 }
 
-// Eagerly unlinks the pending entry for `slot` if it lives in the wheel.
+void EventLoop::wheel_unlink(std::uint32_t s, Slot& slot, std::uint64_t b) {
+  const std::uint32_t next = slot.wnext;
+  const std::uint32_t prev = slot.wprev;
+  // O(1) link consistency: both neighbours must point back at `s`.
+  const bool linked =
+      (prev == kNoSlot ? bucket_head_[b] == s
+                       : prev < total_slots_ && slot_ref(prev).wnext == s) &&
+      (next == kNoSlot || (next < total_slots_ && slot_ref(next).wprev == s));
+  NIMBUS_CHECK_MSG(linked, "pending near event missing from its bucket");
+  if (prev == kNoSlot) {
+    bucket_head_[b] = next;
+    if (next == kNoSlot) occ_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
+  } else {
+    slot_ref(prev).wnext = next;
+  }
+  if (next != kNoSlot) slot_ref(next).wprev = prev;
+  slot.wnext = kNoSlot;  // a stale link to this slot now fails the check
+  --wheel_count_;
+}
+
+// Eagerly unlinks the pending entry for slot `s` if it lives in the wheel.
 // A far event's heap entry (its own, or its slot's anchor) is left behind
 // as a lazy tombstone that pull drops.  Far tombstones stay rare: a
 // re-arm to a later far deadline keeps the anchor instead of making one
-// (see reschedule), so only earlier moves and cancels leave them.
-// Keeping buckets tombstone-free bounds the drain scan by the real
-// per-bucket concurrency: without this, a flow's per-ACK RTO rearms pile
-// thousands of dead entries into one deadline bucket and the drain's
-// min-scan degenerates quadratically.
-void EventLoop::wheel_unlink_if_near(const Slot& slot, std::uint64_t id) {
-  if (in_far_heap(slot.time)) return;
-  const std::uint64_t b =
-      std::max(slot.time >> kBucketShift, cursor_) & kWheelMask;
-  std::uint32_t prev = kNilNode;
-  for (std::uint32_t cur = bucket_head_[b]; cur != kNilNode;
-       prev = cur, cur = pool_[cur].next) {
-    if (pool_[cur].id != id) continue;
-    if (prev == kNilNode) {
-      bucket_head_[b] = pool_[cur].next;
-    } else {
-      pool_[prev].next = pool_[cur].next;
-    }
-    pool_[cur].next = node_free_;
-    node_free_ = cur;
-    --wheel_count_;
-    if (bucket_head_[b] == kNilNode) {
-      occ_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
-    }
-    return;
-  }
-  NIMBUS_CHECK_MSG(false, "pending near event missing from its bucket");
+// (see reschedule), so only earlier moves and cancels leave them.  An
+// event in the drain batch is already off the wheel.  Buckets therefore
+// hold exactly the live near events: a flow's per-ACK RTO rearms leave
+// nothing behind for the drain's min-scan to wade through.
+void EventLoop::wheel_unlink_if_near(std::uint32_t s, Slot& slot) {
+  if (in_far_heap(slot.time) || slot.wprev == kInBatch) return;
+  wheel_unlink(s, slot, std::max(slot.time >> kBucketShift, cursor_) &
+                            kWheelMask);
 }
 
 void EventLoop::pull_far_into_window() {
@@ -136,15 +131,16 @@ void EventLoop::pull_far_into_window() {
     const auto id = static_cast<std::uint64_t>(heap_[0].key);
     heap_pop_min();
     // Drop far tombstones here instead of carrying them into a bucket.
-    Slot& slot = slot_ref(static_cast<std::uint32_t>(id & kSlotMask));
+    const auto s = static_cast<std::uint32_t>(id & kSlotMask);
+    Slot& slot = slot_ref(s);
     if (slot.pending_id == id) {
-      wheel_insert(t, id, ab);
+      wheel_insert(s, slot, ab);
     } else if (slot.anchor_id == id) {
       // The anchor stood in for a later (or equal) deadline: enqueue the
       // real key now — into the wheel, or back into the heap if it is
       // still beyond the window.
       slot.anchor_id = 0;
-      enqueue_entry(static_cast<TimeNs>(slot.time), slot.pending_id);
+      enqueue_entry(s, slot);
     }
   }
 }
@@ -190,8 +186,7 @@ void EventLoop::cancel(EventId id) {
   if (id == 0 || s >= total_slots_) return;
   Slot& slot = slot_ref(s);
   if (slot.pending_id != id) return;  // fired, cancelled, or stale
-  // Events sitting in the drain batch are already unlinked from the wheel.
-  if (!slot.extracted) wheel_unlink_if_near(slot, id);
+  wheel_unlink_if_near(s, slot);
   release_slot(s);
   --live_;
 }
@@ -204,10 +199,8 @@ EventId EventLoop::reschedule(EventId id, TimeNs t) {
                    "reschedule of a fired or cancelled event");
   Slot& slot = slot_ref(s);
   const EventId nid = make_event_id(s);
-  if (slot.extracted) {
-    slot.extracted = false;  // batch entry: already off the wheel
-  } else if (in_far_heap(slot.time) &&
-             static_cast<std::uint64_t>(t) >= slot.time) {
+  if (in_far_heap(slot.time) &&
+      static_cast<std::uint64_t>(t) >= slot.time) {
     // O(1) far re-arm: the heap entry already queued for this slot (the
     // pending one, or an earlier anchor) becomes / stays the anchor.  Its
     // time is <= t, so pull_far_into_window reaches it before t's bucket
@@ -216,15 +209,14 @@ EventId EventLoop::reschedule(EventId id, TimeNs t) {
     slot.pending_id = nid;
     slot.time = static_cast<std::uint64_t>(t);
     return nid;
-  } else {
-    // Near entries are unlinked; a far entry (or anchor) becomes a lazy
-    // tombstone.
-    wheel_unlink_if_near(slot, id);
-    slot.anchor_id = 0;
   }
+  // Near entries are unlinked (batch entries are already off the wheel);
+  // a far entry (or anchor) becomes a lazy tombstone.
+  wheel_unlink_if_near(s, slot);
+  slot.anchor_id = 0;
   slot.pending_id = nid;
   slot.time = static_cast<std::uint64_t>(t);
-  enqueue_entry(t, nid);
+  enqueue_entry(s, slot);
   return nid;
 }
 
@@ -288,7 +280,7 @@ void EventLoop::run_until(TimeNs t_end) {
 
     // Drain bucket `cursor_` in (time, seq) order.  The common case
     // (distinct deadlines) is exactly the PR 2 path: unlink the
-    // smallest-key node and fire it in place.  When two consecutive
+    // smallest-key slot and fire it in place.  When two consecutive
     // extractions carry the *same* deadline, the bucket holds an
     // equal-time run — a phase start waking every flow at once — and the
     // drain switches to batch mode: unlink every remaining entry with
@@ -307,21 +299,24 @@ void EventLoop::run_until(TimeNs t_end) {
     bool have_fired = false;
     while (!stopped_) {
       const std::uint32_t head = bucket_head_[b];
-      if (head == kNilNode) break;
-      // Smallest (time, seq) key in the bucket, as a single 128-bit scan.
+      if (head == kNoSlot) break;
+      // Smallest (time, seq) key in the bucket, as a single 128-bit scan
+      // over the slots themselves.  Every linked slot is a live pending
+      // event, so its pending_id is the entry's id.
       std::uint32_t best = head;
-      std::uint32_t best_prev = kNilNode;
-      unsigned __int128 best_key = node_key(pool_[head]);
-      for (std::uint32_t prev = head, cur = pool_[head].next;
-           cur != kNilNode; prev = cur, cur = pool_[cur].next) {
-        const unsigned __int128 k = node_key(pool_[cur]);
+      Slot* best_slot = &slot_ref(head);
+      unsigned __int128 best_key = slot_key(*best_slot);
+      for (std::uint32_t cur = best_slot->wnext; cur != kNoSlot;) {
+        Slot& c = slot_ref(cur);
+        const unsigned __int128 k = slot_key(c);
         if (k < best_key) {
           best_key = k;
           best = cur;
-          best_prev = prev;
+          best_slot = &c;
         }
+        cur = c.wnext;
       }
-      const std::uint64_t t_min = pool_[best].time;
+      const std::uint64_t t_min = best_slot->time;
       if (static_cast<TimeNs>(t_min) > t_end) {
         reached_end = true;
         break;
@@ -329,20 +324,10 @@ void EventLoop::run_until(TimeNs t_end) {
 
       if (!have_fired || t_min != last_fired_time) {
         // Distinct-deadline fast path (the PR 2 per-event drain).
-        const std::uint64_t id = pool_[best].id;
-        if (best_prev == kNilNode) {
-          bucket_head_[b] = pool_[best].next;
-        } else {
-          pool_[best_prev].next = pool_[best].next;
-        }
-        pool_[best].next = node_free_;
-        node_free_ = best;
-        --wheel_count_;
-        Slot& slot = slot_ref(static_cast<std::uint32_t>(id & kSlotMask));
-        if (slot.pending_id != id) continue;  // cancelled / rescheduled
+        wheel_unlink(best, *best_slot, b);
         have_fired = true;
         last_fired_time = t_min;
-        fire_slot(slot, id, static_cast<TimeNs>(t_min));
+        fire_slot(best, static_cast<TimeNs>(t_min));
         if (processed_ >= budget_check_next_) check_budget();
         continue;
       }
@@ -351,33 +336,18 @@ void EventLoop::run_until(TimeNs t_end) {
       // event just fired through the fast path above).  Extract the rest.
       batch_.clear();
       {
-        // Pass 2: unlink the whole run.  Tombstones (cancelled or
-        // rescheduled ids) are dropped here; live entries are marked
-        // extracted so cancel/reschedule from inside a batch callback
-        // know the wheel no longer holds them.
-        std::uint32_t prev = kNilNode;
+        // Pass 2: unlink the whole run, marking each slot kInBatch so
+        // cancel/reschedule from inside a batch callback know the wheel
+        // no longer holds it.
         std::uint32_t cur = bucket_head_[b];
-        while (cur != kNilNode) {
-          const std::uint32_t next = pool_[cur].next;
-          if (pool_[cur].time == t_min) {
-            const std::uint64_t id = pool_[cur].id;
-            if (prev == kNilNode) {
-              bucket_head_[b] = next;
-            } else {
-              pool_[prev].next = next;
-            }
-            pool_[cur].next = node_free_;
-            node_free_ = cur;
-            --wheel_count_;
-            Slot& slot =
-                slot_ref(static_cast<std::uint32_t>(id & kSlotMask));
-            if (slot.pending_id == id) {
-              slot.extracted = true;
-              // detlint:allow(R5): batch_ is reused; no alloc past high-water
-              batch_.push_back(id);
-            }
-          } else {
-            prev = cur;
+        while (cur != kNoSlot) {
+          Slot& c = slot_ref(cur);
+          const std::uint32_t next = c.wnext;
+          if (c.time == t_min) {
+            wheel_unlink(cur, c, b);
+            c.wprev = kInBatch;
+            // detlint:allow(R5): batch_ is reused; no alloc past high-water
+            batch_.push_back(c.pending_id);
           }
           cur = next;
         }
@@ -388,27 +358,23 @@ void EventLoop::run_until(TimeNs t_end) {
 
       for (std::size_t i = 0; i < batch_.size(); ++i) {
         const std::uint64_t id = batch_[i];
-        Slot& slot = slot_ref(static_cast<std::uint32_t>(id & kSlotMask));
-        if (slot.pending_id != id) continue;  // cancelled mid-batch
-        fire_slot(slot, id, static_cast<TimeNs>(t_min));
+        const auto s = static_cast<std::uint32_t>(id & kSlotMask);
+        if (slot_ref(s).pending_id != id) continue;  // cancelled mid-batch
+        fire_slot(s, static_cast<TimeNs>(t_min));
         if (processed_ >= budget_check_next_) check_budget();
         if (stopped_) {
           // stop() mid-run: re-link the unfired remainder so it is still
           // pending for the next run_until call.
           for (std::size_t j = i + 1; j < batch_.size(); ++j) {
             const std::uint64_t rid = batch_[j];
-            Slot& rslot =
-                slot_ref(static_cast<std::uint32_t>(rid & kSlotMask));
+            const auto rs = static_cast<std::uint32_t>(rid & kSlotMask);
+            Slot& rslot = slot_ref(rs);
             if (rslot.pending_id != rid) continue;
-            rslot.extracted = false;
-            wheel_insert(static_cast<TimeNs>(t_min), rid, cursor_);
+            wheel_insert(rs, rslot, cursor_);
           }
           break;
         }
       }
-    }
-    if (bucket_head_[b] == kNilNode) {
-      occ_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
     }
     if (reached_end) break;
   }
@@ -432,8 +398,7 @@ void EventLoop::attach_metrics(obs::MetricsRegistry* m) {
   obs_batch_size_ = m->histogram("loop.batch_size");
 }
 
-void Timer::arm(TimeNs at, EventLoop::Callback cb) {
-  cb_ = std::move(cb);
+void Timer::arm(TimeNs at) {
   deadline_ = at;
   if (armed_) {
     // Fast path: keep the slot and trampoline, move only the queue entry.
@@ -448,15 +413,12 @@ void Timer::cancel() {
   if (armed_) {
     loop_->cancel(pending_);
     armed_ = false;
-    cb_.reset();
   }
 }
 
 void Timer::fire() {
   armed_ = false;
-  // Move out before invoking: the callback may re-arm this timer.
-  EventLoop::Callback cb = std::move(cb_);
-  cb();
+  action_();  // in place: arming touches only the deadline and the slot
 }
 
 }  // namespace nimbus::sim

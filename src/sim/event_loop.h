@@ -8,32 +8,39 @@
 //    inline with direct function-pointer dispatch and no destructor work,
 //    so steady-state scheduling performs no heap allocation; anything
 //    larger or non-trivially-copyable falls back to a heap cell.
-//  * Pending events live in slots allocated in fixed 512-entry chunks
-//    (stable addresses, recycled through an intrusive free list), so the
-//    loop can invoke a callback in place — no per-event move of the
-//    callable.  Each slot remembers the id of the event it currently
-//    holds; a stale id simply fails that comparison, which makes cancel()
-//    an O(1) store (the queue entry is left behind as a tombstone and
-//    dropped lazily when reached — the cost profile of the seed's
-//    hash-map erase, without the hash map).
+//  * Each pending event has one slot index.  Its scheduling state (time,
+//    id, bucket links, far-heap anchor) is a 32-byte entry in one dense
+//    array, so the bucket scan, insert and unlink stay within a few cache
+//    lines.  Its callback sits at the same index in fixed 512-entry chunks
+//    (stable addresses), so the loop can invoke it in place — no per-event
+//    move of the callable.  Freed indices are recycled through an
+//    intrusive free list.  Each slot remembers the id of the event it
+//    currently holds; a stale id simply fails that comparison.
 //  * The ready queue is a timing wheel (16384 buckets of 8.2 us; ~134 ms
 //    horizon) backed by an implicit 4-ary min-heap for events beyond the
 //    horizon.  Wheel insertion is O(1) radix bucketing with no
 //    comparisons — the cost that dominates a comparison heap on random
 //    deadlines is branch misprediction, which the wheel sidesteps
 //    entirely.  Far events migrate into the wheel as the window slides.
-//  * Every entry carries one 128-bit key packing (time, seq, slot); seq is
-//    a global monotone counter assigned per schedule call, so events fire
-//    in exactly the seed implementation's (time, id) order — same-time
-//    events in FIFO scheduling order, keeping simulation output
+//  * The wheel is intrusive: a near event's slot is its bucket node,
+//    doubly linked to its bucket neighbours by slot index, and the drain
+//    scans the slot's own (time, id).  cancel() and reschedule() unlink a
+//    near event in O(1), which keeps every bucket tombstone-free: each
+//    wheel entry is exactly one live pending event, however often a
+//    per-ACK timer is re-armed.
+//  * Every event is ordered by one 128-bit key packing (time, seq, slot);
+//    seq is a global monotone counter assigned per schedule call, so
+//    events fire in exactly the seed implementation's (time, id) order —
+//    same-time events in FIFO scheduling order, keeping simulation output
 //    bit-identical.  A bucket is drained by unlinking its entire
 //    earliest-time run in one pass and firing it in seq order (one scan +
 //    sort per run, not one scan per event), so a k-event same-time burst —
 //    a phase start waking every flow at once — costs O(k log k) instead of
 //    the O(k^2) repeated min-extraction.
-//  * Timer has a rearm fast path: while armed, re-arming keeps the slot
-//    and the trampoline callback and only re-enqueues the 16-byte entry
-//    (reschedule()), so per-ACK RTO rearming touches no callback storage.
+//  * A Timer binds its action once, at construction; arming moves only
+//    the deadline.  While armed, re-arming keeps the slot and its 8-byte
+//    trampoline and only moves the slot between buckets (reschedule()),
+//    so per-ACK RTO rearming touches no callback storage.
 //  * Re-arming a far event to a deadline no earlier than its current one
 //    is O(1): the slot's existing far-heap entry stays put as its
 //    *anchor* and reschedule() only updates the slot's pending id and
@@ -176,12 +183,12 @@ class EventLoop {
   template <typename F>
   EventId schedule(TimeNs t, F&& cb) {
     const std::uint32_t s = acquire_slot(t);
+    callback_ref(s).emplace<F>(std::forward<F>(cb));
     Slot& slot = slot_ref(s);
-    slot.cb.emplace<F>(std::forward<F>(cb));
     const EventId id = make_event_id(s);
     slot.pending_id = id;
     slot.time = static_cast<std::uint64_t>(t);
-    enqueue_entry(t, id);
+    enqueue_entry(s, slot);
     ++live_;
     return id;
   }
@@ -245,6 +252,8 @@ class EventLoop {
   static constexpr std::uint32_t kSlotBits = 20;
   static constexpr std::uint32_t kSlotMask = (1u << kSlotBits) - 1;
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+  // Slot::wprev of an event in the drain batch (unlinked, not yet fired).
+  static constexpr std::uint32_t kInBatch = 0xfffffffeu;
   static constexpr std::size_t kChunkShift = 9;  // 512 slots per chunk
   static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkShift;
 
@@ -261,36 +270,43 @@ class EventLoop {
   // One 128-bit key = [time : 64][seq : 44][slot : 20]: a single unsigned
   // compare orders by (time, seq) — a strict total order (seq is unique),
   // so extraction follows exactly the seed implementation's (time, id)
-  // order; the slot rides along for free.
+  // order; the slot rides along for free.  Far-heap entries store it; a
+  // wheel bucket builds it from each slot's fields (slot_key).
   struct Entry {
     unsigned __int128 key;
   };
-  static unsigned __int128 pack_key(TimeNs t, std::uint64_t id) {
-    return static_cast<unsigned __int128>(static_cast<std::uint64_t>(t))
-               << 64 |
-           id;
-  }
   static TimeNs time_of(unsigned __int128 key) {
     return static_cast<TimeNs>(static_cast<std::uint64_t>(key >> 64));
   }
 
+  // A pending event's scheduling state: everything the bucket scan,
+  // insert, unlink and far re-arm touch, kept dense (two per cache line).
   struct Slot {
-    Callback cb;
-    std::uint64_t pending_id = 0;    // 0 = empty/free
     std::uint64_t time = 0;          // deadline of the pending event
+    std::uint64_t pending_id = 0;    // 0 = empty/free
+    // Bucket links (slot indices) of a near pending event: wnext is the
+    // next slot in its bucket (kNoSlot at the tail), wprev the previous
+    // one (kNoSlot at the head, kInBatch while the event sits in the drain
+    // batch).  A free slot links the free list through wnext.  Far events
+    // are in no bucket, and their links are unused.
+    std::uint32_t wnext = kNoSlot;
+    std::uint32_t wprev = kNoSlot;
     // Id of the far-heap entry standing in for the pending event, or 0.
     // Nonzero only while the pending (time, id) key itself is in neither
     // the wheel nor the heap; the anchor's time is <= `time`.
     std::uint64_t anchor_id = 0;
-    std::uint32_t next_free = kNoSlot;
-    // True while the event sits in the drain batch (unlinked from its
-    // bucket but not yet fired): cancel/reschedule must not try to unlink
-    // it from the wheel again.
-    bool extracted = false;
   };
+  static_assert(sizeof(Slot) == 32, "a slot is half a cache line");
+  // The (time, id) key of a slot's pending event.
+  static unsigned __int128 slot_key(const Slot& slot) {
+    return static_cast<unsigned __int128>(slot.time) << 64 | slot.pending_id;
+  }
 
-  Slot& slot_ref(std::uint32_t s) {
-    return chunks_[s >> kChunkShift][s & (kChunkSize - 1)];
+  // A slot reference is invalidated by any schedule() (the array may
+  // grow), so none is held across a callback.
+  Slot& slot_ref(std::uint32_t s) { return slots_[s]; }
+  Callback& callback_ref(std::uint32_t s) {
+    return callbacks_[s >> kChunkShift][s & (kChunkSize - 1)];
   }
 
   EventId make_event_id(std::uint32_t s) {
@@ -312,49 +328,37 @@ class EventLoop {
   // Fires a due event in place: advances now_ to `t`, retires the id, and
   // invokes the callback in its slot (shared by the drain's
   // distinct-deadline fast path and the equal-time batch loop).
-  void fire_slot(Slot& slot, std::uint64_t id, TimeNs t);
-
-  // Wheel entries are 24-byte nodes in a pooled arena, linked into their
-  // bucket.  The pool's high-water mark tracks the maximum number of
-  // concurrently pending near events — not which buckets simulated time
-  // happens to visit — so steady-state insertion allocates nothing no
-  // matter how far the clock advances.
-  struct Node {
-    std::uint64_t time;
-    std::uint64_t id;
-    std::uint32_t next;
-  };
-  static unsigned __int128 node_key(const Node& n) {
-    return static_cast<unsigned __int128>(n.time) << 64 | n.id;
-  }
-  static constexpr std::uint32_t kNilNode = 0xffffffffu;
+  void fire_slot(std::uint32_t s, TimeNs t);
 
   // --- ready queue (wheel + far heap) ---
-  void enqueue_entry(TimeNs t, std::uint64_t id);
+  // Queues slot `s`'s pending (time, id): links it into its wheel bucket,
+  // or pushes its key onto the far heap.
+  void enqueue_entry(std::uint32_t s, Slot& slot);
   // True if a pending event due at `t` lives in the far heap (directly or
   // through its slot's anchor) rather than in the wheel.
   bool in_far_heap(std::uint64_t t) const {
     return (t >> kBucketShift) >= cursor_ + kWheelSize;
   }
-  void wheel_insert(TimeNs t, std::uint64_t id, std::uint64_t abs_bucket);
-  void wheel_unlink_if_near(const Slot& slot, std::uint64_t id);
+  void wheel_insert(std::uint32_t s, Slot& slot, std::uint64_t abs_bucket);
+  // O(1) unlink of slot `s` from its bucket `b` (wheel position).
+  void wheel_unlink(std::uint32_t s, Slot& slot, std::uint64_t b);
+  void wheel_unlink_if_near(std::uint32_t s, Slot& slot);
   std::uint64_t next_nonempty_bucket() const;  // needs wheel_count_ > 0
   void pull_far_into_window();
   void heap_push(Entry e);
   void heap_pop_min();
 
-  std::vector<Node> pool_;            // wheel-node arena (index-linked)
   std::vector<std::uint64_t> batch_;  // equal-time drain batch (reused)
-  std::uint32_t node_free_ = kNilNode;
-  std::array<std::uint32_t, kWheelSize> bucket_head_;  // kNilNode = empty
+  std::array<std::uint32_t, kWheelSize> bucket_head_;  // slot; kNoSlot = empty
   std::array<std::uint64_t, kOccWords> occ_{};  // non-empty-bucket bitmap
   std::uint64_t cursor_ = 0;     // absolute index of the window's first bucket
   std::size_t wheel_count_ = 0;  // entries currently in the wheel
   std::vector<Entry> heap_;      // implicit 4-ary min-heap of far events
 
-  // Fixed-size chunks give slots stable addresses, so callbacks are
-  // invoked in place even if the pool grows mid-callback.
-  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  std::vector<Slot> slots_;  // indexed by slot; grows a chunk at a time
+  // Callbacks, by slot, in fixed-size chunks: stable addresses, so each
+  // is invoked in place even if the pool grows mid-callback.
+  std::vector<std::unique_ptr<Callback[]>> callbacks_;
   std::uint32_t free_head_ = kNoSlot;
   std::uint32_t total_slots_ = 0;
   std::size_t live_ = 0;
@@ -380,23 +384,24 @@ class EventLoop {
   obs::Histogram obs_batch_size_;
 };
 
-/// A single rearmable timer (e.g. an RTO).  Re-arming cancels the previous
-/// schedule; fire() is invoked at most once per arm.  The user callback is
-/// stored in the timer itself and the loop only holds an 8-byte trampoline,
-/// so arming never allocates; re-arming while armed reuses the pending
-/// slot via EventLoop::reschedule.
+/// A single rearmable timer (e.g. an RTO) with an action bound once, at
+/// construction.  Arming sets only the deadline; re-arming while armed
+/// moves it, so the action runs at most once per arm, at the last
+/// deadline set.  The loop holds an 8-byte trampoline and the action is
+/// invoked in place (it may re-arm the timer), so arming never allocates;
+/// re-arming while armed reuses the pending slot via
+/// EventLoop::reschedule.
 class Timer {
  public:
-  explicit Timer(EventLoop* loop) : loop_(loop) {}
+  Timer(EventLoop* loop, EventLoop::Callback action)
+      : loop_(loop), action_(std::move(action)) {}
   ~Timer() { cancel(); }
 
   Timer(const Timer&) = delete;
   Timer& operator=(const Timer&) = delete;
 
-  void arm(TimeNs at, EventLoop::Callback cb);
-  void arm_in(TimeNs delay, EventLoop::Callback cb) {
-    arm(loop_->now() + delay, std::move(cb));
-  }
+  void arm(TimeNs at);
+  void arm_in(TimeNs delay) { arm(loop_->now() + delay); }
   void cancel();
   bool armed() const { return armed_; }
   TimeNs deadline() const { return deadline_; }
@@ -409,7 +414,7 @@ class Timer {
   void fire();
 
   EventLoop* loop_;
-  EventLoop::Callback cb_;
+  EventLoop::Callback action_;
   EventId pending_ = 0;
   bool armed_ = false;
   TimeNs deadline_ = 0;

@@ -4,26 +4,20 @@
 
 namespace nimbus::sim {
 
-void RateSampler::grow() {
-  std::size_t cap = ring_.empty() ? 64 : ring_.size() * 2;
-  std::vector<Sample> next(cap);
-  const std::uint64_t nmask = cap - 1;
-  // Live samples occupy global indices [next_ - size, next_).
-  const std::uint64_t size = next_ < ring_.size() ? next_ : ring_.size();
-  for (std::uint64_t i = next_ - size; i < next_; ++i) {
-    next[i & nmask] = ring_[i & mask_];
-  }
-  ring_ = std::move(next);
-  mask_ = nmask;
+void RateSampler::next_chunk() {
+  std::unique_ptr<Sample[]>& chunk =
+      chunks_[(next_ >> kChunkShift) & (kChunks - 1)];
+  // Default-initialized: every sample is written before it is read.
+  if (chunk == nullptr) chunk.reset(new Sample[kChunkSamples]);
+  write_ = chunk.get();
 }
 
 // NIMBUS_HOT_PATH begin
 void RateSampler::on_ack(TimeNs sent_at, TimeNs acked_at,
                          std::uint32_t bytes) {
-  // detlint:allow(R5): doubling growth, capped at kMaxHistory slots
-  if (next_ >= ring_.size() && ring_.size() < kMaxHistory) grow();
+  if ((next_ & (kChunkSamples - 1)) == 0) next_chunk();
   cum_bytes_ += bytes;
-  ring_[next_ & mask_] = {sent_at, acked_at, cum_bytes_};
+  write_[next_ & (kChunkSamples - 1)] = {sent_at, acked_at, cum_bytes_};
   ++next_;
 }
 
@@ -35,8 +29,8 @@ RateSampler::Rates RateSampler::rates(std::size_t n_packets) const {
   // Eq. (2): n_bytes spans the n-1 inter-packet gaps between the first and
   // last sample of the window, so it sums the bytes of packets after the
   // first — exactly the difference of the two running totals.
-  const Sample& a = ring_[(next_ - n_packets) & mask_];
-  const Sample& b = ring_[(next_ - 1) & mask_];
+  const Sample& a = at(next_ - n_packets);
+  const Sample& b = at(next_ - 1);
   const auto n_bytes = static_cast<std::int64_t>(b.cum_bytes - a.cum_bytes);
   const TimeNs send_span = b.sent_at - a.sent_at;
   const TimeNs recv_span = b.acked_at - a.acked_at;

@@ -15,15 +15,19 @@
 // power-of-two ring indexed by the global ack count, and each sample
 // carries the running total of acked bytes: n_bytes over any window is one
 // subtraction of two exact integer prefix sums instead of the reference
-// implementation's O(n) re-summation.  The ring doubles until the 16384-
-// sample history cap, after which on_ack overwrites the oldest slot —
-// steady state touches no heap and rates() is O(1).  Results are
-// bit-identical to a deque that re-sums the window on every query
-// (tests/transport_ring_test.cc holds that reference and checks it).
+// implementation's O(n) re-summation.  The ring is a fixed array of 16
+// pointers to 1024-sample (24 KB) chunks: a new flow's history grows one
+// chunk at a time up to the 16384-sample cap, moving no samples and never
+// asking for a block big enough for malloc to mmap, and after the cap
+// on_ack overwrites the oldest sample — steady state touches no heap and
+// rates() is O(1).  Results are bit-identical to a deque that re-sums the
+// window on every query (tests/transport_ring_test.cc holds that reference
+// and checks it).
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <vector>
+#include <memory>
 
 #include "util/time.h"
 
@@ -62,10 +66,27 @@ class RateSampler {
     std::uint64_t cum_bytes;  // total acked bytes through this sample
   };
 
-  void grow();
+  static constexpr std::size_t kChunkShift = 10;
+  static constexpr std::size_t kChunkSamples = std::size_t{1}
+                                               << kChunkShift;
+  static constexpr std::size_t kChunks = kMaxHistory / kChunkSamples;
+  static_assert(kChunks * kChunkSamples == kMaxHistory &&
+                    (kChunks & (kChunks - 1)) == 0,
+                "the chunk ring must be a power of two covering the cap");
 
-  std::vector<Sample> ring_;  // power-of-two size (or empty before first ack)
-  std::uint64_t mask_ = 0;
+  // The sample with global index i (one of the last kMaxHistory).
+  const Sample& at(std::uint64_t i) const {
+    return chunks_[(i >> kChunkShift) & (kChunks - 1)]
+                  [i & (kChunkSamples - 1)];
+  }
+  // Points write_ at the chunk that sample next_ opens, allocating the
+  // chunk the first time the history reaches it.
+  void next_chunk();
+
+  // Chunk k holds global indices i with (i >> kChunkShift) % kChunks == k;
+  // chunks are allocated in order as the history first reaches them.
+  std::array<std::unique_ptr<Sample[]>, kChunks> chunks_;
+  Sample* write_ = nullptr;  // the chunk holding sample next_
   std::uint64_t next_ = 0;  // global index of the next sample
   std::uint64_t cum_bytes_ = 0;
 };

@@ -35,10 +35,10 @@ TransportFlow::TransportFlow(EventLoop* loop, BottleneckLink* link,
       cfg_(config),
       cc_(std::move(cc)),
       rng_(config.seed),
-      rto_timer_(loop),
-      pacing_timer_(loop),
-      report_timer_(loop),
-      stop_timer_(loop) {
+      rto_timer_(loop, [this]() { on_rto_fired(); }),
+      pacing_timer_(loop, [this]() { maybe_send(); }),
+      report_timer_(loop, [this]() { report_tick(); }),
+      stop_timer_(loop, [this]() { app_bytes_remaining_ = 0; }) {
   static_assert(sizeof(AckArrival) <= EventCallback::kInlineBytes,
                 "ACK delivery must fit the inline callback buffer");
   NIMBUS_CHECK(cc_ != nullptr);
@@ -59,9 +59,9 @@ void TransportFlow::begin() {
   started_ = true;
   cc_->init(*this);
   if (cfg_.stop_time != std::numeric_limits<TimeNs>::max()) {
-    stop_timer_.arm(cfg_.stop_time, [this]() { app_bytes_remaining_ = 0; });
+    stop_timer_.arm(cfg_.stop_time);
   }
-  report_timer_.arm_in(kReportInterval, [this]() { report_tick(); });
+  report_timer_.arm_in(kReportInterval);
   maybe_send();
 }
 
@@ -121,7 +121,7 @@ void TransportFlow::maybe_send() {
     if (pacing_rate_bps_ > 0) {
       const TimeNs t = loop_->now();
       if (t < next_send_time_) {
-        pacing_timer_.arm(next_send_time_, [this]() { maybe_send(); });
+        pacing_timer_.arm(next_send_time_);
         return;
       }
       send_one();
@@ -322,7 +322,7 @@ void TransportFlow::arm_or_cancel_rto() {
     rto_timer_.cancel();
     return;
   }
-  rto_timer_.arm_in(current_rto(), [this]() { on_rto_fired(); });
+  rto_timer_.arm_in(current_rto());
 }
 
 void TransportFlow::on_rto_fired() {
@@ -386,7 +386,7 @@ void TransportFlow::report_tick() {
 
   cc_->on_report(*this, r);
   maybe_send();  // the report may have changed cwnd / pacing
-  report_timer_.arm_in(kReportInterval, [this]() { report_tick(); });
+  report_timer_.arm_in(kReportInterval);
 }
 
 void TransportFlow::check_completion() {

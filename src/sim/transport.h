@@ -223,10 +223,11 @@ class TransportFlow : public CcContext {
   TimeNs min_rtt_ = std::numeric_limits<TimeNs>::max();
   bool have_rtt_ = false;
 
-  Timer rto_timer_;
-  Timer pacing_timer_;
-  Timer report_timer_;
-  Timer stop_timer_;
+  // Each timer's action is bound in the constructor.
+  Timer rto_timer_;       // on_rto_fired
+  Timer pacing_timer_;    // maybe_send
+  Timer report_timer_;    // report_tick
+  Timer stop_timer_;      // the app stops offering data
   int rto_backoff_ = 0;
 
   RateSampler sampler_;

@@ -7,7 +7,11 @@
 #include <atomic>
 #include <cstdlib>
 #include <functional>
+#include <iterator>
+#include <map>
 #include <new>
+#include <set>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -250,28 +254,38 @@ TEST(EventCoreTest, SlotPoolIsRecycled) {
 TEST(TimerTest, RearmWhileArmedMovesDeadline) {
   EventLoop loop;
   int fired = 0;
-  Timer t(&loop);
-  t.arm(from_ms(10), [&fired]() { fired += 1; });
-  t.arm(from_ms(30), [&fired]() { fired += 100; });  // fast path: rearm
+  TimeNs fired_at = -1;
+  Timer t(&loop, [&]() {
+    ++fired;
+    fired_at = loop.now();
+  });
+  t.arm(from_ms(10));
+  t.arm(from_ms(30));  // fast path: rearm
   EXPECT_TRUE(t.armed());
   EXPECT_EQ(t.deadline(), from_ms(30));
   loop.run_until(from_ms(20));
   EXPECT_EQ(fired, 0);  // first arm was superseded
   loop.run_until(from_ms(40));
-  EXPECT_EQ(fired, 100);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(fired_at, from_ms(30));
   EXPECT_FALSE(t.armed());
 }
 
 TEST(TimerTest, RearmFromInsideCallback) {
   EventLoop loop;
   int ticks = 0;
-  Timer t(&loop);
-  std::function<void()> tick = [&]() {
-    if (++ticks < 5) t.arm_in(from_ms(10), tick);
-  };
-  t.arm_in(from_ms(10), tick);
+  std::vector<TimeNs> ticked_at;
+  Timer t(&loop, [&]() {
+    ticked_at.push_back(loop.now());
+    if (++ticks < 5) t.arm_in(from_ms(10));
+  });
+  t.arm_in(from_ms(10));
   loop.run_until(from_sec(1));
   EXPECT_EQ(ticks, 5);
+  EXPECT_EQ(ticked_at, (std::vector<TimeNs>{from_ms(10), from_ms(20),
+                                            from_ms(30), from_ms(40),
+                                            from_ms(50)}));
+  EXPECT_FALSE(t.armed());
 }
 
 TEST(TimerTest, CancelRearmStress) {
@@ -301,13 +315,14 @@ TEST(TimerTest, CancelRearmStress) {
   };
   EventLoop loop;
   util::Rng rng(1234);
-  std::vector<std::unique_ptr<Timer>> timers;
-  for (int i = 0; i < kTimers; ++i) {
-    timers.push_back(std::make_unique<Timer>(&loop));
-  }
-  std::vector<ModelTimer> model(kTimers);
   std::vector<Firing> fired;
   std::vector<Firing> expected;
+  std::vector<std::unique_ptr<Timer>> timers;
+  for (int i = 0; i < kTimers; ++i) {
+    timers.push_back(std::make_unique<Timer>(
+        &loop, [&fired, &loop, i]() { fired.push_back({i, loop.now()}); }));
+  }
+  std::vector<ModelTimer> model(kTimers);
   std::uint64_t arms = 0;
 
   const auto random_ops = [&](int count, TimeNs max_delay, TimeNs grid) {
@@ -319,9 +334,7 @@ TEST(TimerTest, CancelRearmStress) {
         continue;
       }
       const TimeNs delay = grid * rng.uniform_int(1, max_delay / grid);
-      timers[i]->arm_in(delay, [&fired, &loop, i]() {
-        fired.push_back({static_cast<int>(i), loop.now()});
-      });
+      timers[i]->arm_in(delay);
       model[i] = {true, loop.now() + delay, ++arms};
     }
   };
@@ -379,9 +392,12 @@ TEST(TimerTest, FarRearmKeepsOneHeapAnchor) {
   loop.attach_metrics(&metrics);
   const obs::Counter heap_inserts = metrics.counter("loop.far_heap_inserts");
 
-  Timer rto(&loop);
   int rto_fires = 0;
   TimeNs rto_fired_at = -1;
+  Timer rto(&loop, [&]() {
+    ++rto_fires;
+    rto_fired_at = loop.now();
+  });
   int other_fires = 0;
   TimeNs other_fired_at = -1;
   TimeNs other_deadline = 0;
@@ -397,10 +413,7 @@ TEST(TimerTest, FarRearmKeepsOneHeapAnchor) {
         other_fired_at = loop.now();
       });
     }
-    rto.arm_in(from_ms(200), [&]() {
-      ++rto_fires;
-      rto_fired_at = loop.now();
-    });
+    rto.arm_in(from_ms(200));
     last_deadline = rto.deadline();
   };
   loop.schedule_in(kAckGap, [&on_ack]() { on_ack(); });
@@ -413,6 +426,185 @@ TEST(TimerTest, FarRearmKeepsOneHeapAnchor) {
   EXPECT_EQ(other_fires, 1);
   EXPECT_EQ(other_fired_at, other_deadline);
   EXPECT_EQ(loop.pending_events(), 0u);
+}
+
+// Churn inside one wheel bucket: hundreds of events due within one
+// 2^13 ns (~8.2 us) bucket, half on a coarse grid of shared deadlines and
+// half at distinct ns.  Every firing cancels, reschedules or adds events:
+// the bucket's head (its newest insert), its tail (its oldest), its
+// middle, and later members of the current equal-time run, which the
+// drain may already hold in its batch.  Now and then a callback calls
+// stop() mid-run and the test resumes the run.  Every firing must be the
+// smallest (time, seq) of a reference model, where seq counts schedule
+// and reschedule calls.
+class SameBucketModel {
+ public:
+  static constexpr TimeNs kBucketNs = TimeNs{1} << 13;
+  static constexpr TimeNs kBase = 1000 * kBucketNs;  // a bucket boundary
+  static constexpr TimeNs kEnd = kBase + kBucketNs - 1;
+  static constexpr int kInitial = 300;
+  static constexpr int kMaxScheduled = 3000;
+
+  SameBucketModel() {
+    for (int i = 0; i < kInitial; ++i) add();
+  }
+
+  // Runs to the end of the bucket, resuming after each stop().  A lost
+  // event would stay pending without ever firing: fail instead of spin.
+  void run() {
+    while (!failed_ && loop_.pending_events() > 0) {
+      const std::uint64_t before = loop_.processed_events();
+      loop_.run_until(kEnd);
+      if (loop_.processed_events() == before) {
+        ADD_FAILURE() << loop_.pending_events()
+                      << " pending events that never fire";
+        return;
+      }
+    }
+  }
+
+  int fired() const { return fired_; }
+  int same_time_firings() const { return same_time_firings_; }
+  int stops() const { return stops_; }
+  int scheduled() const { return next_tag_; }
+  int cancelled() const { return cancelled_; }
+  std::size_t model_pending() const { return pending_.size(); }
+  std::size_t loop_pending() const { return loop_.pending_events(); }
+
+ private:
+  struct Pending {
+    TimeNs time;
+    std::uint64_t seq;
+    EventId id;
+  };
+  struct Fire {
+    SameBucketModel* model;
+    int tag;
+    void operator()() const { model->on_fire(tag); }
+  };
+
+  TimeNs deadline() {
+    const TimeNs lo = std::max(loop_.now(), kBase);
+    if (rng_.uniform() < 0.5) {
+      // One of 16 shared deadlines, or now when it is already past.
+      return std::max(lo, kBase + 512 * rng_.uniform_int(0, 15));
+    }
+    return lo + rng_.uniform_int(0, kEnd - lo);
+  }
+
+  void track(int tag, TimeNs t, EventId id) {
+    pending_[tag] = {t, ++seq_, id};
+    order_.emplace(t, seq_, tag);
+    by_seq_[seq_] = tag;
+  }
+
+  void untrack(int tag) {
+    const Pending p = pending_.at(tag);
+    order_.erase({p.time, p.seq, tag});
+    by_seq_.erase(p.seq);
+    pending_.erase(tag);
+  }
+
+  void add() {
+    const int tag = next_tag_++;
+    const TimeNs t = deadline();
+    track(tag, t, loop_.schedule(t, Fire{this, tag}));
+  }
+
+  // A pending event to cancel or move: the bucket's head, tail or middle
+  // (bucket order is (re)schedule order, newest first), or a later member
+  // of the equal-time run now firing.
+  int victim() {
+    switch (rng_.uniform_int(0, 3)) {
+      case 0:
+        return by_seq_.rbegin()->second;
+      case 1:
+        return by_seq_.begin()->second;
+      case 2: {
+        auto it = by_seq_.begin();
+        std::advance(it, static_cast<std::ptrdiff_t>(by_seq_.size() / 2));
+        return it->second;
+      }
+      default: {
+        std::vector<int> run;
+        for (auto it = order_.begin();
+             it != order_.end() && std::get<0>(*it) == loop_.now(); ++it) {
+          run.push_back(std::get<2>(*it));
+        }
+        if (run.empty()) return by_seq_.begin()->second;
+        return run[static_cast<std::size_t>(rng_.uniform_int(
+            0, static_cast<std::int64_t>(run.size()) - 1))];
+      }
+    }
+  }
+
+  void on_fire(int tag) {
+    if (failed_) return;
+    ++fired_;
+    if (order_.empty() || std::get<2>(*order_.begin()) != tag ||
+        std::get<0>(*order_.begin()) != loop_.now()) {
+      ADD_FAILURE() << "firing #" << fired_ << ": got tag " << tag << " at "
+                    << loop_.now() << ", model expects "
+                    << (order_.empty() ? -1 : std::get<2>(*order_.begin()));
+      failed_ = true;  // stop at the first divergence
+      loop_.stop();
+      return;
+    }
+    if (loop_.now() == last_fired_at_) ++same_time_firings_;
+    last_fired_at_ = loop_.now();
+    untrack(tag);
+
+    if (next_tag_ < kMaxScheduled) add();  // keep the bucket populated
+    const auto ops = rng_.uniform_int(0, 3);
+    for (std::int64_t k = 0; k < ops; ++k) {
+      const double u = rng_.uniform();
+      if (u < 0.4) {
+        if (next_tag_ < kMaxScheduled) add();
+        continue;
+      }
+      if (pending_.empty()) continue;
+      const int v = victim();
+      const EventId id = pending_.at(v).id;
+      untrack(v);
+      if (u < 0.7) {
+        loop_.cancel(id);
+        ++cancelled_;
+      } else {
+        const TimeNs nt = deadline();
+        track(v, nt, loop_.reschedule(id, nt));
+      }
+    }
+    if (rng_.uniform() < 0.01) {
+      loop_.stop();
+      ++stops_;
+    }
+  }
+
+  EventLoop loop_;
+  util::Rng rng_{77};
+  std::uint64_t seq_ = 0;
+  std::map<int, Pending> pending_;                            // by tag
+  std::set<std::tuple<TimeNs, std::uint64_t, int>> order_;    // fire order
+  std::map<std::uint64_t, int> by_seq_;                       // seq -> tag
+  int next_tag_ = 0;
+  int fired_ = 0;
+  bool failed_ = false;
+  int same_time_firings_ = 0;
+  int stops_ = 0;
+  int cancelled_ = 0;
+  TimeNs last_fired_at_ = -1;
+};
+
+TEST(EventCoreTest, SameBucketChurnMatchesModel) {
+  SameBucketModel m;
+  m.run();
+  EXPECT_EQ(m.model_pending(), 0u);
+  EXPECT_EQ(m.loop_pending(), 0u);
+  EXPECT_EQ(m.fired() + m.cancelled(), m.scheduled());
+  EXPECT_EQ(m.scheduled(), SameBucketModel::kMaxScheduled);
+  // The churn exercised equal-time runs and mid-run stops.
+  EXPECT_GT(m.same_time_firings(), 100);
+  EXPECT_GT(m.stops(), 5);
 }
 
 // --- zero-allocation guarantee -----------------------------------------
@@ -444,12 +636,12 @@ TEST(EventCoreTest, SteadyStateSchedulingDoesNotAllocate) {
 
 TEST(EventCoreTest, TimerRearmDoesNotAllocate) {
   EventLoop loop;
-  Timer t(&loop);
   std::uint64_t fired = 0;
+  Timer t(&loop, [&fired]() { ++fired; });
   const auto pattern = [&]() {
     for (int i = 0; i < 256; ++i) {
       // Typical RTO usage: rearm while armed on every ACK.
-      t.arm_in(from_ms(200), [&fired]() { ++fired; });
+      t.arm_in(from_ms(200));
     }
     loop.run_until(loop.now() + from_sec(1));
   };

@@ -71,19 +71,24 @@ TEST(EventLoopTest, RunUntilStopsAtBoundary) {
 
 TEST(TimerTest, RearmCancelsPrevious) {
   EventLoop loop;
-  Timer t(&loop);
   int fired = 0;
-  t.arm(from_ms(10), [&]() { fired += 1; });
-  t.arm(from_ms(20), [&]() { fired += 10; });
+  TimeNs fired_at = -1;
+  Timer t(&loop, [&]() {
+    ++fired;
+    fired_at = loop.now();
+  });
+  t.arm(from_ms(10));
+  t.arm(from_ms(20));
   loop.run();
-  EXPECT_EQ(fired, 10);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(fired_at, from_ms(20));
 }
 
 TEST(TimerTest, CancelWorks) {
   EventLoop loop;
-  Timer t(&loop);
   bool fired = false;
-  t.arm(from_ms(10), [&]() { fired = true; });
+  Timer t(&loop, [&]() { fired = true; });
+  t.arm(from_ms(10));
   EXPECT_TRUE(t.armed());
   t.cancel();
   EXPECT_FALSE(t.armed());
