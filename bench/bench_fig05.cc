@@ -35,8 +35,9 @@ exp::ScenarioSpec make_spec(const std::string& kind) {
 enum : std::size_t { kEta, kBins };
 
 exp::CellResult collect(const exp::ScenarioSpec&, exp::ScenarioRun& run) {
-  const spectral::Spectrum s = run.built.nimbus->detector().full_spectrum();
-  auto r = exp::CellResult::scalar(spectral::elasticity_eta(s, 5.0));
+  const core::ElasticityDetector& det = run.built.nimbus->detector();
+  const spectral::Spectrum s = det.full_spectrum();
+  auto r = exp::CellResult::scalar(det.evaluate(5.0).eta);
   for (std::size_t k = 1; k < s.bins() && s.frequency(k) <= 50; ++k) {
     r.values.insert(r.values.end(), {s.frequency(k), s.magnitude[k] / 1e6});
   }

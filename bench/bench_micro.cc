@@ -1,9 +1,8 @@
 // Microbenchmarks (google-benchmark) for the primitives on the simulator's
-// and detector's hot paths: FFT (radix-2 and Bluestein), Goertzel, the
-// elasticity evaluation and per-report spectral path, the event loop,
-// the per-ACK and per-delivery data structures, sweep cells (warm cache
-// and cold compute), queue disciplines, and end-to-end scenario
-// throughput.  Units, via items/sec:
+// and detector's hot paths: the elasticity evaluation and per-report
+// spectral path, the event loop, the per-ACK and per-delivery data
+// structures, sweep cells (warm cache and cold compute), queue
+// disciplines, and end-to-end scenario throughput.  Units, via items/sec:
 //   *EventLoop*/*Timer* benches -> events processed (or scheduled) per sec
 //   *AckPath*/*Delivery* benches -> ACK or delivery operations per second
 //   *SweepCell* benches          -> sweep cells per second
@@ -30,49 +29,11 @@
 #include "sim/rate_sampler.h"
 #include "sim/recorder.h"
 #include "sim/seq_ring.h"
-#include "spectral/fft.h"
-#include "spectral/goertzel.h"
 #include "util/ring_deque.h"
 #include "util/rng.h"
 
 namespace nimbus {
 namespace {
-
-std::vector<double> random_signal(std::size_t n) {
-  util::Rng rng(5);
-  std::vector<double> v(n);
-  for (auto& x : v) x = rng.uniform(-1, 1);
-  return v;
-}
-
-void BM_FftRadix2(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  std::vector<spectral::Complex> data(n);
-  util::Rng rng(7);
-  for (auto& c : data) c = {rng.uniform(-1, 1), 0.0};
-  for (auto _ : state) {
-    auto copy = data;
-    spectral::fft_radix2(copy);
-    benchmark::DoNotOptimize(copy);
-  }
-}
-BENCHMARK(BM_FftRadix2)->Arg(256)->Arg(512)->Arg(4096);
-
-void BM_FftBluestein500(benchmark::State& state) {
-  const auto sig = random_signal(500);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(spectral::magnitude_spectrum(sig));
-  }
-}
-BENCHMARK(BM_FftBluestein500);
-
-void BM_Goertzel500(benchmark::State& state) {
-  const auto sig = random_signal(500);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(spectral::goertzel_magnitude(sig, 25));
-  }
-}
-BENCHMARK(BM_Goertzel500);
 
 void BM_ElasticityEvaluate(benchmark::State& state) {
   core::ElasticityDetector det;

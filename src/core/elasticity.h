@@ -19,60 +19,32 @@
 // Goertzel sweep per bin per report.  The detector holds only that engine
 // and always applies the periodic Hann window, the one window the engine
 // can apply exactly; a query outside the tracked bands is a programming
-// error and CHECK-fails.  ReferenceElasticityDetector keeps the recompute
-// pipeline as the test oracle the engine is equivalence-tested against;
-// full_spectrum() runs the Bluestein FFT over the engine's sample window
-// for diagnostics and figure reproduction.
+// error and CHECK-fails.  full_spectrum() runs the same engine once over
+// every bin of the held samples (a direct DFT) for diagnostics and
+// figure reproduction.  The test suite checks the engine against an
+// independent from-scratch recompute (tests/sliding_dft_test.cc).
 #pragma once
 
 #include <array>
 #include <cstddef>
-#include <vector>
 
 #include "spectral/sliding_dft.h"
 #include "spectral/spectrum.h"
-#include "spectral/window.h"
 
 namespace nimbus::core {
 
-/// Fixed-capacity sliding window of uniformly sampled values, stored as a
-/// flat ring buffer (one allocation at construction; the detector pushes a
-/// sample every pulse period, so the window must not churn the allocator
-/// the way the seed's std::deque did).
-class SlidingSignal {
- public:
-  explicit SlidingSignal(std::size_t capacity);
+/// z (or R) is sampled once per 10 ms report; core/nimbus.cc asserts that
+/// this matches the report cadence.
+inline constexpr double kDetectorSampleRateHz = 100.0;
 
-  void add(double v);
-  bool full() const { return size_ == capacity_; }
-  std::size_t size() const { return size_; }
-  std::size_t capacity() const { return capacity_; }
-  void clear() {
-    head_ = 0;
-    size_ = 0;
-  }
-
-  /// Oldest-to-newest copy of the window.
-  std::vector<double> snapshot() const;
-
-  /// Writes the window oldest-to-newest into `out` (resized to size()),
-  /// reusing its capacity — the allocation-free path evaluate() uses.
-  void copy_to(std::vector<double>& out) const;
-
- private:
-  std::size_t capacity_;
-  std::vector<double> buf_;   // ring storage, sized capacity_
-  std::size_t head_ = 0;      // index of the oldest sample
-  std::size_t size_ = 0;
-};
+/// Bins within this distance of f_p count toward the Eq.-3 numerator peak
+/// (windowing spreads an exact-bin tone into its neighbours), and the
+/// denominator band starts above f_p + this.
+inline constexpr double kDetectorToleranceHz = 0.25;
 
 struct DetectorConfig {
-  double sample_rate_hz = 100.0;  // one sample per 10 ms report
-  double duration_sec = 5.0;      // FFT window (paper: 5 s)
-  double eta_threshold = 2.0;     // paper section 3.4
-  /// Bins within this distance of f_p count toward the numerator peak
-  /// (windowing spreads an exact-bin tone into its neighbours).
-  double tolerance_hz = 0.25;
+  double duration_sec = 5.0;   // FFT window (paper: 5 s)
+  double eta_threshold = 2.0;  // paper section 3.4
   /// Pulse frequencies whose Eq.-3 bands the sliding DFT maintains
   /// incrementally (both, because watchers evaluate f_pc *and* f_pd every
   /// report).  ElasticityDetector answers evaluate()/magnitude_near() only
@@ -94,48 +66,9 @@ struct DetectorResult {
   double band_max_magnitude = 0.0;
 };
 
-/// The from-scratch spectral pipeline: snapshot the ring, remove the mean,
-/// apply the (cached) periodic Hann window, Goertzel each band bin.
-/// O(bins * n) per evaluate — the executable specification the incremental
-/// engine is equivalence-tested against.  Answers any frequency.
-class ReferenceElasticityDetector {
- public:
-  using Config = DetectorConfig;
-  using Result = DetectorResult;
-
-  ReferenceElasticityDetector();
-  explicit ReferenceElasticityDetector(const Config& config);
-
-  void add_sample(double value);
-  bool ready() const { return signal_.full(); }
-  std::size_t window_samples() const { return signal_.capacity(); }
-  void reset() { signal_.clear(); }
-
-  Result evaluate(double f_pulse_hz) const;
-  double magnitude_near(double f_hz) const;
-  spectral::Spectrum full_spectrum() const;
-
-  const Config& config() const { return cfg_; }
-
- private:
-  /// Fills scratch_ with the mean-removed, windowed signal and returns it.
-  const std::vector<double>& windowed_snapshot() const;
-
-  Config cfg_;
-  SlidingSignal signal_;
-  // Reused by every evaluate()/magnitude_near() call (the seed version
-  // allocated a fresh vector per call).
-  mutable std::vector<double> scratch_;
-  // Window coefficients cached per detector (make_window allocated a
-  // fresh vector on every apply_window call — ~100x/s per flow on what
-  // was advertised as the allocation-free path).
-  mutable std::vector<double> window_;
-};
-
-/// The production detector: add_sample feeds the sliding-DFT engine's
-/// tracked bands, and evaluate()/magnitude_near() at the tracked pulse
-/// frequencies are pure band-max lookups — zero copies, zero allocations,
-/// O(1) per bin.  A query whose bins fall outside the tracked bands
+/// The detector: add_sample feeds the sliding-DFT engine's tracked bands,
+/// and evaluate()/magnitude_near() at the tracked pulse frequencies are
+/// pure band-max lookups — zero copies, zero allocations, O(1) per bin.  A query whose bins fall outside the tracked bands
 /// CHECK-fails, as does a config with no positive tracked frequency.
 class ElasticityDetector {
  public:
@@ -145,7 +78,7 @@ class ElasticityDetector {
   ElasticityDetector();
   explicit ElasticityDetector(const Config& config);
 
-  /// Adds one z (or R) sample; call at the configured sample rate.
+  /// Adds one z (or R) sample; call at kDetectorSampleRateHz.
   void add_sample(double value) { dft_.add_sample(value); }
   bool ready() const { return dft_.full(); }
   std::size_t window_samples() const { return dft_.window_size(); }
@@ -158,8 +91,10 @@ class ElasticityDetector {
   /// eta); used by watchers/pulser-conflict checks.
   double magnitude_near(double f_hz) const;
 
-  /// Full magnitude spectrum of the current window under periodic Hann
-  /// (diagnostics, Fig. 5).  Allocates; never on the report path.
+  /// Magnitude spectrum, bins 0..m/2, of the m samples held (the full
+  /// window once ready()), mean removed and under periodic Hann; bin 0 is
+  /// reported as 0.  O(m^2) and allocates: diagnostics and Fig. 5, never
+  /// the report path.
   spectral::Spectrum full_spectrum() const;
 
   const Config& config() const { return cfg_; }

@@ -10,8 +10,8 @@ namespace nimbus::core {
 namespace {
 
 /// z(t) is sampled once per CCP report.
-constexpr double kSampleRateHz = 1.0 / to_sec(sim::kReportInterval);
-static_assert(kSampleRateHz == 100.0, "10 ms reports sample at 100 Hz");
+static_assert(kDetectorSampleRateHz == 1.0 / to_sec(sim::kReportInterval),
+              "the detector samples once per report");
 
 /// Time constant (seconds) of the EWMA applied to eta before the mode
 /// decision.  The raw metric is noisy near the threshold (the z estimate
@@ -63,7 +63,8 @@ const Nimbus::Config& validated(const Nimbus::Config& cfg) {
       "Nimbus: pulse_amplitude_frac must be in (0, 1]");
   for (const double f : {cfg.fp_competitive_hz, cfg.fp_delay_hz}) {
     // The comparison band (f_p, 2 f_p) must fit below Nyquist.
-    NIMBUS_CHECK_MSG(std::isfinite(f) && f > 0 && 2.0 * f < kSampleRateHz / 2,
+    NIMBUS_CHECK_MSG(std::isfinite(f) && f > 0 &&
+                         2.0 * f < kDetectorSampleRateHz / 2,
                      "Nimbus: pulse frequencies must be finite, > 0 and "
                      "below a quarter of the report rate");
   }
@@ -79,7 +80,6 @@ const Nimbus::Config& validated(const Nimbus::Config& cfg) {
 
 ElasticityDetector::Config detector_config(const Nimbus::Config& cfg) {
   ElasticityDetector::Config d;
-  d.sample_rate_hz = kSampleRateHz;
   d.duration_sec = cfg.fft_duration_sec;
   d.eta_threshold = cfg.eta_threshold;
   // Both pulse frequencies get incrementally maintained spectral bands:
@@ -358,7 +358,7 @@ void Nimbus::watcher_logic(sim::CcContext& ctx,
   // after a pulser was lost) — each flow's election probability collapses
   // with its rate and no pulser can ever re-emerge to detect the problem.
   if (last_mu_ <= 0) return;
-  const double tau = 1.0 / kSampleRateHz;
+  const double tau = 1.0 / kDetectorSampleRateHz;
   const double share = std::clamp(report.recv_rate_bps / last_mu_,
                                   0.25, 1.0);
   const double p = kKappa * tau / cfg_.fft_duration_sec * share;

@@ -32,28 +32,43 @@
 // periodic Hann; for N=500 the two windows differ by O(1/N) per tap.)
 //
 // Floating-point drift from the recurrence is bounded by a periodic full
-// recompute (one direct pass per tracked bin) every `resync_interval`
-// samples — one window turnover by default — so steady-state cost stays
-// O(tracked_bins) amortized per sample.  reset() is O(1): it only rewinds
-// the fill state, because samples are write-only until the window refills.
+// recompute (one direct pass per tracked bin) once per window turnover, so
+// steady-state cost stays O(tracked_bins) amortized per sample.  reset() is
+// O(1): it only rewinds the fill state, because samples are write-only
+// until the window refills.
 #pragma once
 
+#include <complex>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "spectral/fft.h"
-
 namespace nimbus::spectral {
+
+using Complex = std::complex<double>;
+
+/// Frequency (Hz) of bin k for an N-point transform at sample rate fs.
+inline double bin_frequency(std::size_t k, std::size_t n,
+                            double sample_rate_hz) {
+  return static_cast<double>(k) * sample_rate_hz / static_cast<double>(n);
+}
+
+/// Closest bin to frequency f (Hz) for an N-point transform at rate fs,
+/// clamped to N/2.
+inline std::size_t frequency_bin(double f_hz, std::size_t n,
+                                 double sample_rate_hz) {
+  const double k = f_hz * static_cast<double>(n) / sample_rate_hz;
+  auto bin = static_cast<std::size_t>(k + 0.5);
+  if (bin > n / 2) bin = n / 2;
+  return bin;
+}
 
 class SlidingDft {
  public:
   /// Tracks bins [bin_lo, bin_hi] of an N-point (`window`) DFT.  Queries
   /// are valid for exactly that range; the engine internally also
   /// maintains bins bin_lo-1 and bin_hi+1 for the Hann convolution.
-  /// `resync_interval` = samples between full recomputes (0 = one window).
-  SlidingDft(std::size_t window, std::size_t bin_lo, std::size_t bin_hi,
-             std::size_t resync_interval = 0);
+  SlidingDft(std::size_t window, std::size_t bin_lo, std::size_t bin_hi);
 
   /// Pushes one sample; O(tracked_bins).
   void add_sample(double x);
@@ -70,12 +85,12 @@ class SlidingDft {
   bool tracks(std::size_t k) const { return k >= lo_ && k <= hi_; }
 
   /// Raw (rectangular-window, mean *not* removed) complex DFT coefficient
-  /// at bin k, unnormalized — same convention as spectral::fft.
+  /// at bin k, unnormalized (forward sum x[j]*e^{-2*pi*i*k*j/N}).
   Complex raw_bin(std::size_t k) const;
 
   /// |DFT| at bin k of the mean-removed, periodic-Hann-windowed window,
-  /// normalized by N — exactly what goertzel_magnitude returns on the
-  /// detector's windowed snapshot (up to floating-point error).  O(1).
+  /// normalized by N — a direct DFT of that windowed snapshot, up to
+  /// floating-point error.  O(1).
   double hann_magnitude(std::size_t k) const;
 
   /// re^2 + im^2 of the same coefficient before the 1/N normalization: an
@@ -88,7 +103,8 @@ class SlidingDft {
   /// Full recomputes performed so far (for tests/diagnostics).
   std::uint64_t resyncs() const { return resyncs_; }
 
-  /// Forces the anti-drift recompute now (tests).
+  /// Forces the anti-drift recompute now (tests, and full_spectrum()'s
+  /// one-shot direct DFT).
   void force_resync();
 
   /// Oldest-to-newest copy of the window into `out` (diagnostics; the
@@ -105,7 +121,6 @@ class SlidingDft {
   std::size_t n_;                // window length N
   std::size_t lo_, hi_;          // queryable band
   std::size_t ilo_, ihi_;        // maintained band (lo-1 .. hi+1, clamped)
-  std::size_t resync_interval_;
   std::vector<double> ring_;     // N samples; head_ = oldest
   std::size_t head_ = 0;
   std::size_t size_ = 0;

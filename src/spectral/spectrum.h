@@ -1,42 +1,25 @@
-// Spectrum analysis helpers shared by the elasticity detector and benches.
+// A one-shot magnitude spectrum (ElasticityDetector::full_spectrum(): the
+// Fig. 5 plot and the elasticity probe's evidence).
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
-#include "spectral/window.h"
+#include "spectral/sliding_dft.h"
 
 namespace nimbus::spectral {
 
-/// A one-shot magnitude spectrum of a uniformly sampled real signal.
+/// Magnitudes of bins 0..N/2 of an N-point transform of a uniformly
+/// sampled real signal, normalized by N.
 struct Spectrum {
   double sample_rate_hz = 0.0;
-  std::vector<double> magnitude;  // bins 0..N/2, normalized by N
+  std::vector<double> magnitude;
 
   std::size_t bins() const { return magnitude.size(); }
-  double frequency(std::size_t k) const;
-  std::size_t bin_of(double f_hz) const;
-  double magnitude_at(double f_hz) const;
-
-  /// Peak magnitude over bins with frequency strictly inside (f_lo, f_hi).
-  /// Returns 0 if no bin falls in the range.
-  double peak_in(double f_lo, double f_hi) const;
-
-  /// Frequency of the largest non-DC bin.
-  double dominant_frequency() const;
+  double frequency(std::size_t k) const {
+    const std::size_t n = (bins() - 1) * 2;
+    return bin_frequency(k, n == 0 ? 1 : n, sample_rate_hz);
+  }
 };
-
-/// Computes the spectrum of `signal` (mean removed, window applied).
-/// The signal length is preserved (Bluestein handles non-power-of-two).
-Spectrum analyze(const std::vector<double>& signal, double sample_rate_hz,
-                 WindowType window = WindowType::kHann);
-
-/// The paper's elasticity metric (Eq. 3) on an existing spectrum:
-///   eta = |FFT(f_p)| / max_{f in (f_p, 2 f_p)} |FFT(f)|.
-/// The numerator takes the maximum over bins within +-`tolerance_hz` of f_p
-/// (the pulse is not phase-locked to the window, so energy can straddle two
-/// bins).  Returns a large value if the comparison band is empty or zero.
-double elasticity_eta(const Spectrum& spec, double f_pulse_hz,
-                      double tolerance_hz = 0.4);
 
 }  // namespace nimbus::spectral

@@ -132,21 +132,7 @@ TEST(MuEstimatorTest, OldPeaksExpire) {
   EXPECT_DOUBLE_EQ(est.mu_bps(), 60e6);
 }
 
-// ---------- sliding signal & detector ----------
-
-TEST(SlidingSignalTest, CapacityAndOrder) {
-  SlidingSignal s(3);
-  s.add(1);
-  s.add(2);
-  EXPECT_FALSE(s.full());
-  s.add(3);
-  EXPECT_TRUE(s.full());
-  s.add(4);
-  const auto v = s.snapshot();
-  ASSERT_EQ(v.size(), 3u);
-  EXPECT_DOUBLE_EQ(v[0], 2);
-  EXPECT_DOUBLE_EQ(v[2], 4);
-}
+// ---------- elasticity detector ----------
 
 class DetectorFixture : public ::testing::Test {
  protected:
@@ -232,11 +218,43 @@ TEST_F(DetectorFixture, MagnitudeNearPicksPeak) {
   EXPECT_LT(det.magnitude_near(8.0), 0.2e6);
 }
 
+TEST_F(DetectorFixture, ToneOutsideBandDoesNotCount) {
+  // A 7 Hz tone sits inside the comparison band (5.25, 10) Hz: it is the
+  // denominator's peak and adds nothing to the numerator near 5 Hz.
+  ElasticityDetector det;
+  fill(det, 7.0, 8e6, 0.4e6, 8);
+  const auto r = det.evaluate(5.0);
+  EXPECT_LT(r.eta, 1.0);
+  EXPECT_EQ(r.band_max_bin, 35u);  // 7 Hz at 0.2 Hz per bin
+  EXPECT_LT(r.pulse_magnitude, 0.1 * r.band_max_magnitude);
+}
+
+TEST_F(DetectorFixture, HarmonicsOfAsymmetricPulseIgnored) {
+  // Tone at 5 Hz plus harmonics at 10/15 Hz (asymmetric pulse shape): the
+  // harmonics lie outside the open band (5.25, 10) Hz, so eta stays high.
+  ElasticityDetector det;
+  util::Rng rng(9);
+  for (int i = 0; i < 500; ++i) {
+    const double t = i / 100.0;
+    det.add_sample(40e6 +
+                   4e6 * (std::sin(2 * M_PI * 5 * t) +
+                          0.5 * std::sin(2 * M_PI * 10 * t) +
+                          0.3 * std::sin(2 * M_PI * 15 * t)) +
+                   rng.normal(0, 0.2e6));
+  }
+  EXPECT_GT(det.evaluate(5.0).eta, 3.0);
+}
+
 TEST_F(DetectorFixture, FullSpectrumExposesPeak) {
   ElasticityDetector det;
   fill(det, 5.0, 8e6, 0.5e6);
   const auto spec = det.full_spectrum();
-  EXPECT_NEAR(spec.dominant_frequency(), 5.0, 0.21);
+  ASSERT_EQ(spec.bins(), 251u);  // bins 0..N/2 of N = 500
+  std::size_t peak = 1;
+  for (std::size_t k = 2; k < spec.bins(); ++k) {
+    if (spec.magnitude[k] > spec.magnitude[peak]) peak = k;
+  }
+  EXPECT_NEAR(spec.frequency(peak), 5.0, 0.21);
 }
 
 // ---------- BasicDelay rule ----------

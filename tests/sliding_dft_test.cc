@@ -1,9 +1,12 @@
-// Tests for the incremental sliding-DFT spectral engine (PR 6):
+// Tests for the incremental sliding-DFT spectral engine:
 //
-//  * randomized churn equivalence — engine band magnitudes vs the
-//    reference "snapshot, remove mean, periodic Hann, Goertzel" recompute,
+//  * a test-local oracle — a plain vector window, mean removal, periodic
+//    Hann, one Goertzel per bin and a plain Eq. 3 scan over every bin —
+//    that shares no code with the engine or the detector's band scan,
+//  * randomized churn equivalence — engine band magnitudes vs the oracle,
 //  * drift bound after 10^6 samples with the periodic anti-drift resync,
 //  * O(1) reset / refill semantics,
+//  * full_spectrum() and the oracle's Goertzel vs an O(N^2) direct DFT,
 //  * golden eta pins for a fig08-style pulsed-elastic signal (re-baselined
 //    when the detector switched from symmetric to periodic Hann),
 //  * bit equality of the detector's Eq. 3 band scan with a plain per-bin
@@ -23,10 +26,8 @@
 #include "core/elasticity.h"
 #include "core/nimbus.h"
 #include "sim/cc_interface.h"
-#include "spectral/fft.h"
-#include "spectral/goertzel.h"
 #include "spectral/sliding_dft.h"
-#include "spectral/window.h"
+#include "spectral/spectrum.h"
 #include "util/rng.h"
 #include "util/time.h"
 
@@ -62,12 +63,132 @@ std::uint64_t alloc_count() {
   return g_allocs.load(std::memory_order_relaxed);
 }
 
-// Reference pipeline for one bin: |DFT(periodic_hann * (x - mean))| / N,
-// computed from scratch exactly the way ReferenceElasticityDetector does.
-double reference_hann_magnitude(std::vector<double> x, std::size_t k) {
-  spectral::remove_mean(x);
-  spectral::apply_window(x, spectral::WindowType::kHannPeriodic);
-  return spectral::goertzel_magnitude(x, k);
+// --- test oracle: Eq. 3 recomputed from scratch --------------------------
+
+constexpr double kFs = core::kDetectorSampleRateHz;
+constexpr double kTol = core::kDetectorToleranceHz;
+
+// |DFT(x)| at bin k, normalized by N: the Goertzel recurrence.
+double goertzel(const std::vector<double>& x, std::size_t k) {
+  const double n = static_cast<double>(x.size());
+  const double coeff = 2.0 * std::cos(2.0 * M_PI * static_cast<double>(k) / n);
+  double s1 = 0.0, s2 = 0.0;
+  for (double v : x) {
+    const double s = v + coeff * s1 - s2;
+    s2 = s1;
+    s1 = s;
+  }
+  return std::sqrt(std::max(0.0, s1 * s1 + s2 * s2 - coeff * s1 * s2)) / n;
+}
+
+// (x - mean(x)) times the periodic Hann window (cosine period N).
+std::vector<double> hann_centered(std::vector<double> x) {
+  const double n = static_cast<double>(x.size());
+  double mean = 0.0;
+  for (double v : x) mean += v;
+  mean /= n;
+  for (std::size_t j = 0; j < x.size(); ++j) {
+    x[j] = (x[j] - mean) *
+           (0.5 - 0.5 * std::cos(2.0 * M_PI * static_cast<double>(j) / n));
+  }
+  return x;
+}
+
+double reference_hann_magnitude(const std::vector<double>& x, std::size_t k) {
+  return goertzel(hann_centered(x), k);
+}
+
+// |DFT(x)| / N at bins 0..N/2 by the O(N^2) definition, each twiddle
+// computed directly from its phase reduced mod N.
+std::vector<double> direct_dft_magnitudes(const std::vector<double>& x) {
+  const std::size_t n = x.size();
+  std::vector<double> mag(n / 2 + 1);
+  for (std::size_t k = 0; k < mag.size(); ++k) {
+    double re = 0.0, im = 0.0;
+    for (std::size_t j = 0; j < n; ++j) {
+      const double w = 2.0 * M_PI * static_cast<double>(k * j % n) /
+                       static_cast<double>(n);
+      re += x[j] * std::cos(w);
+      im -= x[j] * std::sin(w);
+    }
+    mag[k] = std::hypot(re, im) / static_cast<double>(n);
+  }
+  return mag;
+}
+
+// The detector recomputed from scratch on every query: Eq. 3 over every
+// bin 1..N/2, with no squared-magnitude proxy and no bin-range shortcut.
+class OracleDetector {
+ public:
+  explicit OracleDetector(std::size_t n) : n_(n) {}
+
+  void add_sample(double v) {
+    x_.push_back(v);
+    if (x_.size() > n_) x_.erase(x_.begin());
+  }
+
+  core::DetectorResult evaluate(double f_p) const {
+    const std::vector<double> y = hann_centered(x_);
+    core::DetectorResult r;
+    r.valid = true;
+    for (std::size_t k = 1; k <= n_ / 2; ++k) {
+      const double f = static_cast<double>(k) * kFs / static_cast<double>(n_);
+      if (std::abs(f - f_p) <= kTol + 1e-9) {
+        r.pulse_magnitude = std::max(r.pulse_magnitude, goertzel(y, k));
+      }
+      if (f > f_p + kTol && f < 2.0 * f_p) {
+        const double m = goertzel(y, k);
+        if (m > r.band_max_magnitude) {
+          r.band_max_magnitude = m;
+          r.band_max_bin = k;
+        }
+      }
+    }
+    const double num = r.pulse_magnitude, den = r.band_max_magnitude;
+    r.eta = den > 0.0 ? num / den : (num > 0.0 ? 1e9 : 0.0);
+    r.elastic = r.eta >= core::DetectorConfig{}.eta_threshold;
+    return r;
+  }
+
+  double magnitude_near(double f) const {
+    const std::vector<double> y = hann_centered(x_);
+    const std::size_t center = spectral::frequency_bin(f, n_, kFs);
+    double best = 0.0;
+    for (std::size_t k = center - 1; k <= center + 1; ++k) {
+      best = std::max(best, goertzel(y, k));
+    }
+    return best;
+  }
+
+ private:
+  std::size_t n_;
+  std::vector<double> x_;  // the last n_ samples, oldest first
+};
+
+TEST(SlidingDftOracleTest, GoertzelMatchesDirectDft) {
+  // On the input the oracle feeds it: a mean-removed, Hann-windowed window
+  // (Goertzel's rounding grows near DC, where this input has no energy).
+  util::Rng rng(909);
+  std::vector<double> x(500);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x[i] = 3.0 + std::sin(2.0 * M_PI * 5.0 * static_cast<double>(i) / 100.0) +
+           rng.normal(0.0, 0.5);
+  }
+  x = hann_centered(x);
+  const std::vector<double> want = direct_dft_magnitudes(x);
+  const double peak = *std::max_element(want.begin(), want.end());
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    EXPECT_NEAR(goertzel(x, k), want[k], 1e-12 * peak) << "bin " << k;
+  }
+}
+
+TEST(SlidingDftTest, BinFrequencyMapping) {
+  EXPECT_DOUBLE_EQ(spectral::bin_frequency(25, 500, 100.0), 5.0);
+  EXPECT_DOUBLE_EQ(spectral::bin_frequency(30, 500, 100.0), 6.0);
+  EXPECT_EQ(spectral::frequency_bin(5.0, 500, 100.0), 25u);
+  EXPECT_EQ(spectral::frequency_bin(6.0, 500, 100.0), 30u);
+  EXPECT_EQ(spectral::frequency_bin(5.09, 500, 100.0), 25u);  // nearest
+  EXPECT_EQ(spectral::frequency_bin(60.0, 500, 100.0), 250u);  // clamped
 }
 
 // --- engine vs recompute equivalence ------------------------------------
@@ -227,9 +348,8 @@ std::vector<double> fig08_signal(std::size_t n) {
 }
 
 TEST(SlidingDftDetectorTest, EngineMatchesReferenceDetector) {
-  core::DetectorConfig cfg;  // periodic Hann, tracked {5, 6}
-  core::ElasticityDetector engine(cfg);
-  core::ReferenceElasticityDetector reference(cfg);
+  core::ElasticityDetector engine;  // periodic Hann, tracked {5, 6}
+  OracleDetector reference(engine.window_samples());
   const auto z = fig08_signal(1234);
   for (double v : z) {
     engine.add_sample(v);
@@ -244,6 +364,7 @@ TEST(SlidingDftDetectorTest, EngineMatchesReferenceDetector) {
                 1e-9 * (1.0 + rr.pulse_magnitude))
         << "f=" << f;
     EXPECT_EQ(re.elastic, rr.elastic) << "f=" << f;
+    EXPECT_EQ(re.band_max_bin, rr.band_max_bin) << "f=" << f;
   }
   EXPECT_NEAR(engine.magnitude_near(5.0), reference.magnitude_near(5.0),
               1e-3);
@@ -257,23 +378,22 @@ TEST(SlidingDftDetectorTest, EngineMatchesReferenceDetector) {
 core::DetectorResult per_bin_scan(const core::ElasticityDetector& d,
                                   double f_p) {
   const spectral::SlidingDft& dft = d.engine();
-  const core::DetectorConfig& cfg = d.config();
   const std::size_t n = d.window_samples();
-  const double fs = cfg.sample_rate_hz;
+  const double fs = kFs;
   core::DetectorResult r;
   r.valid = true;
   const std::size_t center = spectral::frequency_bin(f_p, n, fs);
   for (std::size_t k = center > 2 ? center - 2 : 1; k <= center + 2; ++k) {
     const double f = spectral::bin_frequency(k, n, fs);
-    if (std::abs(f - f_p) <= cfg.tolerance_hz + 1e-9) {
+    if (std::abs(f - f_p) <= kTol + 1e-9) {
       r.pulse_magnitude = std::max(r.pulse_magnitude, dft.hann_magnitude(k));
     }
   }
   const std::size_t hi = spectral::frequency_bin(2.0 * f_p, n, fs);
-  for (std::size_t k = spectral::frequency_bin(f_p + cfg.tolerance_hz, n, fs);
+  for (std::size_t k = spectral::frequency_bin(f_p + kTol, n, fs);
        k <= hi; ++k) {
     const double f = spectral::bin_frequency(k, n, fs);
-    if (f > f_p + cfg.tolerance_hz && f < 2.0 * f_p &&
+    if (f > f_p + kTol && f < 2.0 * f_p &&
         dft.hann_magnitude(k) > r.band_max_magnitude) {
       r.band_max_magnitude = dft.hann_magnitude(k);
       r.band_max_bin = k;
@@ -281,13 +401,13 @@ core::DetectorResult per_bin_scan(const core::ElasticityDetector& d,
   }
   const double num = r.pulse_magnitude, den = r.band_max_magnitude;
   r.eta = den > 0.0 ? num / den : (num > 0.0 ? 1e9 : 0.0);
-  r.elastic = r.eta >= cfg.eta_threshold;
+  r.elastic = r.eta >= d.config().eta_threshold;
   return r;
 }
 
 double per_bin_near(const core::ElasticityDetector& d, double f) {
-  const std::size_t center = spectral::frequency_bin(
-      f, d.window_samples(), d.config().sample_rate_hz);
+  const std::size_t center =
+      spectral::frequency_bin(f, d.window_samples(), kFs);
   double best = 0.0;
   for (std::size_t k = center - 1; k <= center + 1; ++k) {
     best = std::max(best, d.engine().hann_magnitude(k));
@@ -357,34 +477,71 @@ TEST(SlidingDftDetectorTest, BandScanBitEqualOnTiedDenominatorBins) {
   }
 }
 
-TEST(SlidingDftDetectorTest, FullSpectrumBitEqualToReference) {
-  // Fig. 5 prints full_spectrum(); the engine's sample window must feed
-  // the FFT exactly the reference's samples, also after reset + refill.
-  core::DetectorConfig cfg;
-  core::ElasticityDetector engine(cfg);
-  core::ReferenceElasticityDetector reference(cfg);
-  const auto expect_equal = [&](const char* when) {
-    const spectral::Spectrum a = engine.full_spectrum();
-    const spectral::Spectrum b = reference.full_spectrum();
-    EXPECT_EQ(a.sample_rate_hz, b.sample_rate_hz) << when;
-    ASSERT_FALSE(a.magnitude.empty()) << when;
-    EXPECT_EQ(a.magnitude, b.magnitude) << when;
-  };
+TEST(SlidingDftDetectorTest, FullSpectrumMatchesDirectDft) {
+  // Fig. 5 prints full_spectrum(): bins 1..m/2 of the m held samples, mean
+  // removed and under periodic Hann — on a wrapped ring, partway through a
+  // refill (the spectrum covers the samples held), and after a refill.
+  core::ElasticityDetector d;
+  std::vector<double> held;  // what the detector holds, oldest first
   const auto feed = [&](const std::vector<double>& z) {
     for (double v : z) {
-      engine.add_sample(v);
-      reference.add_sample(v);
+      d.add_sample(v);
+      held.push_back(v);
+      if (held.size() > d.window_samples()) held.erase(held.begin());
+    }
+  };
+  const auto expect_matches = [&](const char* when) {
+    const spectral::Spectrum got = d.full_spectrum();
+    const std::vector<double> want = direct_dft_magnitudes(hann_centered(held));
+    EXPECT_EQ(got.sample_rate_hz, kFs) << when;
+    ASSERT_EQ(got.bins(), want.size()) << when;
+    const double peak = *std::max_element(want.begin() + 1, want.end());
+    for (std::size_t k = 1; k < want.size(); ++k) {
+      EXPECT_NEAR(got.magnitude[k], want[k], 1e-12 * peak)
+          << when << ", bin " << k;
     }
   };
   feed(fig08_signal(777));  // wrapped ring: 277 samples past full
-  ASSERT_TRUE(engine.ready());
-  expect_equal("full window");
-  engine.reset();
-  reference.reset();
+  ASSERT_TRUE(d.ready());
+  expect_matches("full window");
+  d.reset();
+  held.clear();
   feed(fig08_signal(123));
-  expect_equal("partway through a refill");
-  feed(fig08_signal(engine.window_samples()));
-  expect_equal("after reset and refill");
+  expect_matches("partway through a refill");
+  feed(fig08_signal(d.window_samples()));
+  expect_matches("after reset and refill");
+}
+
+TEST(SlidingDftDetectorTest, NumeratorScanAcrossNyquistDoesNotCrash) {
+  // frequency_bin clamps to n/2, so a pulse near the Nyquist frequency
+  // (49.9 Hz at fs=100) centers the numerator scan at bin 250 and walks it
+  // to center+2 = 252 — past n/2 but still a valid DFT bin.  The tolerance
+  // filter keeps only bins 249 (49.8 Hz) and 250 (50.0 Hz); the
+  // denominator band (f+tol, 2f) is empty after clamping, so a tone at
+  // the pulse frequency yields the sentinel eta = 1e9.
+  core::DetectorConfig cfg;
+  cfg.tracked_freqs_hz = {49.9, 0.0};
+  core::ElasticityDetector engine(cfg);
+  const std::size_t n = engine.window_samples();
+  ASSERT_EQ(n, 500u);
+  OracleDetector reference(n);
+  util::Rng rng(23);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double v =
+        std::sin(2.0 * M_PI * 49.8 * static_cast<double>(i) / 100.0) +
+        rng.normal(0.0, 0.01);
+    engine.add_sample(v);
+    reference.add_sample(v);
+  }
+  EXPECT_GE(engine.engine().bin_hi(), 252u);
+  const auto re = engine.evaluate(49.9);
+  const auto rr = reference.evaluate(49.9);
+  ASSERT_TRUE(re.valid);
+  EXPECT_GT(re.pulse_magnitude, 0.1);
+  EXPECT_NEAR(re.pulse_magnitude, rr.pulse_magnitude,
+              1e-9 * (1.0 + rr.pulse_magnitude));
+  EXPECT_DOUBLE_EQ(re.eta, 1e9);
+  EXPECT_DOUBLE_EQ(rr.eta, 1e9);
 }
 
 TEST(SlidingDftDetectorDeathTest, UntrackedFrequencyFailsLoudly) {
