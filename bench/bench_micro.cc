@@ -217,6 +217,25 @@ void BM_TimerRearm(benchmark::State& state) {
 }
 BENCHMARK(BM_TimerRearm);
 
+// Per-ACK pacing re-arm: a paced flow whose next send time has not moved
+// re-arms its pacing timer to the same near deadline on every ACK, and the
+// timer fires once.  The deadline stays in its wheel bucket, so each
+// re-arm updates the slot in place.  Items = rearm operations.
+void BM_TimerRearmSameBucket(benchmark::State& state) {
+  constexpr int kRearms = 4096;
+  std::uint64_t fired = 0;
+  sim::EventLoop loop;
+  sim::Timer pacing(&loop, [&fired]() { ++fired; });
+  for (auto _ : state) {
+    const TimeNs deadline = loop.now() + 250 * kNanosPerUs;
+    for (int i = 0; i < kRearms; ++i) pacing.arm(deadline);
+    loop.run_until(deadline);
+    benchmark::DoNotOptimize(fired);
+  }
+  state.SetItemsProcessed(state.iterations() * kRearms);
+}
+BENCHMARK(BM_TimerRearmSameBucket);
+
 // A phase start wakes every flow at once: k events at one deadline, which
 // the loop drains as one batched equal-time run.  Items = events
 // processed.

@@ -3,8 +3,9 @@
 #
 # Usage: scripts/bench_ab.sh <base-ref>
 #
-# Builds bench_micro at <base-ref> (checked out in a temporary git
-# worktree) and at the working tree, both RelWithDebInfo, then runs the
+# Builds bench_micro at <base-ref> (exported into a temporary directory
+# with git archive: the committed files only, and nothing registered in
+# .git to clean up) and at the working tree, both RelWithDebInfo, then runs the
 # two binaries in 10 alternating pairs: base runs first in even pairs,
 # head in odd ones.  Each run covers every benchmark head defines, at
 # --benchmark_min_time=0.1.  Prints a per-benchmark table
@@ -33,12 +34,7 @@ BASE_SHA=$(git rev-parse --verify "$1^{commit}")
 PAIRS=10
 
 WORK=$(mktemp -d)
-cleanup() {
-  git worktree remove --force "$WORK/base-src" > /dev/null 2>&1 || true
-  git worktree prune
-  rm -rf "$WORK"
-}
-trap cleanup EXIT
+trap 'rm -rf "$WORK"' EXIT
 
 build() {  # build <label> <source dir>
   echo "== building bench_micro ($1) =="
@@ -51,7 +47,8 @@ build() {  # build <label> <source dir>
   fi
 }
 
-git worktree add --quiet --detach "$WORK/base-src" "$BASE_SHA"
+mkdir "$WORK/base-src"
+git archive "$BASE_SHA" | tar -x -C "$WORK/base-src"
 build base "$WORK/base-src"
 build head .
 

@@ -19,14 +19,14 @@
 #               the cross-file table is printed for trajectory only; the
 #               gate uses same-run, same-process pairs.  Kernel regressions
 #               against an earlier commit are scripts/bench_ab.sh's job.)
-#   output      defaults to BENCH_PR23.json in the repo root
+#   output      defaults to BENCH_PR25.json in the repo root
 #
 # All micro numbers are medians of 3 repetitions.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 QUICK=0
-OUT=BENCH_PR23.json
+OUT=BENCH_PR25.json
 COMPARE=""
 while [ $# -gt 0 ]; do
   case "$1" in
@@ -167,7 +167,7 @@ cubic = by_name.get("BM_SimulatedSecondCubic")
 scenario = by_name.get("BM_SimulatedSecondScenario")
 
 report = {
-    "pr": 23,
+    "pr": 25,
     "generated_by": "scripts/bench_report.sh"
                     + (" --quick" if os.environ["QUICK"] == "1" else ""),
     "host": micro.get("context", {}),

@@ -51,6 +51,8 @@ class Vegas final : public sim::CcAlgorithm {
   void on_ack(sim::CcContext& ctx, const sim::AckInfo& ack) override;
   void on_loss(sim::CcContext& ctx, const sim::LossInfo& loss) override;
   void on_rto(sim::CcContext& ctx) override;
+  /// ACK-clocked: no report, no Eq. 2 rates, no pacing.
+  bool reads_reports() const override { return false; }
 
  private:
   VegasCore core_;

@@ -3,7 +3,10 @@
 // Algorithms receive per-ACK and per-loss callbacks (the ACK clock) plus a
 // periodic 10 ms report mirroring the paper's CCP deployment (section 4.2).
 // They steer the transport through CcContext: a congestion window, an
-// optional pacing rate (0 = pure ACK clocking), or both.
+// optional pacing rate (0 = pure ACK clocking), or both.  An ACK-clocked
+// window algorithm that reads neither the report nor the Eq. 2 rates opts
+// out of both through CcAlgorithm::reads_reports(), as kernel Cubic and
+// NewReno never see a CCP report.
 #pragma once
 
 #include <cstdint>
@@ -14,9 +17,10 @@
 
 namespace nimbus::sim {
 
-/// CCP report cadence (section 4.2): every transport flow calls
-/// CcAlgorithm::on_report this often, and Nimbus samples z(t) once per
-/// report, so its detector's sample rate is 1 / kReportInterval = 100 Hz.
+/// CCP report cadence (section 4.2): every transport flow whose algorithm
+/// reads reports calls CcAlgorithm::on_report this often, and Nimbus
+/// samples z(t) once per report, so its detector's sample rate is
+/// 1 / kReportInterval = 100 Hz.
 inline constexpr TimeNs kReportInterval = from_ms(10);
 
 /// Per-ACK information handed to the algorithm.
@@ -105,6 +109,17 @@ class CcAlgorithm {
   virtual void on_rto(CcContext& /*ctx*/) {}
   /// Periodic CCP-style report (every kReportInterval).
   virtual void on_report(CcContext& /*ctx*/, const CcReport& /*report*/) {}
+
+  /// Whether the algorithm reads the transport's measurements.  Return
+  /// false only for a pure ACK-clocked window algorithm: one that
+  /// overrides no on_report, never reads CcContext::send_rate_bps /
+  /// recv_rate_bps / rates_valid, and never paces (pacing rate 0).  The
+  /// transport then arms no report timer and records no Eq. 2 samples
+  /// for the flow, and it CHECK-fails a rate read or a nonzero pacing
+  /// rate instead of serving stale values.  Output is unchanged: without
+  /// pacing, every cwnd change is already followed by a send attempt, so
+  /// the report's own send attempt never sends.
+  virtual bool reads_reports() const { return true; }
 };
 
 }  // namespace nimbus::sim

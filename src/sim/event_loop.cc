@@ -7,13 +7,7 @@ namespace nimbus::sim {
 
 EventLoop::EventLoop() { bucket_head_.fill(kNoSlot); }
 
-std::uint32_t EventLoop::acquire_slot(TimeNs t) {
-  NIMBUS_CHECK_MSG(t >= now_, "cannot schedule events in the past");
-  if (free_head_ != kNoSlot) {
-    const std::uint32_t s = free_head_;
-    free_head_ = slot_ref(s).wnext;
-    return s;
-  }
+std::uint32_t EventLoop::grow_slot() {
   NIMBUS_CHECK_MSG(total_slots_ <= kSlotMask, "event slot pool exhausted");
   if (total_slots_ == slots_.size()) {
     callbacks_.push_back(std::make_unique<Callback[]>(kChunkSize));
@@ -45,33 +39,6 @@ void EventLoop::release_slot(std::uint32_t s) {
   callback_ref(s).reset();  // free for inline callables (no destructor work)
   slot.wnext = free_head_;
   free_head_ = s;
-}
-
-void EventLoop::wheel_insert(std::uint32_t s, Slot& slot,
-                             std::uint64_t abs_bucket) {
-  const std::uint64_t b = abs_bucket & kWheelMask;
-  const std::uint32_t head = bucket_head_[b];
-  slot.wnext = head;
-  slot.wprev = kNoSlot;
-  if (head != kNoSlot) slot_ref(head).wprev = s;
-  bucket_head_[b] = s;
-  occ_[b >> 6] |= std::uint64_t{1} << (b & 63);
-  ++wheel_count_;
-  obs_wheel_inserts_.inc();
-}
-
-void EventLoop::enqueue_entry(std::uint32_t s, Slot& slot) {
-  // Clamp to the cursor: after a run_until() boundary the cursor can sit
-  // ahead of now(), and an entry bucketed below it could alias a bucket a
-  // full wheel turn away.  Clamping is order-preserving — every bucket
-  // below the cursor is empty, and buckets drain by smallest (time, seq)
-  // key, so an early entry placed in the cursor bucket still fires first.
-  const std::uint64_t ab = std::max(slot.time >> kBucketShift, cursor_);
-  if (ab >= cursor_ + kWheelSize) {
-    heap_push({slot_key(slot)});
-  } else {
-    wheel_insert(s, slot, ab);
-  }
 }
 
 std::uint64_t EventLoop::next_nonempty_bucket() const {
@@ -119,8 +86,7 @@ void EventLoop::wheel_unlink(std::uint32_t s, Slot& slot, std::uint64_t b) {
 // nothing behind for the drain's min-scan to wade through.
 void EventLoop::wheel_unlink_if_near(std::uint32_t s, Slot& slot) {
   if (in_far_heap(slot.time) || slot.wprev == kInBatch) return;
-  wheel_unlink(s, slot, std::max(slot.time >> kBucketShift, cursor_) &
-                            kWheelMask);
+  wheel_unlink(s, slot, abs_bucket(slot.time) & kWheelMask);
 }
 
 void EventLoop::pull_far_into_window() {
@@ -206,6 +172,17 @@ EventId EventLoop::reschedule(EventId id, TimeNs t) {
     // time is <= t, so pull_far_into_window reaches it before t's bucket
     // and enqueues (t, nid) then — the key an eager push would carry.
     if (slot.anchor_id == 0) slot.anchor_id = id;
+    slot.pending_id = nid;
+    slot.time = static_cast<std::uint64_t>(t);
+    return nid;
+  }
+  if (!in_far_heap(slot.time) && slot.wprev != kInBatch &&
+      abs_bucket(static_cast<std::uint64_t>(t)) == abs_bucket(slot.time)) {
+    // In-place re-arm: a wheel bucket is unordered (the drain scans it for
+    // the smallest (time, seq) key), so a near event whose new deadline
+    // lands in the bucket it already occupies only needs its key updated.
+    // The fresh id gives it the FIFO position cancel() + schedule() would:
+    // behind every pending event with the same deadline.
     slot.pending_id = nid;
     slot.time = static_cast<std::uint64_t>(t);
     return nid;
@@ -396,17 +373,6 @@ void EventLoop::attach_metrics(obs::MetricsRegistry* m) {
   obs_wheel_inserts_ = m->counter("loop.wheel_inserts");
   obs_heap_inserts_ = m->counter("loop.far_heap_inserts");
   obs_batch_size_ = m->histogram("loop.batch_size");
-}
-
-void Timer::arm(TimeNs at) {
-  deadline_ = at;
-  if (armed_) {
-    // Fast path: keep the slot and trampoline, move only the queue entry.
-    pending_ = loop_->reschedule(pending_, at);
-    return;
-  }
-  armed_ = true;
-  pending_ = loop_->schedule(at, Fire{this});
 }
 
 void Timer::cancel() {

@@ -41,6 +41,17 @@
 //    the deadline.  While armed, re-arming keeps the slot and its 8-byte
 //    trampoline and only moves the slot between buckets (reschedule()),
 //    so per-ACK RTO rearming touches no callback storage.
+//  * Re-arming a near event to a deadline in the bucket it already
+//    occupies is in place: a bucket is unordered (the drain scans it for
+//    the smallest key), so reschedule() only writes the slot's new
+//    deadline and fresh id — no unlink, no insert.  The fresh id still
+//    moves the event behind every pending event with the same deadline,
+//    as cancel() + schedule() would.  This is the paced sender's per-ACK
+//    re-arm of its pacing timer to an unchanged next-send time.
+//    Drain-batch events take the eager path (they are off the wheel).
+//  * The per-event paths are inline: the schedule fast path (free-list
+//    pop, enqueue, wheel insert) and Timer::arm live in this header, and
+//    the drain's helpers are force-inlined into run_until().
 //  * Re-arming a far event to a deadline no earlier than its current one
 //    is O(1): the slot's existing far-heap entry stays put as its
 //    *anchor* and reschedule() only updates the slot's pending id and
@@ -55,6 +66,7 @@
 //    eager path.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstddef>
@@ -68,6 +80,7 @@
 
 #include "obs/metrics.h"
 #include "util/check.h"
+#include "util/inline.h"
 #include "util/time.h"
 
 namespace nimbus::sim {
@@ -205,7 +218,8 @@ class EventLoop {
   /// Moves a *pending* event to a new time, keeping its slot and callback.
   /// Returns the replacement id (the old id becomes invalid).  The event
   /// takes a fresh FIFO position, exactly as cancel() + schedule() would.
-  /// A far event moved no earlier is re-armed in O(1) through its anchor.
+  /// A far event moved no earlier is re-armed in O(1) through its anchor,
+  /// and a near one that stays in its bucket is updated in place.
   EventId reschedule(EventId id, TimeNs t);
 
   /// Runs events until the queue empties or the next event is past `t_end`;
@@ -320,7 +334,16 @@ class EventLoop {
   // that a runaway cell overshoots its wall limit by milliseconds.
   static constexpr std::uint64_t kBudgetCheckInterval = 4096;
 
-  std::uint32_t acquire_slot(TimeNs t);
+  // Pops a free slot for an event due at `t` (the schedule fast path);
+  // grow_slot() extends the pool when the free list is empty.
+  NIMBUS_ALWAYS_INLINE std::uint32_t acquire_slot(TimeNs t) {
+    NIMBUS_CHECK_MSG(t >= now_, "cannot schedule events in the past");
+    if (free_head_ == kNoSlot) return grow_slot();
+    const std::uint32_t s = free_head_;
+    free_head_ = slot_ref(s).wnext;
+    return s;
+  }
+  std::uint32_t grow_slot();
   void release_slot(std::uint32_t s);
   // Slow path of the per-event budget compare: trips the event/wall limit
   // (setting stopped_ + budget_stop_) or re-arms budget_check_next_.
@@ -328,23 +351,53 @@ class EventLoop {
   // Fires a due event in place: advances now_ to `t`, retires the id, and
   // invokes the callback in its slot (shared by the drain's
   // distinct-deadline fast path and the equal-time batch loop).
-  void fire_slot(std::uint32_t s, TimeNs t);
+  NIMBUS_ALWAYS_INLINE void fire_slot(std::uint32_t s, TimeNs t);
 
   // --- ready queue (wheel + far heap) ---
+  // Absolute bucket of a deadline `t`, clamped to the cursor: after a
+  // run_until() boundary the cursor can sit ahead of now(), and an entry
+  // bucketed below it could alias a bucket a full wheel turn away.
+  // Clamping is order-preserving — every bucket below the cursor is
+  // empty, and buckets drain by smallest (time, seq) key, so an early
+  // entry placed in the cursor bucket still fires first.
+  std::uint64_t abs_bucket(std::uint64_t t) const {
+    return std::max(t >> kBucketShift, cursor_);
+  }
   // Queues slot `s`'s pending (time, id): links it into its wheel bucket,
   // or pushes its key onto the far heap.
-  void enqueue_entry(std::uint32_t s, Slot& slot);
+  NIMBUS_ALWAYS_INLINE void enqueue_entry(std::uint32_t s, Slot& slot) {
+    const std::uint64_t ab = abs_bucket(slot.time);
+    if (ab >= cursor_ + kWheelSize) {
+      heap_push({slot_key(slot)});
+    } else {
+      wheel_insert(s, slot, ab);
+    }
+  }
   // True if a pending event due at `t` lives in the far heap (directly or
   // through its slot's anchor) rather than in the wheel.
   bool in_far_heap(std::uint64_t t) const {
     return (t >> kBucketShift) >= cursor_ + kWheelSize;
   }
-  void wheel_insert(std::uint32_t s, Slot& slot, std::uint64_t abs_bucket);
+  // Links slot `s` at the head of bucket `abs_bucket` (absolute index).
+  NIMBUS_ALWAYS_INLINE void wheel_insert(std::uint32_t s, Slot& slot,
+                                         std::uint64_t abs_bucket) {
+    const std::uint64_t b = abs_bucket & kWheelMask;
+    const std::uint32_t head = bucket_head_[b];
+    slot.wnext = head;
+    slot.wprev = kNoSlot;
+    if (head != kNoSlot) slot_ref(head).wprev = s;
+    bucket_head_[b] = s;
+    occ_[b >> 6] |= std::uint64_t{1} << (b & 63);
+    ++wheel_count_;
+    obs_wheel_inserts_.inc();
+  }
   // O(1) unlink of slot `s` from its bucket `b` (wheel position).
-  void wheel_unlink(std::uint32_t s, Slot& slot, std::uint64_t b);
+  NIMBUS_ALWAYS_INLINE void wheel_unlink(std::uint32_t s, Slot& slot,
+                                         std::uint64_t b);
   void wheel_unlink_if_near(std::uint32_t s, Slot& slot);
-  std::uint64_t next_nonempty_bucket() const;  // needs wheel_count_ > 0
-  void pull_far_into_window();
+  // Needs wheel_count_ > 0.
+  NIMBUS_ALWAYS_INLINE std::uint64_t next_nonempty_bucket() const;
+  NIMBUS_ALWAYS_INLINE void pull_far_into_window();
   void heap_push(Entry e);
   void heap_pop_min();
 
@@ -400,7 +453,16 @@ class Timer {
   Timer(const Timer&) = delete;
   Timer& operator=(const Timer&) = delete;
 
-  void arm(TimeNs at);
+  void arm(TimeNs at) {
+    deadline_ = at;
+    if (armed_) {
+      // Fast path: keep the slot and trampoline, move only the queue entry.
+      pending_ = loop_->reschedule(pending_, at);
+      return;
+    }
+    armed_ = true;
+    pending_ = loop_->schedule(at, Fire{this});
+  }
   void arm_in(TimeNs delay) { arm(loop_->now() + delay); }
   void cancel();
   bool armed() const { return armed_; }

@@ -13,14 +13,6 @@ void RateSampler::next_chunk() {
 }
 
 // NIMBUS_HOT_PATH begin
-void RateSampler::on_ack(TimeNs sent_at, TimeNs acked_at,
-                         std::uint32_t bytes) {
-  if ((next_ & (kChunkSamples - 1)) == 0) next_chunk();
-  cum_bytes_ += bytes;
-  write_[next_ & (kChunkSamples - 1)] = {sent_at, acked_at, cum_bytes_};
-  ++next_;
-}
-
 RateSampler::Rates RateSampler::rates(std::size_t n_packets) const {
   Rates out;
   n_packets = std::min(n_packets, history_size());

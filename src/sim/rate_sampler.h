@@ -11,11 +11,13 @@
 // The transport computes rates() lazily, when a reader asks: once per
 // 10 ms report for Nimbus and the other report-driven algorithms, and on
 // every ACK for BBR, which reads CcContext::send_rate_bps/recv_rate_bps
-// in on_ack.  Reads must stay cheap, so the implementation is a
-// power-of-two ring indexed by the global ack count, and each sample
-// carries the running total of acked bytes: n_bytes over any window is one
-// subtraction of two exact integer prefix sums instead of the reference
-// implementation's O(n) re-summation.  The ring is a fixed array of 16
+// in on_ack.  A flow whose algorithm reads no reports
+// (CcAlgorithm::reads_reports) records no samples at all.  Reads must
+// stay cheap, so the implementation is a power-of-two ring indexed by
+// the global ack count, and each sample carries the running total of
+// acked bytes: n_bytes over any window is one subtraction of two exact
+// integer prefix sums instead of the reference implementation's O(n)
+// re-summation.  The ring is a fixed array of 16
 // pointers to 1024-sample (24 KB) chunks: a new flow's history grows one
 // chunk at a time up to the 16384-sample cap, moving no samples and never
 // asking for a block big enough for malloc to mmap, and after the cap
@@ -42,7 +44,14 @@ class RateSampler {
   };
 
   /// Records one acknowledged packet.
-  void on_ack(TimeNs sent_at, TimeNs acked_at, std::uint32_t bytes);
+  // NIMBUS_HOT_PATH begin
+  void on_ack(TimeNs sent_at, TimeNs acked_at, std::uint32_t bytes) {
+    if ((next_ & (kChunkSamples - 1)) == 0) next_chunk();
+    cum_bytes_ += bytes;
+    write_[next_ & (kChunkSamples - 1)] = {sent_at, acked_at, cum_bytes_};
+    ++next_;
+  }
+  // NIMBUS_HOT_PATH end
 
   /// Rates over the most recent `n_packets` acked packets (clamped to what
   /// is available; invalid until at least kMinPackets have been seen).

@@ -43,6 +43,7 @@ TransportFlow::TransportFlow(EventLoop* loop, BottleneckLink* link,
                 "ACK delivery must fit the inline callback buffer");
   NIMBUS_CHECK(cc_ != nullptr);
   NIMBUS_CHECK(cfg_.mss > 0);
+  reads_reports_ = cc_->reads_reports();
   backlogged_ = cfg_.app_bytes < 0;
   app_bytes_remaining_ = backlogged_ ? kBackloggedBytes : cfg_.app_bytes;
   cwnd_bytes_ = kInitialCwndPkts * cfg_.mss;
@@ -61,7 +62,7 @@ void TransportFlow::begin() {
   if (cfg_.stop_time != std::numeric_limits<TimeNs>::max()) {
     stop_timer_.arm(cfg_.stop_time);
   }
-  report_timer_.arm_in(kReportInterval);
+  if (reads_reports_) report_timer_.arm_in(kReportInterval);
   maybe_send();
 }
 
@@ -84,6 +85,11 @@ void TransportFlow::set_cwnd_bytes(double bytes) {
 
 void TransportFlow::set_pacing_rate_bps(double bps) {
   NIMBUS_CHECK(bps >= 0);
+  // A report-less flow must stay ACK-clocked: dropping its report tick is
+  // exact only without pacing (see CcAlgorithm::reads_reports).
+  NIMBUS_CHECK_MSG(bps == 0 || reads_reports_,
+                   "pacing set on a flow whose CC opted out of reports "
+                   "(CcAlgorithm::reads_reports)");
   pacing_rate_bps_ = bps;
 }
 
@@ -231,9 +237,11 @@ void TransportFlow::handle_ack(const Ack& ack) {
 
   acked_bytes_total_ += newly_acked;
   ++acked_since_report_;
-  sampler_.on_ack(ack.data_sent_at, t, ack.bytes);
-  rate_window_at_ack_ =
-      rate_window_bytes_ > 0 ? rate_window_bytes_ : cwnd_bytes_;
+  if (reads_reports_) {
+    sampler_.on_ack(ack.data_sent_at, t, ack.bytes);
+    rate_window_at_ack_ =
+        rate_window_bytes_ > 0 ? rate_window_bytes_ : cwnd_bytes_;
+  }
   if (on_rtt_sample_) on_rtt_sample_(cfg_.id, t, latest_rtt_);
 
   detect_losses();

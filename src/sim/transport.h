@@ -18,6 +18,14 @@
 // property the paper's elasticity detector keys on.  Rate-based flows use a
 // pacing timer.
 //
+// Reports: a flow ticks every kReportInterval (CcAlgorithm::on_report) and
+// records an Eq. 2 sample per ACK only if its algorithm reads_reports().
+// A flow whose algorithm opts out (Cubic, NewReno, Vegas, Compound: the
+// kernel's ACK-clocked cross traffic, which sees no CCP report) arms no
+// report timer and keeps no rate history, and the contract is enforced:
+// set_pacing_rate_bps with a nonzero rate and every Eq. 2 accessor
+// (send_rate_bps / recv_rate_bps / rates_valid) CHECK-fail on such a flow.
+//
 // Data-path design: sequences are dense and monotonic, so all per-packet
 // state is index-addressable instead of node-based.  The sender's
 // outstanding window is a SeqRing (power-of-two ring addressed by
@@ -50,6 +58,8 @@
 #include "sim/packet.h"
 #include "sim/rate_sampler.h"
 #include "sim/seq_ring.h"
+#include "util/check.h"
+#include "util/inline.h"
 #include "util/ring_deque.h"
 #include "util/rng.h"
 
@@ -161,27 +171,32 @@ class TransportFlow : public CcContext {
     void operator()() const { flow->handle_ack(ack); }
   };
 
+  // The per-ACK helpers are NIMBUS_ALWAYS_INLINE: each is defined in
+  // transport.cc, its only caller.
   void begin();
   void maybe_send();
-  bool can_send() const;
+  NIMBUS_ALWAYS_INLINE bool can_send() const;
   void send_one();
   void handle_ack(const Ack& ack);
   /// Seqs below this (three under the highest SACKed) are lost once aged;
   /// 0 until an ACK arms detection.  Never decreases.
   std::uint64_t lost_below() const;
-  void detect_losses();
+  NIMBUS_ALWAYS_INLINE void detect_losses();
   void declare_lost(std::uint64_t seq);
-  void update_rtt(TimeNs sample);
-  TimeNs current_rto() const;
-  void arm_or_cancel_rto();
+  NIMBUS_ALWAYS_INLINE void update_rtt(TimeNs sample);
+  NIMBUS_ALWAYS_INLINE TimeNs current_rto() const;
+  NIMBUS_ALWAYS_INLINE void arm_or_cancel_rto();
   void on_rto_fired();
   void report_tick();
   /// Eq. 2 rates as of the latest ACK, computed on read: the sampler only
   /// changes on an ACK, and the window is the one in force at that ACK.
   RateSampler::Rates rates() const {
+    NIMBUS_CHECK_MSG(reads_reports_,
+                     "Eq. 2 rates read on a flow whose CC opted out of "
+                     "reports (CcAlgorithm::reads_reports)");
     return sampler_.rates_over_window(rate_window_at_ack_, cfg_.mss);
   }
-  void check_completion();
+  NIMBUS_ALWAYS_INLINE void check_completion();
   std::uint64_t total_packets() const;  // finite flows only
 
   EventLoop* loop_;
@@ -189,6 +204,9 @@ class TransportFlow : public CcContext {
   ImpairmentStage* ack_impairment_ = nullptr;  // owned by the Network
   Config cfg_;
   std::unique_ptr<CcAlgorithm> cc_;
+  // cc_->reads_reports(), fixed at construction: report ticks and Eq. 2
+  // samples happen only when set.
+  bool reads_reports_ = true;
   util::Rng rng_;
 
   bool started_ = false;
@@ -226,11 +244,11 @@ class TransportFlow : public CcContext {
   // Each timer's action is bound in the constructor.
   Timer rto_timer_;       // on_rto_fired
   Timer pacing_timer_;    // maybe_send
-  Timer report_timer_;    // report_tick
+  Timer report_timer_;    // report_tick (armed only if reads_reports_)
   Timer stop_timer_;      // the app stops offering data
   int rto_backoff_ = 0;
 
-  RateSampler sampler_;
+  RateSampler sampler_;  // empty unless reads_reports_
   double rate_window_bytes_ = 0;  // 0: use cwnd
   // Rate window at the latest ACK, taken before cc_->on_ack may move it.
   double rate_window_at_ack_ = 0;

@@ -95,22 +95,6 @@ void TimeSeries::clear() {
   values_.clear();
 }
 
-void ByteCounter::add(TimeNs t, std::int64_t bytes) {
-  total_ += bytes;
-  // Stamping the sample at the bucket's last nanosecond makes an aligned
-  // boundary B see exactly the bytes added before B (their stamps are
-  // <= B-1).
-  const TimeNs stamp = (t / kBucket) * kBucket + kBucket - 1;
-  if (!times_.empty() && stamp == times_.back()) {
-    cumulative_.back() = total_;
-    return;
-  }
-  NIMBUS_CHECK_MSG(times_.empty() || stamp >= times_.back(),
-                   "ByteCounter samples must be time-ordered");
-  times_.push_back(stamp);
-  cumulative_.push_back(total_);
-}
-
 std::int64_t ByteCounter::bytes_in(TimeNs t0, TimeNs t1) const {
   if (times_.empty()) return 0;
   // Cumulative bytes strictly before t0 / t1.

@@ -9,6 +9,7 @@
 #include <optional>
 #include <vector>
 
+#include "util/check.h"
 #include "util/time.h"
 
 namespace nimbus::util {
@@ -71,7 +72,21 @@ class TimeSeries {
 /// bucket attributes that bucket's bytes to its final nanosecond.
 class ByteCounter {
  public:
-  void add(TimeNs t, std::int64_t bytes);
+  void add(TimeNs t, std::int64_t bytes) {
+    total_ += bytes;
+    // Stamping the sample at the bucket's last nanosecond makes an aligned
+    // boundary B see exactly the bytes added before B (their stamps are
+    // <= B-1).
+    const TimeNs stamp = (t / kBucket) * kBucket + kBucket - 1;
+    if (!times_.empty() && stamp == times_.back()) {
+      cumulative_.back() = total_;
+      return;
+    }
+    NIMBUS_CHECK_MSG(times_.empty() || stamp >= times_.back(),
+                     "ByteCounter samples must be time-ordered");
+    times_.push_back(stamp);
+    cumulative_.push_back(total_);
+  }
   std::int64_t total() const { return total_; }
   /// Stored sample count (one per occupied bucket; exposed for tests and
   /// benches).

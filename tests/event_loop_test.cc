@@ -431,12 +431,15 @@ TEST(TimerTest, FarRearmKeepsOneHeapAnchor) {
 // Churn inside one wheel bucket: hundreds of events due within one
 // 2^13 ns (~8.2 us) bucket, half on a coarse grid of shared deadlines and
 // half at distinct ns.  Every firing cancels, reschedules or adds events:
-// the bucket's head (its newest insert), its tail (its oldest), its
-// middle, and later members of the current equal-time run, which the
-// drain may already hold in its batch.  Now and then a callback calls
-// stop() mid-run and the test resumes the run.  Every firing must be the
-// smallest (time, seq) of a reference model, where seq counts schedule
-// and reschedule calls.
+// the newest, the oldest and the middle pending event in (re)schedule
+// order, and later members of the current equal-time run, which the drain
+// may already hold in its batch.  Every reschedule stays inside the
+// bucket, so each one outside the drain batch takes the in-place re-arm;
+// a third of them re-arm to the event's own deadline, which must still
+// move it behind every other pending event with that deadline.  Now and
+// then a callback calls stop() mid-run and the test resumes the run.
+// Every firing must be the smallest (time, seq) of a reference model,
+// where seq counts schedule and reschedule calls.
 class SameBucketModel {
  public:
   static constexpr TimeNs kBucketNs = TimeNs{1} << 13;
@@ -468,6 +471,8 @@ class SameBucketModel {
   int stops() const { return stops_; }
   int scheduled() const { return next_tag_; }
   int cancelled() const { return cancelled_; }
+  int same_deadline_rearms() const { return same_deadline_rearms_; }
+  int run_member_rearms() const { return run_member_rearms_; }
   std::size_t model_pending() const { return pending_.size(); }
   std::size_t loop_pending() const { return loop_.pending_events(); }
 
@@ -511,9 +516,8 @@ class SameBucketModel {
     track(tag, t, loop_.schedule(t, Fire{this, tag}));
   }
 
-  // A pending event to cancel or move: the bucket's head, tail or middle
-  // (bucket order is (re)schedule order, newest first), or a later member
-  // of the equal-time run now firing.
+  // A pending event to cancel or move: the newest, oldest or middle one in
+  // (re)schedule order, or a later member of the equal-time run now firing.
   int victim() {
     switch (rng_.uniform_int(0, 3)) {
       case 0:
@@ -564,14 +568,18 @@ class SameBucketModel {
       }
       if (pending_.empty()) continue;
       const int v = victim();
-      const EventId id = pending_.at(v).id;
+      const Pending p = pending_.at(v);
       untrack(v);
       if (u < 0.7) {
-        loop_.cancel(id);
+        loop_.cancel(p.id);
         ++cancelled_;
       } else {
-        const TimeNs nt = deadline();
-        track(v, nt, loop_.reschedule(id, nt));
+        // Re-arm to the same deadline (the pacing pattern) or a new one.
+        const bool same = u < 0.8;
+        const TimeNs nt = same ? p.time : deadline();
+        if (same) ++same_deadline_rearms_;
+        if (p.time == loop_.now()) ++run_member_rearms_;
+        track(v, nt, loop_.reschedule(p.id, nt));
       }
     }
     if (rng_.uniform() < 0.01) {
@@ -592,6 +600,8 @@ class SameBucketModel {
   int same_time_firings_ = 0;
   int stops_ = 0;
   int cancelled_ = 0;
+  int same_deadline_rearms_ = 0;
+  int run_member_rearms_ = 0;  // re-arms of the equal-time run now firing
   TimeNs last_fired_at_ = -1;
 };
 
@@ -605,6 +615,48 @@ TEST(EventCoreTest, SameBucketChurnMatchesModel) {
   // The churn exercised equal-time runs and mid-run stops.
   EXPECT_GT(m.same_time_firings(), 100);
   EXPECT_GT(m.stops(), 5);
+  // ...and re-arms to the same deadline and of the run's members.
+  EXPECT_GT(m.same_deadline_rearms(), 100);
+  EXPECT_GT(m.run_member_rearms(), 100);
+}
+
+TEST(EventCoreTest, SameBucketRescheduleStaysInPlace) {
+  // A re-arm inside the bucket an event already occupies relinks nothing
+  // (no wheel insert), yet takes a fresh FIFO position exactly as
+  // cancel() + schedule() would.  One 2^13 ns bucket spans [8192, 16384).
+  EventLoop loop;
+  obs::MetricsRegistry metrics;
+  loop.attach_metrics(&metrics);
+  const obs::Counter wheel_inserts = metrics.counter("loop.wheel_inserts");
+  std::vector<char> order;
+  const EventId a = loop.schedule(9000, [&order]() { order.push_back('a'); });
+  loop.schedule(9000, [&order]() { order.push_back('b'); });
+  const EventId c = loop.schedule(16000, [&order]() { order.push_back('c'); });
+  const EventId d = loop.schedule(12000, [&order]() { order.push_back('d'); });
+  ASSERT_EQ(*wheel_inserts.v, 4u);
+  // Same deadline: a moves behind b.
+  const EventId a2 = loop.reschedule(a, 9000);
+  EXPECT_NE(a2, a);
+  // Earlier and later inside the bucket.
+  loop.reschedule(c, 9000);
+  loop.reschedule(d, 16383);
+  EXPECT_EQ(*wheel_inserts.v, 4u);
+  // Into the next bucket: the eager path relinks.
+  loop.reschedule(a2, 16384);
+  EXPECT_EQ(*wheel_inserts.v, 5u);
+  loop.run_until(16384);
+  EXPECT_EQ(order, (std::vector<char>{'b', 'c', 'd', 'a'}));
+  // Tied at 20000, e re-armed in place moves behind f, and its old id is
+  // stale.
+  order.clear();
+  const EventId e = loop.schedule(20000, [&order]() { order.push_back('e'); });
+  loop.schedule(20000, [&order]() { order.push_back('f'); });
+  const EventId e2 = loop.reschedule(e, 20000);
+  loop.cancel(e);  // stale: a no-op
+  EXPECT_EQ(loop.pending_events(), 2u);
+  loop.run();
+  EXPECT_EQ(order, (std::vector<char>{'f', 'e'}));
+  loop.cancel(e2);  // fired: a no-op
 }
 
 // --- zero-allocation guarantee -----------------------------------------
@@ -672,7 +724,10 @@ TEST(EventCoreTest, GoldenScenarioBitIdenticalToSeed) {
 
   exp::ScenarioRun run = exp::run_scenario(spec);
   auto& net = *run.built.net;
-  EXPECT_EQ(net.loop().processed_events(), 191116u);
+  // 191116 until Cubic stopped ticking reports: -1500 = 100 ticks/s for the
+  // Cubic flow's 15 s (CcAlgorithm::reads_reports); every value below is
+  // unchanged.
+  EXPECT_EQ(net.loop().processed_events(), 189616u);
   EXPECT_EQ(net.recorder().delivered(1).total(), 40747500);
   EXPECT_EQ(net.recorder().delivered(2).total(), 19888500);
   EXPECT_EQ(net.recorder().delivered(3).total(), 58378500);
@@ -714,7 +769,9 @@ TEST(EventCoreTest, GoldenLossHeavyScenarioBitIdenticalToPr2) {
 
   exp::ScenarioRun run = exp::run_scenario(spec);
   auto& net = *run.built.net;
-  EXPECT_EQ(net.loop().processed_events(), 186158u);
+  // 186158 until Cubic and Reno stopped ticking reports: -3600 = 100
+  // ticks/s for Cubic's 20 s and Reno's 16 s.
+  EXPECT_EQ(net.loop().processed_events(), 182558u);
   EXPECT_EQ(net.recorder().delivered(1).total(), 55482000);
   EXPECT_EQ(net.recorder().delivered(2).total(), 23115000);
   EXPECT_EQ(net.recorder().delivered(3).total(), 12406500);

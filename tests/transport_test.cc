@@ -1,6 +1,7 @@
 // Tests for the reliable transport: ACK clocking, RTT measurement, loss
 // detection and retransmission, RTO recovery, pacing, app-limited flows,
-// flow completion, and the recorder's tracked-only RTT series.
+// flow completion, report-less flows, and the recorder's tracked-only RTT
+// series.
 #include <cstring>
 #include <initializer_list>
 #include <memory>
@@ -8,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "cc/const_window.h"
+#include "cc/cubic.h"
 #include "cc/reno.h"
 #include "sim/network.h"
 
@@ -217,6 +219,90 @@ TEST(TransportTest, ReportsCarryRates) {
   // Link-saturating flow: S ~= R ~= link rate.
   EXPECT_NEAR(flow->send_rate_bps(), kRate, 0.1 * kRate);
   EXPECT_NEAR(flow->recv_rate_bps(), kRate, 0.1 * kRate);
+}
+
+// --- report-less flows (CcAlgorithm::reads_reports) ---------------------
+
+// Cubic behind the default reads_reports() == true: the twin that still
+// ticks reports and samples Eq. 2, against which a plain Cubic flow is
+// compared.
+class ReportingCubic final : public CcAlgorithm {
+ public:
+  std::string name() const override { return "reporting-cubic"; }
+  void init(CcContext& ctx) override { inner_.init(ctx); }
+  void on_ack(CcContext& ctx, const AckInfo& ack) override {
+    inner_.on_ack(ctx, ack);
+  }
+  void on_loss(CcContext& ctx, const LossInfo& loss) override {
+    inner_.on_loss(ctx, loss);
+  }
+  void on_rto(CcContext& ctx) override { inner_.on_rto(ctx); }
+
+ private:
+  cc::Cubic inner_;
+};
+
+struct LoneFlowRun {
+  std::uint64_t events = 0;
+  std::int64_t delivered = 0;
+  std::uint64_t drops = 0;
+  std::uint64_t sent = 0;
+  std::uint64_t lost = 0;
+  TimeNs srtt = 0;
+};
+
+// One flow alone on a 30-packet buffer for `seconds`: Cubic overflows it,
+// so the run covers losses and retransmissions as well as the ACK clock.
+LoneFlowRun run_lone_flow(std::unique_ptr<CcAlgorithm> cc, int seconds) {
+  Network net(kRate, 30 * 1500);
+  TransportFlow::Config cfg;
+  cfg.id = 1;
+  cfg.rtt_prop = from_ms(20);
+  auto* flow = net.add_flow(cfg, std::move(cc));
+  net.run_until(from_sec(seconds));
+  return {net.loop().processed_events(), net.recorder().delivered(1).total(),
+          net.recorder().total_drops(),  flow->sent_packets(),
+          flow->lost_packets(),          flow->srtt()};
+}
+
+TEST(TransportTest, ReportLessFlowFiresNoReportEvents) {
+  constexpr int kSeconds = 5;
+  ASSERT_FALSE(cc::Cubic().reads_reports());
+  const LoneFlowRun plain = run_lone_flow(std::make_unique<cc::Cubic>(),
+                                          kSeconds);
+  const LoneFlowRun ticking =
+      run_lone_flow(std::make_unique<ReportingCubic>(), kSeconds);
+  // The report tick is the only event the plain flow drops: one every
+  // kReportInterval from the flow's start (t = 0) through the end.
+  EXPECT_EQ(ticking.events - plain.events,
+            static_cast<std::uint64_t>(from_sec(kSeconds) / kReportInterval));
+  // ...and dropping it changes nothing the flow does.
+  EXPECT_EQ(plain.delivered, ticking.delivered);
+  EXPECT_EQ(plain.drops, ticking.drops);
+  EXPECT_EQ(plain.sent, ticking.sent);
+  EXPECT_EQ(plain.lost, ticking.lost);
+  EXPECT_EQ(plain.srtt, ticking.srtt);
+  EXPECT_GT(plain.lost, 0u);  // the buffer overflowed: losses were covered
+}
+
+TEST(TransportTest, ReportLessFlowRejectsPacing) {
+  Network net(kRate, 1 << 20);
+  TransportFlow::Config cfg;
+  cfg.id = 1;
+  auto* flow = net.add_flow(cfg, std::make_unique<cc::Reno>());
+  flow->set_pacing_rate_bps(0);  // ACK clocking stays allowed
+  EXPECT_DEATH(flow->set_pacing_rate_bps(1e6), "opted out of reports");
+}
+
+TEST(TransportTest, ReportLessFlowRejectsRateReads) {
+  Network net(kRate, 1 << 20);
+  TransportFlow::Config cfg;
+  cfg.id = 1;
+  auto* flow = net.add_flow(cfg, std::make_unique<cc::Cubic>());
+  net.run_until(from_sec(1));
+  EXPECT_DEATH(flow->send_rate_bps(), "opted out of reports");
+  EXPECT_DEATH(flow->recv_rate_bps(), "opted out of reports");
+  EXPECT_DEATH(flow->rates_valid(), "opted out of reports");
 }
 
 // --- recorder RTT series: tracked flows only ---------------------------
