@@ -1,4 +1,4 @@
-// Ablations of the design choices DESIGN.md section 5 calls out:
+// Ablations of four design choices the paper's detector rests on:
 //   1. frequency-domain eta vs a time-domain cross-correlation detector;
 //   2. asymmetric vs symmetric pulses (minimum feasible sending rate);
 //   3. FFT window duration (1-10 s) accuracy trade-off;

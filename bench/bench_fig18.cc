@@ -1,5 +1,6 @@
-// Fig. 18: three example "Internet paths" (synthetic catalog; see
-// DESIGN.md substitution table): two deep-buffered paths where Nimbus
+// Fig. 18: three example "Internet paths" (from the synthetic catalog in
+// exp/path_catalog.h, which stands in for the paper's real EC2-to-
+// residential paths): two deep-buffered paths where Nimbus
 // matches Cubic/BBR throughput at lower delay, and one lossy path where
 // Cubic collapses but Nimbus keeps throughput.
 //
@@ -23,7 +24,7 @@ using namespace nimbus::bench;
 int main() {
   const TimeNs duration = dur(60, 30);
   const auto paths = exp::internet_paths();
-  // deep-4 (96 Mbit/s, deep buffer), deep-2 (48, deep), lossy-2.
+  // deep-4 (96 Mbit/s, deep buffer), deep-2 (48, deep), lossy-3.
   const std::vector<std::size_t> picks = {3, 1, 20};
   const std::vector<std::string> schemes = {"nimbus", "cubic", "bbr",
                                             "vegas"};

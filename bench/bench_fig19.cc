@@ -19,7 +19,7 @@ int main() {
   const auto all_paths = exp::internet_paths();
   std::vector<exp::PathConfig> paths;
   for (const auto& p : all_paths) {
-    if (p.has_queueing) paths.push_back(p);
+    if (p.has_queueing()) paths.push_back(p);
   }
   // PR 4 widened the quick-mode aggregate from 8 paths x 1 seed to 12
   // paths x 2 seeds per scheme (the paper reports per-path aggregate CDFs;

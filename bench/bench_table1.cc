@@ -60,7 +60,8 @@ int main() {
                                           // shrinks to a few packets; the
                                           // detector then (correctly)
                                           // reports no significant cross
-                                          // traffic.  See EXPERIMENTS.md.
+                                          // traffic, so the row is not
+                                          // strict.
       {"bbr", "elastic*", true, false},
       {"vivace", "inelastic*", false, false},
       {"fixed-window", "elastic", true, true},

@@ -99,8 +99,6 @@ const char* to_string(Nimbus::Role role) {
   return role == Nimbus::Role::kPulser ? "pulser" : "watcher";
 }
 
-Nimbus::Nimbus() : Nimbus(Config()) {}
-
 Nimbus::Nimbus(const Config& config)
     : cfg_(validated(config)),
       pulse_({config.fp_delay_hz, config.pulse_amplitude_frac}),

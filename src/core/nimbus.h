@@ -84,7 +84,6 @@ class Nimbus final : public sim::CcAlgorithm {
   };
   using StatusHandler = std::function<void(const Status&)>;
 
-  Nimbus();
   explicit Nimbus(const Config& config);
 
   std::string name() const override { return "nimbus"; }

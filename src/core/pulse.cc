@@ -46,22 +46,4 @@ double AsymmetricPulse::burst_bytes(double mu_bps) const {
   return amplitude * quarter * (2.0 / M_PI) / 8.0;
 }
 
-double AsymmetricPulse::cumulative_bytes(TimeNs t, double mu_bps) const {
-  const double amplitude = cfg_.amplitude_frac * mu_bps;
-  const TimeNs phase_ns = ((t % period_) + period_) % period_;
-  const double phase = to_sec(phase_ns);
-  const double quarter = to_sec(period_) / 4.0;
-
-  if (phase < quarter) {
-    // Integral of A*sin(pi*tau/quarter): A*quarter/pi * (1 - cos(...)).
-    return amplitude * quarter / M_PI *
-           (1.0 - std::cos(M_PI * phase / quarter)) / 8.0;
-  }
-  const double rest = phase - quarter;
-  const double burst = burst_bytes(mu_bps) * 8.0;  // bits
-  const double drained = (amplitude / 3.0) * (3.0 * quarter) / M_PI *
-                         (1.0 - std::cos(M_PI * rest / (3.0 * quarter)));
-  return (burst - drained) / 8.0;
-}
-
 }  // namespace nimbus::core

@@ -36,13 +36,6 @@ class AsymmetricPulse {
   /// integral of the positive half-sine = A * (T/4) * (2/pi) / 8 bytes.
   double burst_bytes(double mu_bps) const;
 
-  /// Running integral of the pulse within the current period, in bytes:
-  /// rises from 0 to burst_bytes over the first quarter and returns to 0 at
-  /// the period's end.  Adding this to a congestion window makes a pure
-  /// window (ACK-clocked) sender emit the pulse: the rising edge releases
-  /// the burst, the falling edge reclaims it.
-  double cumulative_bytes(TimeNs t, double mu_bps) const;
-
   double frequency_hz() const { return cfg_.frequency_hz; }
   void set_frequency_hz(double f);
   TimeNs period() const { return period_; }

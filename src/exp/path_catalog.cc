@@ -45,25 +45,10 @@ std::vector<PathConfig> internet_paths() {
     p.buffer_bdp = 0.5;
     p.random_loss = 0.005 + 0.005 * i;
     p.inelastic_load = 0.1;
-    p.has_queueing = false;
     paths.push_back(p);
   }
 
-  // 23-25: policed paths.
-  for (int i = 0; i < 3; ++i) {
-    PathConfig p;
-    p.name = "policed-" + std::to_string(i + 1);
-    p.rate_bps = 100e6;
-    p.rtt = from_ms(50 + 25 * i);
-    p.buffer_bdp = 1.0;
-    p.policer = true;
-    p.policer_frac = 0.4 + 0.1 * i;
-    p.inelastic_load = 0.05;
-    p.has_queueing = false;
-    paths.push_back(p);
-  }
-
-  NIMBUS_CHECK(paths.size() == 25);
+  NIMBUS_CHECK(paths.size() == 22);
   return paths;
 }
 
@@ -79,12 +64,6 @@ ScenarioSpec path_scenario(const std::string& scheme, const PathConfig& path,
   if (path.random_loss > 0) {
     spec.random_loss = path.random_loss;
     spec.random_loss_seed = seed * 13 + 7;  // historical formula
-  }
-  if (path.policer) {
-    spec.policer.enabled = true;
-    spec.policer.rate_bps = path.policer_frac * path.rate_bps;
-    spec.policer.burst_bytes = static_cast<std::int64_t>(
-        path.policer_frac * path.rate_bps / 8.0 * to_sec(path.rtt));
   }
 
   // Protagonist bulk transfer.  Real-path runs estimate mu online (the

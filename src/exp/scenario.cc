@@ -82,13 +82,6 @@ CrossSpec CrossSpec::nimbus_flow(const core::Nimbus::Config& cfg,
   return c;
 }
 
-LinkSpec LinkSpec::make_steps(std::vector<sim::RateStep> s) {
-  LinkSpec l;
-  l.kind = Kind::kSteps;
-  l.steps = std::move(s);
-  return l;
-}
-
 LinkSpec LinkSpec::sine(double amplitude_frac, TimeNs period, TimeNs quantum) {
   LinkSpec l;
   l.kind = Kind::kSine;
@@ -155,7 +148,6 @@ std::unique_ptr<sim::Network> make_bottleneck(const ScenarioSpec& spec) {
                                     ? spec.random_loss_seed
                                     : flow_seed(spec.seed, /*legacy=*/7));
   }
-  if (spec.policer.enabled) net->link().set_policer(spec.policer);
   if (spec.impairment.forward.any()) {
     sim::ImpairmentConfig c = spec.impairment.forward;
     if (c.seed == 0) c.seed = flow_seed(spec.seed, /*legacy=*/211);
@@ -311,9 +303,7 @@ std::unique_ptr<sim::RateSchedule> make_link_schedule(
   const LinkSpec& l = spec.link;
   switch (l.kind) {
     case LinkSpec::Kind::kConstant:
-      return sim::RateSchedule::constant(spec.mu_bps);
-    case LinkSpec::Kind::kSteps:
-      return sim::RateSchedule::steps(spec.mu_bps, l.steps);
+      break;
     case LinkSpec::Kind::kSine:
       return sim::RateSchedule::sine(spec.mu_bps, l.amplitude_frac, l.period,
                                      l.quantum);
@@ -330,7 +320,7 @@ std::unique_ptr<sim::RateSchedule> make_link_schedule(
       return sim::RateSchedule::from_trace_file(l.trace_path, cfg);
     }
   }
-  NIMBUS_CHECK_MSG(false, "unreachable: unknown LinkSpec kind");
+  NIMBUS_CHECK_MSG(false, "a constant link has no rate schedule");
   return nullptr;
 }
 

@@ -133,22 +133,16 @@ enum class QueueKind { kDropTail, kPie };
 /// default (kConstant) is exactly the fixed-µ link every pre-existing
 /// scenario ran on — build_network installs no schedule object at all, so
 /// the event stream is bit-identical.  Any other kind varies µ(t) around
-/// ScenarioSpec::mu_bps (steps are absolute rates; sine/random-walk treat
-/// mu_bps as the mean; a trace replaces µ entirely — set mu_bps to the
-/// trace's mean, see trace_mean_rate_bps, so buffer sizing and known-µ
-/// stay consistent).  Schedules compose with every queue kind, but note
+/// ScenarioSpec::mu_bps (sine/random-walk treat mu_bps as the mean; a
+/// trace replaces µ entirely — set mu_bps to the trace's mean, see
+/// trace_mean_rate_bps, so buffer sizing and known-µ stay consistent).  Schedules compose with every queue kind, but note
 /// PIE estimates departure delay from its configured constant rate, so a
 /// strongly varying µ degrades its delay estimate (as it would a real
 /// deployment tuned for the wrong rate).
 struct LinkSpec {
-  enum class Kind { kConstant, kSteps, kSine, kRandomWalk, kTrace };
+  enum class Kind { kConstant, kSine, kRandomWalk, kTrace };
 
   Kind kind = Kind::kConstant;
-
-  // kSteps: piecewise-constant breakpoints; mu_bps applies before the
-  // first one.  Usable per phase: align breakpoints with cross-traffic
-  // phase boundaries to move µ between phases.
-  std::vector<sim::RateStep> steps;
 
   // kSine / kRandomWalk: peak deviation as a fraction of mu_bps (sine
   // amplitude; random-walk clamp to mu_bps·[1−a, 1+a]).
@@ -168,7 +162,6 @@ struct LinkSpec {
   TimeNs trace_bucket = from_ms(10);
 
   static LinkSpec constant() { return {}; }
-  static LinkSpec make_steps(std::vector<sim::RateStep> s);
   static LinkSpec sine(double amplitude_frac, TimeNs period,
                        TimeNs quantum = from_ms(100));
   static LinkSpec random_walk(double amplitude_frac,
@@ -215,7 +208,6 @@ struct ScenarioSpec {
   /// (legacy stream 7 under the default base).  Explicit values let path
   /// experiments keep their historical seed*13+7 formula.
   std::uint64_t random_loss_seed = 0;
-  sim::PolicerConfig policer;
   ImpairmentSpec impairment;
 
   ProtagonistSpec protagonist;
@@ -261,7 +253,8 @@ struct BuiltScenario {
 BuiltScenario build_network(const ScenarioSpec& spec);
 
 /// Builds the spec's µ(t) schedule (seed resolution included): the same
-/// object build_network installs on the link for non-constant kinds.
+/// object build_network installs on the link.  A kConstant link has no
+/// schedule (CHECK-fails); its µ is spec.mu_bps.
 /// Ground-truth scoring builds its own copy to replay the identical µ(t)
 /// trajectory after the run.
 std::unique_ptr<sim::RateSchedule> make_link_schedule(const ScenarioSpec& spec);

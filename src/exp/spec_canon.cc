@@ -23,8 +23,6 @@ namespace nimbus::exp {
                 #type                                                        \
                 " changed size: a field was added/removed without updating " \
                 "canonical_spec() and " #constant " in exp/spec_canon.h")
-NIMBUS_CANON_GUARD(sim::RateStep, kCanonSizeofRateStep);
-NIMBUS_CANON_GUARD(sim::PolicerConfig, kCanonSizeofPolicerConfig);
 NIMBUS_CANON_GUARD(sim::Outage, kCanonSizeofOutage);
 NIMBUS_CANON_GUARD(sim::ImpairmentConfig, kCanonSizeofImpairmentConfig);
 NIMBUS_CANON_GUARD(ImpairmentSpec, kCanonSizeofImpairmentSpec);
@@ -139,12 +137,6 @@ Hash128 trace_content_hash(const std::string& path) {
 
 void emit_link(Canon& c, const std::string& p, const LinkSpec& l) {
   c.e(p + ".kind", static_cast<int>(l.kind));
-  c.u64(p + ".steps.n", l.steps.size());
-  for (std::size_t i = 0; i < l.steps.size(); ++i) {
-    const std::string q = p + ".steps[" + std::to_string(i) + "]";
-    c.i64(q + ".at", l.steps[i].at);
-    c.d(q + ".rate_bps", l.steps[i].rate_bps);
-  }
   c.d(p + ".amplitude_frac", l.amplitude_frac);
   c.i64(p + ".period", l.period);
   c.i64(p + ".quantum", l.quantum);
@@ -156,13 +148,6 @@ void emit_link(Canon& c, const std::string& p, const LinkSpec& l) {
                                    ? trace_content_hash(l.trace_path).hex()
                                    : "-");
   c.i64(p + ".trace_bucket", l.trace_bucket);
-}
-
-void emit_policer(Canon& c, const std::string& p,
-                  const sim::PolicerConfig& pol) {
-  c.b(p + ".enabled", pol.enabled);
-  c.d(p + ".rate_bps", pol.rate_bps);
-  c.i64(p + ".burst_bytes", pol.burst_bytes);
 }
 
 void emit_impairment_cfg(Canon& c, const std::string& p,
@@ -251,7 +236,9 @@ std::string canonical_spec(const ScenarioSpec& spec) {
   // v4: dropped the fields that became constants (Nimbus tuning, the
   //     BasicDelay gains, buffer_bytes, copa_poll_interval, the trace
   //     opportunity/floor/scale knobs, the workload mss/threshold/factory).
-  c.line("format", "scenario-canon/v4");
+  // v5: dropped the link policer and the steps link kind (the LinkSpec
+  //     kind values after kConstant shift down by one).
+  c.line("format", "scenario-canon/v5");
   c.s("name", spec.name);
   c.d("mu_bps", spec.mu_bps);
   emit_link(c, "link", spec.link);
@@ -261,7 +248,6 @@ std::string canonical_spec(const ScenarioSpec& spec) {
   c.i64("pie_target_delay", spec.pie_target_delay);
   c.d("random_loss", spec.random_loss);
   c.u64("random_loss_seed", spec.random_loss_seed);
-  emit_policer(c, "policer", spec.policer);
   emit_impairment(c, "impairment", spec.impairment);
   emit_protagonist(c, "protagonist", spec.protagonist);
   c.u64("cross.n", spec.cross.size());

@@ -9,8 +9,7 @@
 //   * canonical_spec(spec) — a total, stable text serialization.  Every
 //     field of ScenarioSpec and every nested struct (CrossSpec, LinkSpec,
 //     ProtagonistSpec, Nimbus::Config, FlowWorkload::Config,
-//     FlowSizeDist, PolicerConfig, RateStep, ImpairmentSpec,
-//     ImpairmentConfig, Outage) is
+//     FlowSizeDist, ImpairmentSpec, ImpairmentConfig, Outage) is
 //     emitted in a fixed order with defaults made explicit; doubles are
 //     serialized as their exact IEEE-754 bit patterns (no rounding, no
 //     locale); trace-file link specs embed a hash of the trace *content*,
@@ -73,8 +72,6 @@ bool spec_cacheable(const ScenarioSpec& spec);
 // static_asserts sizeof(T) == kCanonSizeof<T> for every struct the
 // canonicalizer walks; update the serializer *and* the constant together.
 // ---------------------------------------------------------------------------
-inline constexpr std::size_t kCanonSizeofRateStep = 16;
-inline constexpr std::size_t kCanonSizeofPolicerConfig = 24;
 inline constexpr std::size_t kCanonSizeofOutage = 16;
 inline constexpr std::size_t kCanonSizeofImpairmentConfig = 120;
 inline constexpr std::size_t kCanonSizeofImpairmentSpec = 240;
@@ -82,9 +79,9 @@ inline constexpr std::size_t kCanonSizeofNimbusConfig = 56;
 inline constexpr std::size_t kCanonSizeofFlowSizeBand = 24;
 inline constexpr std::size_t kCanonSizeofFlowSizeDist = 56;
 inline constexpr std::size_t kCanonSizeofWorkloadConfig = 96;
-inline constexpr std::size_t kCanonSizeofLinkSpec = 120;
+inline constexpr std::size_t kCanonSizeofLinkSpec = 96;
 inline constexpr std::size_t kCanonSizeofCrossSpec = 152;
 inline constexpr std::size_t kCanonSizeofProtagonistSpec = 136;
-inline constexpr std::size_t kCanonSizeofScenarioSpec = 760;
+inline constexpr std::size_t kCanonSizeofScenarioSpec = 712;
 
 }  // namespace nimbus::exp

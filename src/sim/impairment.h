@@ -10,7 +10,7 @@
 //
 //   * forward (data) direction — installed on the BottleneckLink
 //     (set_impairment); every packet offered to the link passes through
-//     the stage before loss/policer/queue, so all senders sharing the
+//     the stage before random loss and the queue, so all senders sharing the
 //     bottleneck share the impaired path, as they would in reality;
 //   * reverse (ACK) direction — installed on the Network
 //     (set_ack_impairment); every ACK's reverse-path trip is filtered

@@ -1,7 +1,5 @@
 #include "sim/link.h"
 
-#include <algorithm>
-
 #include "util/check.h"
 
 namespace nimbus::sim {
@@ -32,24 +30,6 @@ void BottleneckLink::set_impairment(std::unique_ptr<ImpairmentStage> stage) {
   impairment_ = std::move(stage);
 }
 
-void BottleneckLink::set_policer(const PolicerConfig& cfg) {
-  policer_ = cfg;
-  policer_tokens_ = static_cast<double>(cfg.burst_bytes);
-  policer_last_refill_ = loop_->now();
-}
-
-bool BottleneckLink::policer_admits(const Packet& p) {
-  if (!policer_.enabled) return true;
-  const TimeNs now = loop_->now();
-  policer_tokens_ += bytes_in(now - policer_last_refill_, policer_.rate_bps);
-  policer_tokens_ =
-      std::min(policer_tokens_, static_cast<double>(policer_.burst_bytes));
-  policer_last_refill_ = now;
-  if (policer_tokens_ < static_cast<double>(p.size_bytes)) return false;
-  policer_tokens_ -= static_cast<double>(p.size_bytes);
-  return true;
-}
-
 void BottleneckLink::enqueue(Packet p) {
   obs_enqueues_.inc();
   if (impairment_ != nullptr) {
@@ -75,11 +55,6 @@ void BottleneckLink::enqueue(Packet p) {
 void BottleneckLink::admit(Packet p) {
   if (loss_prob_ > 0.0 && loss_rng_.bernoulli(loss_prob_)) {
     obs_drop_random_.inc();
-    drop(p);
-    return;
-  }
-  if (!policer_admits(p)) {
-    obs_drop_policer_.inc();
     drop(p);
     return;
   }
@@ -122,11 +97,6 @@ void BottleneckLink::finish_transmission() {
   ++delivered_packets_;
   if (on_delivery_) on_delivery_(p, loop_->now());
   start_transmission();
-}
-
-void BottleneckLink::set_rate_bps(double rate_bps) {
-  NIMBUS_CHECK(rate_bps > 0);
-  rate_bps_ = rate_bps;
 }
 
 void BottleneckLink::set_schedule(std::unique_ptr<RateSchedule> schedule) {
@@ -191,7 +161,6 @@ void BottleneckLink::attach_telemetry(obs::MetricsRegistry* m,
   obs_impairment_decisions_ = m->counter("link.impairment_decisions");
   obs_drop_impairment_ = m->counter("link.drops.impairment");
   obs_drop_random_ = m->counter("link.drops.random_loss");
-  obs_drop_policer_ = m->counter("link.drops.policer");
   obs_drop_queue_ = m->counter("link.drops.queue");
   obs_mu_changes_ = m->counter("link.mu_changes");
 }
@@ -199,12 +168,6 @@ void BottleneckLink::attach_telemetry(obs::MetricsRegistry* m,
 TimeNs BottleneckLink::current_queue_delay() const {
   return static_cast<TimeNs>(static_cast<double>(qdisc_->bytes()) * 8.0 /
                              rate_bps_ * static_cast<double>(kNanosPerSec));
-}
-
-double BottleneckLink::utilization() const {
-  const TimeNs now = loop_->now();
-  if (now <= 0) return 0.0;
-  return to_sec(busy_time_) / to_sec(now);
 }
 
 }  // namespace nimbus::sim

@@ -1,6 +1,6 @@
 // The bottleneck link: a work-conserving transmitter draining a queue
-// discipline, with optional random loss and an optional token-bucket
-// policer (used to emulate lossy / policed Internet paths).
+// discipline, with optional random loss (used to emulate lossy Internet
+// paths).
 //
 // The drain rate is either a fixed µ (the default) or time-varying via an
 // installed RateSchedule (sim/link_schedule.h): the link applies each
@@ -26,21 +26,13 @@
 
 namespace nimbus::sim {
 
-/// Token-bucket policer applied before the queue: non-conforming packets are
-/// dropped (models ISP rate policers seen on some Internet paths, Fig. 18c).
-struct PolicerConfig {
-  bool enabled = false;
-  double rate_bps = 0.0;
-  std::int64_t burst_bytes = 0;
-};
-
 class BottleneckLink {
  public:
   /// Called when a packet finishes serialization; `dequeue_done` is the time
   /// the last bit left the link.
   using DeliveryHandler = std::function<void(const Packet&, TimeNs)>;
-  /// Called when a packet is dropped (queue overflow, AQM, random loss, or
-  /// policer).
+  /// Called when a packet is dropped (impairment, random loss, queue
+  /// overflow or AQM).
   using DropHandler = std::function<void(const Packet&)>;
 
   BottleneckLink(EventLoop* loop, double rate_bps,
@@ -54,11 +46,10 @@ class BottleneckLink {
   /// scenario seed (exp::flow_seed), so two lossy links never share a
   /// stream by accident.
   void set_random_loss(double prob, std::uint64_t seed);
-  void set_policer(const PolicerConfig& cfg);
 
   /// Installs a forward-path impairment stage (sim/impairment.h).  Every
-  /// packet offered to the link passes through it before random loss /
-  /// policer / queue: drops are reported via the drop handler, duplicated
+  /// packet offered to the link passes through it before random loss and
+  /// the queue: drops are reported via the drop handler, duplicated
   /// or jittered copies are admitted at their stage-release times.  With
   /// no stage installed the admission path is byte-identical to the
   /// pre-impairment link.  Call once, before traffic starts.
@@ -69,17 +60,15 @@ class BottleneckLink {
   /// Offers a packet to the link.
   void enqueue(Packet p);
 
-  /// Changes the link rate at runtime (affects packets serialized after the
-  /// change; used by variable-rate path experiments).
-  void set_rate_bps(double rate_bps);
   double rate_bps() const { return rate_bps_; }
 
   /// Installs a time-varying rate schedule.  The link immediately adopts
   /// rate_at(now) and drives itself with one loop event per schedule
   /// change point; a change arriving while a packet is mid-serialization
   /// recomputes the in-flight TxDone from the residual bytes.  Call once,
-  /// before traffic starts.  A constant schedule registers no events and
-  /// leaves the transmit path bit-identical to the plain fixed-rate link.
+  /// before traffic starts.  A schedule that never changes registers no
+  /// events and leaves the transmit path bit-identical to the plain
+  /// fixed-rate link.
   void set_schedule(std::unique_ptr<RateSchedule> schedule);
   const RateSchedule* schedule() const { return schedule_.get(); }
 
@@ -99,8 +88,6 @@ class BottleneckLink {
   std::uint64_t delivered_packets() const { return delivered_packets_; }
   std::uint64_t dropped_packets() const { return dropped_packets_; }
   TimeNs busy_time() const { return busy_time_; }
-  /// Link utilization over [0, now].
-  double utilization() const;
 
  private:
   // Serialization-complete event: an 8-byte trampoline that fits the event
@@ -133,7 +120,6 @@ class BottleneckLink {
   void start_transmission();
   void finish_transmission();
   void drop(const Packet& p);
-  bool policer_admits(const Packet& p);
   void on_schedule_tick();
   void apply_rate_change(double new_rate_bps);
 
@@ -160,10 +146,6 @@ class BottleneckLink {
   double loss_prob_ = 0.0;
   util::Rng loss_rng_;
 
-  PolicerConfig policer_;
-  double policer_tokens_ = 0.0;
-  TimeNs policer_last_refill_ = 0;
-
   std::int64_t delivered_bytes_ = 0;
   std::uint64_t delivered_packets_ = 0;
   std::uint64_t dropped_packets_ = 0;
@@ -173,7 +155,6 @@ class BottleneckLink {
   obs::Counter obs_impairment_decisions_;
   obs::Counter obs_drop_impairment_;
   obs::Counter obs_drop_random_;
-  obs::Counter obs_drop_policer_;
   obs::Counter obs_drop_queue_;
   obs::Counter obs_mu_changes_;
   obs::Trace obs_trace_;

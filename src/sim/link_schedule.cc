@@ -15,57 +15,6 @@ namespace {
 
 constexpr double kPi = 3.14159265358979323846;
 
-class ConstantSchedule final : public RateSchedule {
- public:
-  explicit ConstantSchedule(double rate_bps) : rate_bps_(rate_bps) {
-    NIMBUS_CHECK_MSG(rate_bps_ > 0, "constant schedule rate must be > 0");
-  }
-  double rate_at(TimeNs) const override { return rate_bps_; }
-  TimeNs next_change_after(TimeNs) const override { return kNoChange; }
-  double mean_rate_bps() const override { return rate_bps_; }
-
- private:
-  double rate_bps_;
-};
-
-class StepsSchedule final : public RateSchedule {
- public:
-  StepsSchedule(double initial_rate_bps, std::vector<RateStep> steps)
-      : initial_(initial_rate_bps), steps_(std::move(steps)) {
-    NIMBUS_CHECK_MSG(initial_ > 0, "steps schedule initial rate must be > 0");
-    TimeNs prev = -1;
-    for (const RateStep& s : steps_) {
-      NIMBUS_CHECK_MSG(s.at > prev,
-                       "steps schedule breakpoints must strictly increase");
-      NIMBUS_CHECK_MSG(s.rate_bps > 0, "steps schedule rates must be > 0");
-      prev = s.at;
-    }
-  }
-
-  double rate_at(TimeNs t) const override {
-    // Last breakpoint with at <= t.
-    double rate = initial_;
-    for (const RateStep& s : steps_) {
-      if (s.at > t) break;
-      rate = s.rate_bps;
-    }
-    return rate;
-  }
-
-  TimeNs next_change_after(TimeNs t) const override {
-    for (const RateStep& s : steps_) {
-      if (s.at > t) return s.at;
-    }
-    return kNoChange;
-  }
-
-  double mean_rate_bps() const override { return initial_; }
-
- private:
-  double initial_;
-  std::vector<RateStep> steps_;
-};
-
 class SineSchedule final : public RateSchedule {
  public:
   SineSchedule(double mean_bps, double amplitude_frac, TimeNs period,
@@ -337,15 +286,6 @@ __attribute__((noinline, aligned(64))) void scan_trace_file(
 }
 
 }  // namespace
-
-std::unique_ptr<RateSchedule> RateSchedule::constant(double rate_bps) {
-  return std::make_unique<ConstantSchedule>(rate_bps);
-}
-
-std::unique_ptr<RateSchedule> RateSchedule::steps(
-    double initial_rate_bps, std::vector<RateStep> steps) {
-  return std::make_unique<StepsSchedule>(initial_rate_bps, std::move(steps));
-}
 
 std::unique_ptr<RateSchedule> RateSchedule::sine(double mean_bps,
                                                  double amplitude_frac,

@@ -8,14 +8,10 @@
 // schedule for the rate in effect now and for the next change point, and
 // reschedules itself with one cheap loop event per change (see
 // BottleneckLink::set_schedule).  Schedules are therefore *queried*, never
-// polled — a constant schedule costs zero events, a 10 ms-bucketed
-// cellular trace costs 100 events per simulated second.
+// polled — a 10 ms-bucketed cellular trace costs 100 events per simulated
+// second.  A fixed-µ link installs no schedule at all.
 //
 // Kinds:
-//   * constant      — fixed µ (the degenerate case; installing it is
-//                     bit-identical to not installing a schedule at all).
-//   * steps         — explicit (time, rate) breakpoints, e.g. a capacity
-//                     drop halfway through a run.
 //   * sine          — µ(t) = mean·(1 + a·sin(2πt/T)), quantised to a step
 //                     grid so the link sees piecewise-constant rates.
 //   * random_walk   — seeded multiplicative-free walk, clamped to
@@ -50,13 +46,6 @@
 
 namespace nimbus::sim {
 
-/// One piecewise-constant breakpoint: from `at` onwards the rate is
-/// `rate_bps` (until the next step).
-struct RateStep {
-  TimeNs at = 0;
-  double rate_bps = 0.0;
-};
-
 /// Conversion knob for Mahimahi packet-delivery traces (namespace scope —
 /// a nested struct's member initializers cannot feed a default argument of
 /// the enclosing class; aliased as RateSchedule::TraceConfig).
@@ -83,20 +72,12 @@ class RateSchedule {
   /// never skip a real change.
   virtual TimeNs next_change_after(TimeNs t) const = 0;
 
-  /// Nominal mean rate (the constant rate; the sine/walk mean; the
-  /// trace's per-period average).  Experiments use this as the "known µ"
+  /// Nominal mean rate (the sine/walk mean; the trace's per-period
+  /// average).  Experiments use this as the "known µ"
   /// handed to schemes and for buffer sizing.
   virtual double mean_rate_bps() const = 0;
 
   // --- factories ---
-
-  static std::unique_ptr<RateSchedule> constant(double rate_bps);
-
-  /// Piecewise-constant steps.  `initial_rate_bps` applies before the
-  /// first breakpoint; breakpoints must be strictly increasing in time
-  /// with positive rates.
-  static std::unique_ptr<RateSchedule> steps(double initial_rate_bps,
-                                             std::vector<RateStep> steps);
 
   /// mean·(1 + amplitude_frac·sin(2πt/period)), quantised to `quantum`.
   /// Requires 0 <= amplitude_frac < 1 (the rate must stay positive).

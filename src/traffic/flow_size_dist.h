@@ -9,7 +9,7 @@
 // carries most of the bytes (elastic: long-lived, ACK-clocked).  What the
 // experiments need is exactly this alternation of elastic-dominated and
 // inelastic-only periods, which any heavy-tailed size distribution at the
-// same load reproduces (see DESIGN.md, substitution table).
+// same load reproduces.
 #pragma once
 
 #include <cstdint>

@@ -1,32 +1,12 @@
-// Minimal CSV emission for bench/example output.
+// Number formatting for bench/example CSV output.
 //
 // Benches print the series each paper figure plots; CSV keeps the output
 // machine-parseable so plots can be regenerated from the captured stdout.
 #pragma once
 
-#include <initializer_list>
-#include <ostream>
 #include <string>
-#include <vector>
 
 namespace nimbus::util {
-
-class CsvWriter {
- public:
-  /// Writes to `out`; `prefix` is prepended to every line (e.g. "fig01,").
-  explicit CsvWriter(std::ostream& out, std::string prefix = "");
-
-  void header(std::initializer_list<std::string> cols);
-  void row(std::initializer_list<double> values);
-  void row(const std::vector<double>& values);
-  /// Mixed row: leading string labels then numeric columns.
-  void row(std::initializer_list<std::string> labels,
-           std::initializer_list<double> values);
-
- private:
-  std::ostream& out_;
-  std::string prefix_;
-};
 
 /// Formats a double compactly (up to 6 significant digits, no trailing
 /// zeros), so bench output is stable and readable.

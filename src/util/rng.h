@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 namespace nimbus::util {
 
@@ -42,14 +41,8 @@ class Rng {
   /// Bounded Pareto on [lo, hi] with shape alpha.
   double bounded_pareto(double alpha, double lo, double hi);
 
-  /// Log-normal with parameters of the underlying normal.
-  double lognormal(double mu, double sigma);
-
   /// True with probability p.
   bool bernoulli(double p);
-
-  /// Samples an index in [0, weights.size()) proportionally to weights.
-  std::size_t weighted_index(const std::vector<double>& weights);
 
   /// Derives an independent child generator (for per-flow streams).
   Rng split();

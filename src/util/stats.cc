@@ -84,23 +84,4 @@ double jain_fairness(const std::vector<double>& allocations) {
   return sum * sum / (static_cast<double>(allocations.size()) * sum_sq);
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  NIMBUS_CHECK(hi > lo && bins > 0);
-}
-
-void Histogram::add(double x) {
-  const double frac = (x - lo_) / (hi_ - lo_);
-  auto idx = static_cast<std::int64_t>(frac * static_cast<double>(bins()));
-  idx = std::clamp<std::int64_t>(idx, 0,
-                                 static_cast<std::int64_t>(bins()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bin_center(std::size_t i) const {
-  const double width = (hi_ - lo_) / static_cast<double>(bins());
-  return lo_ + (static_cast<double>(i) + 0.5) * width;
-}
-
 }  // namespace nimbus::util

@@ -64,8 +64,6 @@ struct TempDir {
 // through on a non-asserting toolchain).
 TEST(SpecCanonTest, CoverageGuardSizesMatchThisBuild) {
 #if defined(__x86_64__) && defined(__linux__)
-  EXPECT_EQ(sizeof(sim::RateStep), kCanonSizeofRateStep);
-  EXPECT_EQ(sizeof(sim::PolicerConfig), kCanonSizeofPolicerConfig);
   EXPECT_EQ(sizeof(sim::Outage), kCanonSizeofOutage);
   EXPECT_EQ(sizeof(sim::ImpairmentConfig), kCanonSizeofImpairmentConfig);
   EXPECT_EQ(sizeof(ImpairmentSpec), kCanonSizeofImpairmentSpec);
@@ -89,9 +87,9 @@ TEST(SpecCanonTest, CanonicalTextNamesEveryTopLevelField) {
   // sizeof guard; spot-check that the canonical text names the fields.
   const std::string text = canonical_spec(small_spec(7));
   for (const char* key :
-       {"scenario-canon/v4", "name=", "mu_bps=", "rtt=", "buffer_bdp=",
+       {"scenario-canon/v5", "name=", "mu_bps=", "rtt=", "buffer_bdp=",
         "queue=", "pie_target_delay=", "random_loss=",
-        "random_loss_seed=", "policer.", "impairment.forward.",
+        "random_loss_seed=", "impairment.forward.",
         "impairment.reverse.", "protagonist.", "cross[0].",
         "cross[1].", "workload_enabled=", "duration=", "seed=",
         "log_copa_mode=", "link.",
@@ -116,10 +114,10 @@ TEST(SpecCanonTest, HashIsStableAcrossCallsAndProcesses) {
   const Hash128 small = spec_hash(small_spec(7));
   EXPECT_EQ(small.hex(), spec_hash(small_spec(7)).hex());
   EXPECT_NE(def.hex(), small.hex());
-  // Re-pinned for scenario-canon/v4 (fields that became constants
+  // Re-pinned for scenario-canon/v5 (policer and steps link kind
   // dropped).
-  EXPECT_EQ(def.hex(), "9cee9679b65a82bd19d3a14cdefb846a");
-  EXPECT_EQ(small.hex(), "115128e5db0d4420bd4cdeb5e8987e3e");
+  EXPECT_EQ(def.hex(), "056f25915596027d8c919cb79930be59");
+  EXPECT_EQ(small.hex(), "03d679ccd2e56000d2c095b23435d69d");
 }
 
 TEST(SpecCanonTest, EveryFieldChangePerturbsTheHash) {

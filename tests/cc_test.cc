@@ -116,7 +116,6 @@ TEST(VegasCoreTest, HoldsQueueBetweenAlphaAndBeta) {
 struct SoloResult {
   double rate_mbps;
   double mean_qdelay_ms;
-  double util;
 };
 
 SoloResult run_solo(const std::string& scheme, double mu = 48e6,
@@ -133,7 +132,6 @@ SoloResult run_solo(const std::string& scheme, double mu = 48e6,
       net.recorder().delivered(1).rate_bps(from_sec(10), dur) / 1e6;
   r.mean_qdelay_ms =
       net.recorder().probed_queue_delay().mean_in(from_sec(10), dur).value();
-  r.util = net.link().utilization();
   return r;
 }
 

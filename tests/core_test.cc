@@ -58,22 +58,20 @@ TEST(PulseTest, BurstBytesMatchesPaperFormula) {
   // Section 3.4: burst = mu*T/(8*pi) bits ~ 0.04*mu*T; in bytes /8.
   AsymmetricPulse p({5.0, 0.25});
   const double t = 0.2;
-  EXPECT_NEAR(p.burst_bytes(kMu), kMu * t / (8.0 * M_PI) / 8.0,
-              p.burst_bytes(kMu) * 1e-9);
-}
-
-TEST(PulseTest, CumulativeBytesRisesThenReturnsToZero) {
-  AsymmetricPulse p;
   const double burst = p.burst_bytes(kMu);
-  EXPECT_NEAR(p.cumulative_bytes(p.period() / 4, kMu), burst, burst * 1e-6);
-  EXPECT_NEAR(p.cumulative_bytes(p.period() - 1, kMu), 0.0, burst * 1e-3);
-  // Monotone rise over the first quarter.
-  double prev = -1;
-  for (int i = 0; i <= 25; ++i) {
-    const double c = p.cumulative_bytes(p.period() * i / 100, kMu);
-    EXPECT_GE(c, prev);
-    prev = c;
+  EXPECT_NEAR(burst, kMu * t / (8.0 * M_PI) / 8.0, burst * 1e-9);
+  // Numeric integral of offset_bps: the positive quarter sends the burst,
+  // and the whole period nets zero bytes (the mean rate is unchanged).
+  const int steps = 10000;
+  const TimeNs dt = p.period() / steps;
+  double quarter_bytes = 0.0, period_bytes = 0.0;
+  for (int i = 0; i < steps; ++i) {
+    const double bytes = p.offset_bps(dt * i, kMu) * to_sec(dt) / 8.0;
+    if (i < steps / 4) quarter_bytes += bytes;
+    period_bytes += bytes;
   }
+  EXPECT_NEAR(quarter_bytes, burst, burst * 1e-6);
+  EXPECT_NEAR(period_bytes, 0.0, burst * 1e-6);
 }
 
 TEST(PulseTest, FrequencyChange) {

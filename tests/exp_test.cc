@@ -73,19 +73,17 @@ TEST(SummaryTest, FlowSummaryFields) {
   EXPECT_GE(s.p95_rtt_ms, s.median_rtt_ms);
 }
 
-TEST(PathCatalogTest, TwentyFivePathsSpanningRegimes) {
+TEST(PathCatalogTest, TwentyTwoPathsSpanningRegimes) {
   const auto paths = internet_paths();
-  ASSERT_EQ(paths.size(), 25u);
-  int deep = 0, lossy = 0, policed = 0, shared = 0;
+  ASSERT_EQ(paths.size(), 22u);
+  int deep = 0, lossy = 0, shared = 0;
   for (const auto& p : paths) {
     if (p.random_loss > 0) ++lossy;
-    if (p.policer) ++policed;
     if (p.elastic_flows > 0) ++shared;
-    if (p.buffer_bdp >= 2.0 && p.random_loss == 0 && !p.policer) ++deep;
+    if (p.buffer_bdp >= 2.0 && p.random_loss == 0) ++deep;
   }
   EXPECT_GE(deep, 8);
   EXPECT_GE(lossy, 3);
-  EXPECT_GE(policed, 2);
   EXPECT_GE(shared, 6);
 }
 

@@ -1,7 +1,7 @@
 // RateSchedule family + Mahimahi trace loader + BottleneckLink schedule
-// integration (ISSUE 5).  Covers:
-//   * per-kind schedule semantics (constant/steps/sine/random-walk/trace)
-//     and validation death tests;
+// integration.  Covers:
+//   * per-kind schedule semantics (sine/random-walk/trace) and validation
+//     death tests;
 //   * trace-file round-trip (write -> parse), comment/whitespace
 //     tolerance, lines straddling read chunks, malformed-input and
 //     read-error death tests with exact line numbers;
@@ -10,10 +10,11 @@
 //   * random-walk determinism under exp::derive_seed, including
 //     random-access == sequential-access memoisation;
 //   * the checked-in data/traces/ files (loadable, sane means);
-//   * mid-serialization rate changes on the link: residual bytes finish
-//     at the post-change rate, busy_time_ corrected accordingly;
+//   * mid-serialization rate changes on the link (driven by a test-local
+//     piecewise schedule): residual bytes finish at the post-change rate,
+//     busy_time_ corrected accordingly;
 //   * scenario plumbing (LinkSpec -> µ(t), mu_at) and a golden pin that a
-//     RateSchedule::constant install reproduces the PR 4 constant-link
+//     never-changing installed schedule reproduces the fixed-rate link's
 //     outputs byte-identically.
 #include <gtest/gtest.h>
 
@@ -21,7 +22,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exp/runner.h"
@@ -33,7 +36,48 @@ namespace nimbus {
 namespace {
 
 using sim::RateSchedule;
-using sim::RateStep;
+
+// Piecewise-constant µ(t) for the link-retiming tests: `initial_bps`
+// until the first breakpoint, then each step's rate from its `at` on
+// (right-continuous).  The library ships only the kinds the benches run;
+// hand-placed steps make the retiming arithmetic checkable by hand.
+class PiecewiseSchedule final : public RateSchedule {
+ public:
+  struct Step {
+    TimeNs at;
+    double rate_bps;
+  };
+
+  PiecewiseSchedule(double initial_bps, std::vector<Step> steps)
+      : initial_(initial_bps), steps_(std::move(steps)) {}
+
+  double rate_at(TimeNs t) const override {
+    double rate = initial_;
+    for (const Step& s : steps_) {
+      if (s.at > t) break;
+      rate = s.rate_bps;
+    }
+    return rate;
+  }
+
+  TimeNs next_change_after(TimeNs t) const override {
+    for (const Step& s : steps_) {
+      if (s.at > t) return s.at;
+    }
+    return kNoChange;
+  }
+
+  double mean_rate_bps() const override { return initial_; }
+
+ private:
+  double initial_;
+  std::vector<Step> steps_;
+};
+
+std::unique_ptr<RateSchedule> piecewise(
+    double initial_bps, std::vector<PiecewiseSchedule::Step> steps = {}) {
+  return std::make_unique<PiecewiseSchedule>(initial_bps, std::move(steps));
+}
 
 std::string temp_trace_path(const std::string& name) {
   return testing::TempDir() + "/" + name;
@@ -55,37 +99,6 @@ std::uint64_t bits(double v) {
 }
 
 // --- schedule kinds ------------------------------------------------------
-
-TEST(RateScheduleTest, ConstantNeverChanges) {
-  const auto s = RateSchedule::constant(48e6);
-  EXPECT_DOUBLE_EQ(s->rate_at(0), 48e6);
-  EXPECT_DOUBLE_EQ(s->rate_at(from_sec(1000)), 48e6);
-  EXPECT_EQ(s->next_change_after(0), RateSchedule::kNoChange);
-  EXPECT_DOUBLE_EQ(s->mean_rate_bps(), 48e6);
-}
-
-TEST(RateScheduleTest, StepsPiecewiseSemantics) {
-  const auto s = RateSchedule::steps(
-      10e6, {{from_sec(1), 20e6}, {from_sec(3), 5e6}});
-  EXPECT_DOUBLE_EQ(s->rate_at(0), 10e6);
-  EXPECT_DOUBLE_EQ(s->rate_at(from_sec(1) - 1), 10e6);
-  // Right-continuous: the value at a change point is the new rate.
-  EXPECT_DOUBLE_EQ(s->rate_at(from_sec(1)), 20e6);
-  EXPECT_DOUBLE_EQ(s->rate_at(from_sec(2)), 20e6);
-  EXPECT_DOUBLE_EQ(s->rate_at(from_sec(5)), 5e6);
-  EXPECT_EQ(s->next_change_after(0), from_sec(1));
-  EXPECT_EQ(s->next_change_after(from_sec(1)), from_sec(3));
-  EXPECT_EQ(s->next_change_after(from_sec(3)), RateSchedule::kNoChange);
-}
-
-TEST(RateScheduleTest, StepsValidation) {
-  EXPECT_DEATH(RateSchedule::steps(10e6, {{from_sec(2), 20e6},
-                                          {from_sec(1), 5e6}}),
-               "NIMBUS_CHECK failed");
-  EXPECT_DEATH(RateSchedule::steps(10e6, {{from_sec(1), 0.0}}),
-               "NIMBUS_CHECK failed");
-  EXPECT_DEATH(RateSchedule::steps(0.0, {}), "NIMBUS_CHECK failed");
-}
 
 TEST(RateScheduleTest, SineQuantisedAndBounded) {
   const double mean = 40e6, amp = 0.25;
@@ -365,7 +378,7 @@ TEST(LinkScheduleIntegrationTest, MidFlightRateChangeRetimesDelivery) {
   sim::EventLoop loop;
   sim::BottleneckLink link(&loop, 8e6,
                            std::make_unique<sim::DropTailQueue>(1 << 20));
-  link.set_schedule(RateSchedule::steps(8e6, {{from_ms(5), 16e6}}));
+  link.set_schedule(piecewise(8e6, {{from_ms(5), 16e6}}));
   std::vector<TimeNs> deliveries;
   link.set_delivery_handler(
       [&](const sim::Packet&, TimeNs t) { deliveries.push_back(t); });
@@ -385,7 +398,7 @@ TEST(LinkScheduleIntegrationTest, MidFlightSlowdown) {
   sim::EventLoop loop;
   sim::BottleneckLink link(&loop, 16e6,
                            std::make_unique<sim::DropTailQueue>(1 << 20));
-  link.set_schedule(RateSchedule::steps(16e6, {{from_ms(2), 8e6}}));
+  link.set_schedule(piecewise(16e6, {{from_ms(2), 8e6}}));
   std::vector<TimeNs> deliveries;
   link.set_delivery_handler(
       [&](const sim::Packet&, TimeNs t) { deliveries.push_back(t); });
@@ -404,8 +417,8 @@ TEST(LinkScheduleIntegrationTest, InstallRequiresPristineLink) {
   sim::EventLoop loop;
   sim::BottleneckLink link(&loop, 8e6,
                            std::make_unique<sim::DropTailQueue>(1 << 20));
-  link.set_schedule(RateSchedule::constant(8e6));
-  EXPECT_DEATH(link.set_schedule(RateSchedule::constant(9e6)),
+  link.set_schedule(piecewise(8e6));
+  EXPECT_DEATH(link.set_schedule(piecewise(9e6)),
                "schedule already installed");
 }
 
@@ -414,11 +427,18 @@ TEST(LinkScheduleIntegrationTest, InstallRequiresPristineLink) {
 TEST(LinkSpecTest, MuAtFollowsTheSchedule) {
   exp::ScenarioSpec spec;
   spec.mu_bps = 10e6;
-  spec.link = exp::LinkSpec::make_steps({{from_sec(5), 30e6}});
-  EXPECT_DOUBLE_EQ(exp::mu_at(spec, from_sec(1)), 10e6);
-  EXPECT_DOUBLE_EQ(exp::mu_at(spec, from_sec(6)), 30e6);
+  spec.link = exp::LinkSpec::sine(0.25, from_sec(10));
+  const auto schedule = exp::make_link_schedule(spec);
+  // Above the mean in the first half-period, below it in the second.
+  for (const TimeNs t : {from_sec(1), from_sec(6)}) {
+    EXPECT_DOUBLE_EQ(exp::mu_at(spec, t), schedule->rate_at(t));
+  }
+  EXPECT_GT(exp::mu_at(spec, from_sec(1)), 10e6);
+  EXPECT_LT(exp::mu_at(spec, from_sec(6)), 10e6);
   spec.link = exp::LinkSpec::constant();
   EXPECT_DOUBLE_EQ(exp::mu_at(spec, from_sec(6)), 10e6);
+  EXPECT_DEATH(exp::make_link_schedule(spec),
+               "a constant link has no rate schedule");
 }
 
 TEST(LinkSpecTest, ScheduledScenarioTracksTheRate) {
@@ -429,9 +449,10 @@ TEST(LinkSpecTest, ScheduledScenarioTracksTheRate) {
   spec.mu_bps = 10e6;
   spec.duration = from_sec(10);
   spec.protagonist.scheme = "cubic";
-  spec.link = exp::LinkSpec::make_steps({{from_sec(5), 30e6}});
-  const exp::ScenarioRun run = exp::run_scenario(spec);
-  const auto& d = run.built.net->recorder().delivered(1);
+  exp::BuiltScenario built = exp::build_network(spec);
+  built.net->link().set_schedule(piecewise(10e6, {{from_sec(5), 30e6}}));
+  built.net->run_until(spec.duration);
+  const auto& d = built.net->recorder().delivered(1);
   const double slow = static_cast<double>(d.bytes_in(from_sec(1), from_sec(5)));
   const double fast = static_cast<double>(d.bytes_in(from_sec(6), from_sec(10)));
   EXPECT_GT(fast, 1.8 * slow);
@@ -457,11 +478,11 @@ TEST(LinkSpecTest, RandomWalkScenarioSeedDerivation) {
   EXPECT_NE(total(spec), total(reseeded));
 }
 
-// --- golden: constant schedules reproduce PR 4 outputs -------------------
+// --- golden: unchanging schedules reproduce fixed-rate outputs ----------
 
 // The same PIE scenario scenario_golden_test.cc pins, but with an
-// explicitly installed RateSchedule::constant: the schedule machinery in
-// the link must leave every delivered byte, drop, and probe sample
+// explicitly installed schedule that never changes: the schedule machinery
+// in the link must leave every delivered byte, drop, and probe sample
 // byte-identical to the plain fixed-rate link (PR 4 values).
 TEST(LinkScheduleGoldenTest, ConstantScheduleReproducesPr4PieOutputs) {
   exp::ScenarioSpec spec;
@@ -475,7 +496,7 @@ TEST(LinkScheduleGoldenTest, ConstantScheduleReproducesPr4PieOutputs) {
   spec.cross.push_back(exp::CrossSpec::poisson(24e6, 2));
 
   exp::BuiltScenario built = exp::build_network(spec);
-  built.net->link().set_schedule(sim::RateSchedule::constant(spec.mu_bps));
+  built.net->link().set_schedule(piecewise(spec.mu_bps));
   built.net->run_until(spec.duration);
   const auto& rec = built.net->recorder();
   EXPECT_EQ(rec.delivered(1).total(), 15463500);

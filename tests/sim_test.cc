@@ -264,39 +264,6 @@ TEST(LinkTest, RandomLossDropsFraction) {
   EXPECT_NEAR(drops / 10000.0, 0.1, 0.02);
 }
 
-TEST(LinkTest, PolicerLimitsRate) {
-  EventLoop loop;
-  BottleneckLink link(&loop, 100e6, std::make_unique<DropTailQueue>(1 << 26));
-  PolicerConfig pc;
-  pc.enabled = true;
-  pc.rate_bps = 10e6;
-  pc.burst_bytes = 15000;
-  link.set_policer(pc);
-  std::int64_t delivered = 0;
-  link.set_delivery_handler(
-      [&](const Packet& p, TimeNs) { delivered += p.size_bytes; });
-  // Offer 50 Mbit/s for 2 s; policer should cap near 10 Mbit/s + burst.
-  std::function<void()> send = [&]() {
-    link.enqueue(make_packet(1, 0));
-    if (loop.now() < from_sec(2)) {
-      loop.schedule_in(tx_time(1500, 50e6), send);
-    }
-  };
-  loop.schedule(0, send);
-  loop.run();
-  const double rate = static_cast<double>(delivered) * 8 / 2.0;
-  EXPECT_LT(rate, 12e6);
-  EXPECT_GT(rate, 8e6);
-}
-
-TEST(LinkTest, UtilizationTracksBusyTime) {
-  EventLoop loop;
-  BottleneckLink link(&loop, 12e6, std::make_unique<DropTailQueue>(1 << 20));
-  for (int i = 0; i < 10; ++i) link.enqueue(make_packet(1, i));  // 10 ms busy
-  loop.run_until(from_ms(100));
-  EXPECT_NEAR(link.utilization(), 0.1, 0.01);
-}
-
 // --- rate sampler ---
 
 TEST(RateSamplerTest, ConstantRates) {

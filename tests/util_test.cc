@@ -119,15 +119,6 @@ TEST(RngTest, BernoulliProbability) {
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
 }
 
-TEST(RngTest, WeightedIndexProportions) {
-  util::Rng rng(31);
-  std::vector<double> w = {1.0, 3.0};
-  int ones = 0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) ones += (rng.weighted_index(w) == 1);
-  EXPECT_NEAR(static_cast<double>(ones) / n, 0.75, 0.01);
-}
-
 TEST(RngTest, SplitStreamsIndependent) {
   util::Rng parent(37);
   util::Rng a = parent.split();
@@ -208,18 +199,6 @@ TEST(JainFairnessTest, Intermediate) {
   const double j = util::jain_fairness({2, 1});
   EXPECT_GT(j, 0.5);
   EXPECT_LT(j, 1.0);
-}
-
-TEST(HistogramTest, BinningAndClamping) {
-  util::Histogram h(0.0, 10.0, 10);
-  h.add(0.5);
-  h.add(9.5);
-  h.add(-5.0);  // clamps to first bin
-  h.add(50.0);  // clamps to last bin
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(9), 2u);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_DOUBLE_EQ(h.bin_center(0), 0.5);
 }
 
 // --- ewma ---
@@ -469,15 +448,6 @@ TEST(CsvTest, FormatNum) {
   EXPECT_EQ(util::format_num(1.5), "1.5");
   EXPECT_EQ(util::format_num(1000000.0), "1e+06");
   EXPECT_EQ(util::format_num(0.0), "0");
-}
-
-TEST(CsvTest, RowsAndHeader) {
-  std::ostringstream os;
-  util::CsvWriter w(os, "pfx,");
-  w.header({"a", "b"});
-  w.row({1.0, 2.5});
-  w.row({"label"}, {3.0});
-  EXPECT_EQ(os.str(), "pfx,a,b\npfx,1,2.5\npfx,label,3\n");
 }
 
 }  // namespace

@@ -70,6 +70,7 @@
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -944,7 +945,9 @@ int main(int argc, char** argv) {
   std::size_t suppressed = 0;
   const FileScan* spec_scan = nullptr;
   const FileScan* canon_scan = nullptr;
-  std::vector<FileScan*> keep_alive;
+  // Owns every scan; unique_ptr keeps each address stable for the raw
+  // spec_scan/canon_scan views as the vector grows.
+  std::vector<std::unique_ptr<FileScan>> keep_alive;
 
   auto scan_one = [&](const std::string& path) -> FileScan* {
     std::string content;
@@ -952,12 +955,11 @@ int main(int argc, char** argv) {
       findings.push_back({path, 0, "io", "cannot read file"});
       return nullptr;
     }
-    auto* scan = new FileScan;
+    auto* scan = keep_alive.emplace_back(std::make_unique<FileScan>()).get();
     scan->rel = path.size() > root_strip && root_strip > 0
                     ? path.substr(root_strip)
                     : path;
     lex_file(content, *scan);
-    keep_alive.push_back(scan);
     return scan;
   };
 
@@ -1003,20 +1005,20 @@ int main(int argc, char** argv) {
   if (spec_scan == nullptr && !r6_spec.empty()) {
     std::string content;
     if (read_file(r6_spec, &content)) {
-      auto* scan = new FileScan;
+      auto* scan =
+          keep_alive.emplace_back(std::make_unique<FileScan>()).get();
       scan->rel = r6_spec;
       lex_file(content, *scan);
-      keep_alive.push_back(scan);
       spec_scan = scan;
     }
   }
   if (canon_scan == nullptr && !r6_canon.empty()) {
     std::string content;
     if (read_file(r6_canon, &content)) {
-      auto* scan = new FileScan;
+      auto* scan =
+          keep_alive.emplace_back(std::make_unique<FileScan>()).get();
       scan->rel = r6_canon;
       lex_file(content, *scan);
-      keep_alive.push_back(scan);
       canon_scan = scan;
     }
   }
