@@ -20,8 +20,10 @@
 #
 # A suite that fails strict shape checks (fig09 and fig15 do in full mode)
 # or an example that fails is reported in a "failed runs" block but does
-# not stop the listing; the script exits 0 once the listing is printed and
-# nonzero only if the build fails.  Uses mktemp -d; set TMPDIR to choose
+# not stop the listing; so is every bench whose "cache <bench> ..." row in
+# the cache-on pass counts a corrupt entry (corrupt= above 0), named with
+# its quick or full pass.  The script exits 0 once the listing is printed
+# and nonzero only if the build fails.  Uses mktemp -d; set TMPDIR to choose
 # where the build and the trace artifacts go.  NIMBUS_JOBS passes through.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -45,8 +47,9 @@ EXAMPLE_RUNS=("quickstart" "multiflow_fairness" "video_streaming"
               "wan_workload" "elasticity_probe elastic"
               "elasticity_probe inelastic" "elasticity_probe mixed")
 run_all() {  # run_all <label>; the caller sets the pass's NIMBUS_* knobs
-  local full run cmd line
+  local full mode run cmd line
   for full in 0 1; do
+    mode=quick; [ "$full" = 1 ] && mode=full
     echo "== $1: suite (NIMBUS_BENCH_FULL=$full) =="
     if ! BUILD_DIR="$BUILD" NIMBUS_BENCH_FULL=$full \
          scripts/bench_suite.sh > "$WORK/suite.log" 2>&1; then
@@ -54,6 +57,10 @@ run_all() {  # run_all <label>; the caller sets the pass's NIMBUS_* knobs
       while IFS= read -r line; do FAILED+=("    $line"); done \
         < <(grep -E '^(FAIL|TIMEOUT)' "$WORK/suite.log" || true)
     fi
+    # Keep the per-bench cache rows ("cache <bench> nimbus-cache: ...
+    # corrupt=N ..."), which the next pass's suite.log would overwrite.
+    grep '^cache ' "$WORK/suite.log" | sed "s/^/$1 ($mode pass): /" \
+      >> "$WORK/cache-rows" || true
     tail -n 1 "$WORK/suite.log"
   done
   echo "== $1: examples =="
@@ -68,6 +75,16 @@ run_all() {  # run_all <label>; the caller sets the pass's NIMBUS_* knobs
 NIMBUS_CACHE=readwrite NIMBUS_CACHE_DIR="$WORK/cache" run_all "cache on"
 mkdir -p "$WORK/obs"
 NIMBUS_OBS=trace NIMBUS_OBS_DIR="$WORK/obs" run_all "obs trace"
+# A cell whose cache entry decoded as corrupt, by bench and pass.
+while IFS= read -r line; do FAILED+=("$line"); done < <(
+  awk -F': ' '{
+    if (match($0, / corrupt=[0-9]+/) &&
+        substr($0, RSTART + 9, RLENGTH - 9) + 0 > 0) {
+      split($2, row, " ")
+      print $1 ": corrupt cache read in " row[2] " (" \
+            substr($0, RSTART + 1, RLENGTH - 1) ")"
+    }
+  }' "$WORK/cache-rows" 2>/dev/null)
 
 echo "== gcov =="
 find "$BUILD" -name '*.gcda' > "$WORK/gcda.list"

@@ -1,24 +1,32 @@
 #!/usr/bin/env bash
-# Byte-for-byte diff of every bench's quick-mode stdout and every example's
-# stdout, <base-ref> vs the working tree: the check behind a "stdout
-# unchanged" claim.
+# Byte-for-byte diff of every bench's stdout, in quick mode and in full
+# mode, and of every example's stdout, <base-ref> vs the working tree: the
+# check behind a "stdout unchanged" claim.
 #
 # Usage: scripts/golden_diff.sh <base-ref>
 #
 # Exports <base-ref> into a temporary directory (git archive: the committed
 # files only, and nothing registered in .git to clean up), builds it and
 # the working tree (RelWithDebInfo, each in a fresh build directory), and
-# runs each side's scripts/bench_suite.sh cold (NIMBUS_CACHE=off) with
-# NIMBUS_SUITE_OUTDIR, so every bench's stdout lands in <side>/<bench>.out
+# runs each side's scripts/bench_suite.sh cold (NIMBUS_CACHE=off) twice:
+# once in quick mode and once with NIMBUS_BENCH_FULL=1 (the only place
+# fig08's Compound and nimbus-copa, fig09's and fig11's full scheme lists
+# and fig19's full path set run).  NIMBUS_SUITE_OUTDIR puts every bench's
+# stdout in <side>/<bench>.out (quick) or full-<side>/<bench>.out (full),
 # with stderr kept out.  Each example then runs from its side's source root
 # (elasticity_probe once per cross-traffic kind: it prints the detector's
-# spectrum) into <side>/examples/<example>[-<arg>].out.  Then diffs the two
-# output directories.
+# spectrum) into <side>/examples/<example>[-<arg>].out.  Then diffs the
+# quick and the full output directories.
 #
 # Exits 0 iff every bench and example ran on both sides and printed the
-# same bytes.
+# same bytes, both quick suites passed, and no bench fails the full suite
+# on the head side only.
 # A difference (or a bench present on one side only) prints the diff and
-# exits 1; a failed build or a side whose suite failed exits 1 too.
+# exits 1; a failed build, a side whose quick suite failed or an example
+# that failed exits 1 too.  A bench that fails strict shape checks in full
+# mode on both sides is a known gap, not a regression: it is named on a
+# "fails strict on both sides" line and does not fail the run (its stdout
+# is still diffed).
 # NIMBUS_JOBS and NIMBUS_BENCH_TIMEOUT pass through to the suites.  Uses
 # mktemp -d; set TMPDIR to keep the build directories somewhere specific.
 set -euo pipefail
@@ -60,6 +68,28 @@ suite() {  # suite <label> <source dir>
 suite base "$WORK/base-src"
 suite head .
 
+full_suite() {  # full_suite <label> <source dir>; log in full-<label>.log
+  echo "== cold full suite ($1) =="
+  BUILD_DIR="$WORK/$1" NIMBUS_CACHE=off NIMBUS_BENCH_FULL=1 \
+    NIMBUS_SUITE_OUTDIR="$WORK/full-$1" "$2/scripts/bench_suite.sh" |
+    tee "$WORK/full-$1.log" || true
+}
+full_failures() {  # full_failures <label>: benches that failed, one a line
+  sed -n -e 's/^FAIL  \([^ ]*\) .*/\1/p' -e 's/^TIMEOUT \([^ ]*\) .*/\1/p' \
+    "$WORK/full-$1.log" | sort -u
+}
+full_suite base "$WORK/base-src"
+full_suite head .
+full_failures base > "$WORK/full-fail-base"
+full_failures head > "$WORK/full-fail-head"
+while read -r b; do
+  echo "golden_diff: $b fails strict on both sides (full mode)"
+done < <(comm -12 "$WORK/full-fail-base" "$WORK/full-fail-head")
+while read -r b; do
+  echo "error: $b fails strict in full mode on head only" >&2
+  status=1
+done < <(comm -13 "$WORK/full-fail-base" "$WORK/full-fail-head")
+
 EXAMPLE_RUNS=("quickstart" "multiflow_fairness" "video_streaming"
               "wan_workload" "elasticity_probe elastic"
               "elasticity_probe inelastic" "elasticity_probe mixed")
@@ -80,15 +110,24 @@ examples base "$WORK/base-src"
 examples head .
 
 echo "== diff: base $1 ($(git rev-parse --short "$BASE_SHA")) vs head =="
+same=1
 if ! diff -r "$WORK/out-base" "$WORK/out-head"; then
-  echo "golden_diff: bench stdout differs from $1" >&2
-  exit 1
+  echo "golden_diff: quick-mode or example stdout differs from $1" >&2
+  same=0
 fi
+if ! diff -r "$WORK/full-base" "$WORK/full-head"; then
+  echo "golden_diff: full-mode bench stdout differs from $1" >&2
+  same=0
+fi
+[ "$same" = 1 ] || exit 1
 n=$(find "$WORK/out-head" -maxdepth 1 -name '*.out' | wc -l)
+f=$(find "$WORK/full-head" -maxdepth 1 -name '*.out' | wc -l)
 m=$(find "$WORK/out-head/examples" -name '*.out' | wc -l)
 if [ "$status" != 0 ]; then
-  echo "golden_diff: stdout identical on $n benches and $m example runs," \
-       "but a suite or an example failed" >&2
+  echo "golden_diff: stdout identical on $n quick benches, $f full" \
+       "benches and $m example runs, but a quick suite, a head-only full" \
+       "failure or an example failed" >&2
   exit 1
 fi
-echo "golden_diff: all $n benches and $m example runs print identical stdout"
+echo "golden_diff: all $n quick benches, $f full benches and $m example" \
+     "runs print identical stdout"

@@ -7,17 +7,18 @@ namespace nimbus::cc {
 namespace {
 const double kCyclePacingGains[] = {1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0};
 constexpr int kCycleLength = 8;
+constexpr double kStartupGain = 2.885;  // 2/ln(2)
+constexpr double kCwndGain = 2.0;
+constexpr int kBwWindowRtts = 10;
+constexpr TimeNs kMinRttWindow = from_sec(10);
+constexpr TimeNs kProbeRttDuration = from_ms(200);
 }  // namespace
-
-Bbr::Bbr() : Bbr(Params()) {}
-
-Bbr::Bbr(const Params& params) : p_(params) {}
 
 void Bbr::init(sim::CcContext& ctx) {
   state_ = State::kStartup;
-  pacing_gain_ = p_.startup_gain;
+  pacing_gain_ = kStartupGain;
   btl_bw_.set_window(from_sec(1));  // adjusted once we have an RTT
-  rt_prop_.set_window(p_.min_rtt_window);
+  rt_prop_.set_window(kMinRttWindow);
   // Until the first bandwidth sample, pace at a conservative default based
   // on the initial window and a nominal 100 ms RTT.
   ctx.set_pacing_rate_bps(ctx.cwnd_bytes() * 8.0 / 0.1);
@@ -41,7 +42,7 @@ void Bbr::on_ack(sim::CcContext& ctx, const sim::AckInfo& ack) {
       latest_min_rtt_sec_ = mn;
     }
     btl_bw_.set_window(
-        static_cast<TimeNs>(p_.bw_window_rtts *
+        static_cast<TimeNs>(kBwWindowRtts *
                             std::max<TimeNs>(ctx.srtt(), from_ms(1))));
   }
 
@@ -67,7 +68,7 @@ void Bbr::on_ack(sim::CcContext& ctx, const sim::AckInfo& ack) {
         }
         if (full_bw_count_ >= 3) {
           state_ = State::kDrain;
-          pacing_gain_ = 1.0 / p_.startup_gain;
+          pacing_gain_ = 1.0 / kStartupGain;
         }
       }
       break;
@@ -84,8 +85,8 @@ void Bbr::on_ack(sim::CcContext& ctx, const sim::AckInfo& ack) {
     }
     case State::kProbeRtt: {
       if (probe_rtt_done_ == 0 &&
-          static_cast<double>(ctx.bytes_in_flight()) <= 4.0 * ctx.mss()) {
-        probe_rtt_done_ = now + p_.probe_rtt_duration;
+          static_cast<double>(ctx.bytes_in_flight()) <= 4.0 * sim::kMss) {
+        probe_rtt_done_ = now + kProbeRttDuration;
       }
       if (probe_rtt_done_ != 0 && now >= probe_rtt_done_) {
         min_rtt_stamp_ = now;
@@ -120,11 +121,11 @@ void Bbr::advance_cycle(TimeNs now) {
 
 void Bbr::check_probe_rtt(sim::CcContext& ctx, TimeNs now) {
   if (state_ == State::kProbeRtt || state_ == State::kStartup) return;
-  if (now - min_rtt_stamp_ < p_.min_rtt_window) return;
+  if (now - min_rtt_stamp_ < kMinRttWindow) return;
   state_ = State::kProbeRtt;
   probe_rtt_done_ = 0;
   pacing_gain_ = 1.0;
-  ctx.set_cwnd_bytes(4.0 * ctx.mss());
+  ctx.set_cwnd_bytes(4.0 * sim::kMss);
 }
 
 void Bbr::apply_control(sim::CcContext& ctx) {
@@ -132,11 +133,11 @@ void Bbr::apply_control(sim::CcContext& ctx) {
   if (bw <= 0 || latest_min_rtt_sec_ <= 0) return;
   ctx.set_pacing_rate_bps(std::max(pacing_gain_ * bw, 1e4));
   if (state_ == State::kProbeRtt) {
-    ctx.set_cwnd_bytes(4.0 * ctx.mss());
+    ctx.set_cwnd_bytes(4.0 * sim::kMss);
   } else {
     const double gain =
-        state_ == State::kStartup ? p_.startup_gain : p_.cwnd_gain;
-    ctx.set_cwnd_bytes(std::max(gain * bdp_bytes(), 4.0 * ctx.mss()));
+        state_ == State::kStartup ? kStartupGain : kCwndGain;
+    ctx.set_cwnd_bytes(std::max(gain * bdp_bytes(), 4.0 * sim::kMss));
   }
 }
 
@@ -148,7 +149,7 @@ void Bbr::on_rto(sim::CcContext& ctx) {
   // Conservative restart after a whole-window loss.
   full_bw_ = 0;
   full_bw_count_ = 0;
-  ctx.set_cwnd_bytes(4.0 * ctx.mss());
+  ctx.set_cwnd_bytes(4.0 * sim::kMss);
 }
 
 }  // namespace nimbus::cc

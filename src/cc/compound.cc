@@ -5,24 +5,28 @@
 
 namespace nimbus::cc {
 
-Compound::Compound() : Compound(Params()) {}
-
-Compound::Compound(const Params& params) : p_(params) {}
+namespace {
+constexpr double kAlpha = 0.125;
+constexpr double kBeta = 0.5;
+constexpr double kK = 0.75;
+constexpr double kGammaPkts = 30.0;  // queue backlog threshold (packets)
+constexpr double kZeta = 1.0;        // dwnd decrease factor
+}  // namespace
 
 void Compound::init(sim::CcContext& ctx) {
-  loss_window_.init(ctx.cwnd_bytes() / ctx.mss());
+  loss_window_.init(ctx.cwnd_bytes() / sim::kMss);
   dwnd_ = 0;
   ctx.set_pacing_rate_bps(0);
 }
 
 void Compound::push_window(sim::CcContext& ctx) {
   const double total = loss_window_.cwnd_pkts() + std::max(dwnd_, 0.0);
-  ctx.set_cwnd_bytes(total * ctx.mss());
+  ctx.set_cwnd_bytes(total * sim::kMss);
 }
 
 void Compound::on_ack(sim::CcContext& ctx, const sim::AckInfo& ack) {
   const double acked_pkts =
-      static_cast<double>(ack.newly_acked_bytes) / ctx.mss();
+      static_cast<double>(ack.newly_acked_bytes) / sim::kMss;
   loss_window_.on_ack(acked_pkts);
 
   // Delay-window update once per RTT (Tan et al., section III).
@@ -33,11 +37,11 @@ void Compound::on_ack(sim::CcContext& ctx, const sim::AckInfo& ack) {
     const double base_s = to_sec(ctx.min_rtt());
     const double diff = win * (rtt_s - base_s) / rtt_s;  // queued packets
 
-    if (diff < p_.gamma_pkts) {
+    if (diff < kGammaPkts) {
       // dwnd grows binomially: alpha * win^k - 1 per RTT.
-      dwnd_ += std::max(p_.alpha * std::pow(win, p_.k) - 1.0, 0.0);
+      dwnd_ += std::max(kAlpha * std::pow(win, kK) - 1.0, 0.0);
     } else {
-      dwnd_ -= p_.zeta * diff;
+      dwnd_ -= kZeta * diff;
     }
     dwnd_ = std::max(dwnd_, 0.0);
   }
@@ -49,7 +53,7 @@ void Compound::on_loss(sim::CcContext& ctx, const sim::LossInfo& loss) {
   const double win = loss_window_.cwnd_pkts() + std::max(dwnd_, 0.0);
   loss_window_.on_congestion_event();
   // dwnd after loss: win*(1-beta) - loss_window/2 (never negative).
-  dwnd_ = std::max(win * (1.0 - p_.beta) - loss_window_.cwnd_pkts(), 0.0);
+  dwnd_ = std::max(win * (1.0 - kBeta) - loss_window_.cwnd_pkts(), 0.0);
   push_window(ctx);
 }
 

@@ -16,11 +16,11 @@ class ConstWindow final : public sim::CcAlgorithm {
   std::string name() const override { return "const-window"; }
 
   void init(sim::CcContext& ctx) override {
-    ctx.set_cwnd_bytes(window_pkts_ * ctx.mss());
+    ctx.set_cwnd_bytes(window_pkts_ * sim::kMss);
     ctx.set_pacing_rate_bps(0);
   }
   void on_ack(sim::CcContext& ctx, const sim::AckInfo&) override {
-    ctx.set_cwnd_bytes(window_pkts_ * ctx.mss());
+    ctx.set_cwnd_bytes(window_pkts_ * sim::kMss);
   }
 
  private:

@@ -5,7 +5,12 @@
 
 namespace nimbus::cc {
 
-CopaCore::CopaCore(double delta) : delta_(delta) {}
+namespace {
+/// Queue is "nearly empty" if dq < this fraction of the recent peak.
+constexpr double kEmptyFraction = 0.1;
+/// Switch window: queue must nearly empty once per this many RTTs.
+constexpr int kWindowRtts = 5;
+}  // namespace
 
 void CopaCore::init(double initial_cwnd_pkts) {
   cwnd_ = initial_cwnd_pkts;
@@ -70,25 +75,21 @@ void CopaCore::on_rto() {
   slow_start_ = false;
 }
 
-Copa::Copa() : Copa(Params()) {}
-
-Copa::Copa(const Params& params) : p_(params), core_(params.default_delta) {}
-
 void Copa::init(sim::CcContext& ctx) {
-  core_.init(ctx.cwnd_bytes() / ctx.mss());
+  core_.init(ctx.cwnd_bytes() / sim::kMss);
   competitive_ = false;
-  inv_delta_ = 1.0 / p_.default_delta;
+  inv_delta_ = 1.0 / CopaCore::kDefaultDelta;
   ctx.set_pacing_rate_bps(0);  // window-driven; see pacing note below
 }
 
 void Copa::on_ack(sim::CcContext& ctx, const sim::AckInfo& ack) {
   const TimeNs window =
-      static_cast<TimeNs>(p_.window_rtts) * std::max(ctx.srtt(), from_ms(1));
+      static_cast<TimeNs>(kWindowRtts) * std::max(ctx.srtt(), from_ms(1));
   dq_min_.set_window(window);
   dq_max_.set_window(window);
 
   core_.on_ack(ack.now, ack.rtt, ctx.min_rtt(),
-               static_cast<double>(ack.newly_acked_bytes) / ctx.mss(),
+               static_cast<double>(ack.newly_acked_bytes) / sim::kMss,
                ctx.srtt());
   const double dq = core_.queueing_delay_sec();
   dq_min_.update(ack.now, dq);
@@ -105,33 +106,33 @@ void Copa::on_ack(sim::CcContext& ctx, const sim::AckInfo& ack) {
     }
     core_.set_delta(1.0 / std::max(inv_delta_, 2.0));
   } else {
-    core_.set_delta(p_.default_delta);
+    core_.set_delta(CopaCore::kDefaultDelta);
   }
 
-  ctx.set_cwnd_bytes(core_.cwnd_pkts() * ctx.mss());
+  ctx.set_cwnd_bytes(core_.cwnd_pkts() * sim::kMss);
   // Copa paces at 2*cwnd/rtt_standing to smooth transmission.
   if (ctx.srtt() > 0) {
     const double pace =
-        2.0 * core_.cwnd_pkts() * ctx.mss() * 8.0 / to_sec(ctx.srtt());
+        2.0 * core_.cwnd_pkts() * sim::kMss * 8.0 / to_sec(ctx.srtt());
     ctx.set_pacing_rate_bps(pace);
   }
 }
 
 void Copa::update_mode(sim::CcContext& ctx, TimeNs now, double /*dq_sec*/) {
   // Need a full detection window of samples after startup.
-  if (ctx.srtt() == 0 || now < static_cast<TimeNs>(p_.window_rtts) * ctx.srtt()) {
+  if (ctx.srtt() == 0 || now < static_cast<TimeNs>(kWindowRtts) * ctx.srtt()) {
     return;
   }
   const double mn = dq_min_.get_unexpired();
   const double mx = dq_max_.get_unexpired();
-  // "Nearly empty": the queue dipped below empty_fraction of its recent
+  // "Nearly empty": the queue dipped below kEmptyFraction of its recent
   // peak (with a small absolute floor) at least once within the window.
-  const double threshold = std::max(p_.empty_fraction * mx, 0.0005);
+  const double threshold = std::max(kEmptyFraction * mx, 0.0005);
   const bool emptied = mn < threshold;
   const bool was_competitive = competitive_;
   competitive_ = !emptied;
   if (competitive_ && !was_competitive) {
-    inv_delta_ = 1.0 / p_.default_delta;
+    inv_delta_ = 1.0 / CopaCore::kDefaultDelta;
     loss_this_rtt_ = false;
     last_delta_update_ = now;
   }
@@ -145,13 +146,13 @@ void Copa::on_loss(sim::CcContext& ctx, const sim::LossInfo& loss) {
     core_.set_delta(1.0 / inv_delta_);
     // AIMD-style window cut so competitive mode tracks TCP losses.
     core_.set_cwnd_pkts(core_.cwnd_pkts() / 2.0);
-    ctx.set_cwnd_bytes(core_.cwnd_pkts() * ctx.mss());
+    ctx.set_cwnd_bytes(core_.cwnd_pkts() * sim::kMss);
   }
 }
 
 void Copa::on_rto(sim::CcContext& ctx) {
   core_.on_rto();
-  ctx.set_cwnd_bytes(core_.cwnd_pkts() * ctx.mss());
+  ctx.set_cwnd_bytes(core_.cwnd_pkts() * sim::kMss);
 }
 
 }  // namespace nimbus::cc

@@ -29,7 +29,8 @@ namespace nimbus::cc {
 /// Default-mode Copa window arithmetic (fixed delta).
 class CopaCore {
  public:
-  explicit CopaCore(double delta = 0.5);
+  /// Default-mode delta (the paper's Copa baseline and Nimbus's delay mode).
+  static constexpr double kDefaultDelta = 0.5;
 
   void init(double initial_cwnd_pkts);
   void on_ack(TimeNs now, TimeNs rtt, TimeNs min_rtt, double acked_pkts,
@@ -44,7 +45,7 @@ class CopaCore {
   double queueing_delay_sec() const { return dq_sec_; }
 
  private:
-  double delta_;
+  double delta_ = kDefaultDelta;
   double cwnd_ = 10;
   util::WindowedMin rtt_standing_{from_ms(100)};
 
@@ -60,16 +61,6 @@ class CopaCore {
 /// Full Copa with default/competitive mode switching.
 class Copa final : public sim::CcAlgorithm {
  public:
-  struct Params {
-    double default_delta = 0.5;
-    /// Queue is "nearly empty" if dq < this fraction of the recent peak.
-    double empty_fraction = 0.1;
-    /// Switch window: queue must nearly empty once per this many RTTs.
-    int window_rtts = 5;
-  };
-
-  Copa();
-  explicit Copa(const Params& params);
   std::string name() const override { return "copa"; }
   void init(sim::CcContext& ctx) override;
   void on_ack(sim::CcContext& ctx, const sim::AckInfo& ack) override;
@@ -81,11 +72,10 @@ class Copa final : public sim::CcAlgorithm {
  private:
   void update_mode(sim::CcContext& ctx, TimeNs now, double dq_sec);
 
-  Params p_;
   CopaCore core_;
   bool competitive_ = false;
 
-  // Mode detection: sliding min/max of dq over the last window_rtts RTTs.
+  // Mode detection: sliding min/max of dq over the last kWindowRtts RTTs.
   util::WindowedMin dq_min_{from_ms(250)};
   util::WindowedMax dq_max_{from_ms(250)};
 

@@ -5,9 +5,12 @@
 
 namespace nimbus::cc {
 
-CubicCore::CubicCore() : CubicCore(Params()) {}
-
-CubicCore::CubicCore(const Params& params) : p_(params) {}
+namespace {
+constexpr double kC = 0.4;     // cubic scaling constant
+constexpr double kBeta = 0.7;  // multiplicative decrease factor
+constexpr bool kFastConvergence = true;
+constexpr bool kTcpFriendly = true;
+}  // namespace
 
 void CubicCore::init(double initial_cwnd_pkts) {
   cwnd_ = initial_cwnd_pkts;
@@ -25,7 +28,7 @@ void CubicCore::set_cwnd_pkts(double cwnd) {
 
 double CubicCore::cubic_window(double t_sec) const {
   const double dt = t_sec - k_;
-  return p_.c * dt * dt * dt + w_max_;
+  return kC * dt * dt * dt + w_max_;
 }
 
 void CubicCore::on_ack(TimeNs now, TimeNs srtt, double acked_pkts) {
@@ -37,7 +40,7 @@ void CubicCore::on_ack(TimeNs now, TimeNs srtt, double acked_pkts) {
     epoch_start_ = now;
     ack_count_ = 0;
     if (cwnd_ < w_max_) {
-      k_ = std::cbrt((w_max_ - cwnd_) / p_.c);
+      k_ = std::cbrt((w_max_ - cwnd_) / kC);
     } else {
       k_ = 0;
       w_max_ = cwnd_;
@@ -58,9 +61,9 @@ void CubicCore::on_ack(TimeNs now, TimeNs srtt, double acked_pkts) {
     increment = 0.01 / cwnd_;  // minimal growth when at/above target
   }
 
-  if (p_.tcp_friendly) {
+  if (kTcpFriendly) {
     // Average Reno increase rate: 3(1-beta)/(1+beta) packets per RTT.
-    const double reno_rate = 3.0 * (1.0 - p_.beta) / (1.0 + p_.beta);
+    const double reno_rate = 3.0 * (1.0 - kBeta) / (1.0 + kBeta);
     w_est_ += reno_rate * acked_pkts / cwnd_;
     if (w_est_ > cwnd_ + increment * acked_pkts) {
       cwnd_ = w_est_;
@@ -72,44 +75,42 @@ void CubicCore::on_ack(TimeNs now, TimeNs srtt, double acked_pkts) {
 
 void CubicCore::on_congestion_event(TimeNs /*now*/) {
   epoch_start_ = -1;
-  if (p_.fast_convergence && cwnd_ < w_max_) {
-    w_max_ = cwnd_ * (2.0 - p_.beta) / 2.0;
+  if (kFastConvergence && cwnd_ < w_max_) {
+    w_max_ = cwnd_ * (2.0 - kBeta) / 2.0;
   } else {
     w_max_ = cwnd_;
   }
-  cwnd_ = std::max(cwnd_ * p_.beta, 2.0);
+  cwnd_ = std::max(cwnd_ * kBeta, 2.0);
   ssthresh_ = cwnd_;
 }
 
 void CubicCore::on_rto() {
   epoch_start_ = -1;
   w_max_ = cwnd_;
-  ssthresh_ = std::max(cwnd_ * p_.beta, 2.0);
+  ssthresh_ = std::max(cwnd_ * kBeta, 2.0);
   cwnd_ = 1.0;
 }
 
-Cubic::Cubic(const CubicCore::Params& params) : core_(params) {}
-
 void Cubic::init(sim::CcContext& ctx) {
-  core_.init(ctx.cwnd_bytes() / ctx.mss());
+  core_.init(ctx.cwnd_bytes() / sim::kMss);
   ctx.set_pacing_rate_bps(0);  // ACK-clocked
 }
 
 void Cubic::on_ack(sim::CcContext& ctx, const sim::AckInfo& ack) {
   core_.on_ack(ack.now, ctx.srtt(),
-               static_cast<double>(ack.newly_acked_bytes) / ctx.mss());
-  ctx.set_cwnd_bytes(core_.cwnd_pkts() * ctx.mss());
+               static_cast<double>(ack.newly_acked_bytes) / sim::kMss);
+  ctx.set_cwnd_bytes(core_.cwnd_pkts() * sim::kMss);
 }
 
 void Cubic::on_loss(sim::CcContext& ctx, const sim::LossInfo& loss) {
   if (!loss.new_congestion_event) return;
   core_.on_congestion_event(loss.now);
-  ctx.set_cwnd_bytes(core_.cwnd_pkts() * ctx.mss());
+  ctx.set_cwnd_bytes(core_.cwnd_pkts() * sim::kMss);
 }
 
 void Cubic::on_rto(sim::CcContext& ctx) {
   core_.on_rto();
-  ctx.set_cwnd_bytes(core_.cwnd_pkts() * ctx.mss());
+  ctx.set_cwnd_bytes(core_.cwnd_pkts() * sim::kMss);
 }
 
 }  // namespace nimbus::cc

@@ -28,24 +28,24 @@ void RenoCore::on_rto() {
 }
 
 void Reno::init(sim::CcContext& ctx) {
-  core_.init(ctx.cwnd_bytes() / ctx.mss());
+  core_.init(ctx.cwnd_bytes() / sim::kMss);
   ctx.set_pacing_rate_bps(0);  // pure ACK clocking
 }
 
 void Reno::on_ack(sim::CcContext& ctx, const sim::AckInfo& ack) {
-  core_.on_ack(static_cast<double>(ack.newly_acked_bytes) / ctx.mss());
-  ctx.set_cwnd_bytes(core_.cwnd_pkts() * ctx.mss());
+  core_.on_ack(static_cast<double>(ack.newly_acked_bytes) / sim::kMss);
+  ctx.set_cwnd_bytes(core_.cwnd_pkts() * sim::kMss);
 }
 
 void Reno::on_loss(sim::CcContext& ctx, const sim::LossInfo& loss) {
   if (!loss.new_congestion_event) return;
   core_.on_congestion_event();
-  ctx.set_cwnd_bytes(core_.cwnd_pkts() * ctx.mss());
+  ctx.set_cwnd_bytes(core_.cwnd_pkts() * sim::kMss);
 }
 
 void Reno::on_rto(sim::CcContext& ctx) {
   core_.on_rto();
-  ctx.set_cwnd_bytes(core_.cwnd_pkts() * ctx.mss());
+  ctx.set_cwnd_bytes(core_.cwnd_pkts() * sim::kMss);
 }
 
 }  // namespace nimbus::cc

@@ -4,9 +4,11 @@
 
 namespace nimbus::cc {
 
-VegasCore::VegasCore() : VegasCore(Params()) {}
-
-VegasCore::VegasCore(const Params& params) : p_(params) {}
+namespace {
+constexpr double kAlpha = 2.0;
+constexpr double kBeta = 4.0;
+constexpr double kGamma = 1.0;  // slow-start exit threshold
+}  // namespace
 
 void VegasCore::init(double initial_cwnd_pkts) {
   cwnd_ = initial_cwnd_pkts;
@@ -26,7 +28,7 @@ void VegasCore::on_ack(TimeNs now, TimeNs rtt, TimeNs base_rtt,
   last_diff_ = diff;
 
   if (slow_start_) {
-    if (diff > p_.gamma) {
+    if (diff > kGamma) {
       slow_start_ = false;
       cwnd_ = std::max(cwnd_ - diff, 2.0);  // back off the surplus
     } else if (grow_this_rtt_) {
@@ -39,9 +41,9 @@ void VegasCore::on_ack(TimeNs now, TimeNs rtt, TimeNs base_rtt,
   grow_this_rtt_ = !grow_this_rtt_;
   if (slow_start_) return;
 
-  if (diff < p_.alpha) {
+  if (diff < kAlpha) {
     cwnd_ += 1.0;
-  } else if (diff > p_.beta) {
+  } else if (diff > kBeta) {
     cwnd_ -= 1.0;
   }
   cwnd_ = std::max(cwnd_, 2.0);
@@ -57,28 +59,26 @@ void VegasCore::on_rto() {
   slow_start_ = false;
 }
 
-Vegas::Vegas(const VegasCore::Params& params) : core_(params) {}
-
 void Vegas::init(sim::CcContext& ctx) {
-  core_.init(ctx.cwnd_bytes() / ctx.mss());
+  core_.init(ctx.cwnd_bytes() / sim::kMss);
   ctx.set_pacing_rate_bps(0);
 }
 
 void Vegas::on_ack(sim::CcContext& ctx, const sim::AckInfo& ack) {
   core_.on_ack(ack.now, ack.rtt, ctx.min_rtt(),
-               static_cast<double>(ack.newly_acked_bytes) / ctx.mss());
-  ctx.set_cwnd_bytes(core_.cwnd_pkts() * ctx.mss());
+               static_cast<double>(ack.newly_acked_bytes) / sim::kMss);
+  ctx.set_cwnd_bytes(core_.cwnd_pkts() * sim::kMss);
 }
 
 void Vegas::on_loss(sim::CcContext& ctx, const sim::LossInfo& loss) {
   if (!loss.new_congestion_event) return;
   core_.on_congestion_event();
-  ctx.set_cwnd_bytes(core_.cwnd_pkts() * ctx.mss());
+  ctx.set_cwnd_bytes(core_.cwnd_pkts() * sim::kMss);
 }
 
 void Vegas::on_rto(sim::CcContext& ctx) {
   core_.on_rto();
-  ctx.set_cwnd_bytes(core_.cwnd_pkts() * ctx.mss());
+  ctx.set_cwnd_bytes(core_.cwnd_pkts() * sim::kMss);
 }
 
 }  // namespace nimbus::cc

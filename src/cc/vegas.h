@@ -16,15 +16,6 @@ namespace nimbus::cc {
 /// packets.
 class VegasCore {
  public:
-  struct Params {
-    double alpha = 2.0;
-    double beta = 4.0;
-    double gamma = 1.0;  // slow-start exit threshold
-  };
-
-  VegasCore();
-  explicit VegasCore(const Params& params);
-
   void init(double initial_cwnd_pkts);
   void on_ack(TimeNs now, TimeNs rtt, TimeNs base_rtt, double acked_pkts);
   void on_congestion_event();
@@ -35,7 +26,6 @@ class VegasCore {
   double last_diff_pkts() const { return last_diff_; }
 
  private:
-  Params p_;
   double cwnd_ = 10;
   bool slow_start_ = true;
   TimeNs next_update_ = 0;
@@ -45,7 +35,6 @@ class VegasCore {
 
 class Vegas final : public sim::CcAlgorithm {
  public:
-  explicit Vegas(const VegasCore::Params& params = VegasCore::Params());
   std::string name() const override { return "vegas"; }
   void init(sim::CcContext& ctx) override;
   void on_ack(sim::CcContext& ctx, const sim::AckInfo& ack) override;

@@ -5,13 +5,24 @@
 
 namespace nimbus::cc {
 
-Vivace::Vivace() : Vivace(Params()) {}
-
-Vivace::Vivace(const Params& params)
-    : p_(params), rate_bps_(params.initial_rate_bps) {}
+namespace {
+constexpr double kExponent = 0.9;  // throughput utility exponent
+constexpr double kB = 900.0;       // RTT-gradient penalty
+constexpr double kC = 11.35;       // loss penalty
+constexpr double kEpsilon = 0.05;  // probe amplitude
+constexpr int kMaxAmplifier = 8;   // confidence amplification cap
+constexpr double kMinRateBps = 0.5e6;
+constexpr double kMaxRateBps = 2e9;
+constexpr double kInitialRateBps = 2e6;
+/// RTT-gradient magnitudes below this (seconds per second) are treated
+/// as measurement noise.  The b = 900 penalty otherwise amplifies
+/// microsecond-level RTT jitter above the throughput term and turns
+/// the rate into a downward-drifting random walk.
+constexpr double kGradientDeadband = 0.005;
+}  // namespace
 
 void Vivace::init(sim::CcContext& ctx) {
-  rate_bps_ = p_.initial_rate_bps;
+  rate_bps_ = kInitialRateBps;
   start_mi(ctx, ctx.now(), /*phase=*/0);
 }
 
@@ -21,7 +32,7 @@ void Vivace::apply_rate(sim::CcContext& ctx, double probe_rate) {
   // the flow window-limited.
   const double rtt_sec = ctx.srtt() > 0 ? to_sec(ctx.srtt()) : 0.05;
   ctx.set_cwnd_bytes(
-      std::max(2.0 * probe_rate / 8.0 * rtt_sec, 4.0 * ctx.mss()));
+      std::max(2.0 * probe_rate / 8.0 * rtt_sec, 4.0 * sim::kMss));
 }
 
 void Vivace::start_mi(sim::CcContext& ctx, TimeNs now, int phase) {
@@ -32,10 +43,10 @@ void Vivace::start_mi(sim::CcContext& ctx, TimeNs now, int phase) {
   fresh.end = now + mi_len;
   if (phase == 0) {
     high_ = fresh;
-    apply_rate(ctx, rate_bps_ * (1.0 + p_.epsilon));
+    apply_rate(ctx, rate_bps_ * (1.0 + kEpsilon));
   } else {
     low_ = fresh;
-    apply_rate(ctx, rate_bps_ * (1.0 - p_.epsilon));
+    apply_rate(ctx, rate_bps_ * (1.0 - kEpsilon));
   }
 }
 
@@ -52,13 +63,13 @@ double Vivace::utility(const MiStats& mi) const {
       grad = (n * mi.sum_tr - mi.sum_t * mi.sum_r) / denom;
     }
   }
-  if (std::abs(grad) < p_.gradient_deadband) grad = 0.0;
+  if (std::abs(grad) < kGradientDeadband) grad = 0.0;
   const double total =
       static_cast<double>(mi.acked_packets + mi.lost_packets);
   const double loss_rate =
       total > 0 ? static_cast<double>(mi.lost_packets) / total : 0.0;
-  return std::pow(std::max(x_mbps, 1e-6), p_.exponent) -
-         p_.b * x_mbps * std::max(grad, 0.0) - p_.c * x_mbps * loss_rate;
+  return std::pow(std::max(x_mbps, 1e-6), kExponent) -
+         kB * x_mbps * std::max(grad, 0.0) - kC * x_mbps * loss_rate;
 }
 
 void Vivace::decide(sim::CcContext& ctx, TimeNs now) {
@@ -67,15 +78,15 @@ void Vivace::decide(sim::CcContext& ctx, TimeNs now) {
   const int dir = u_high >= u_low ? +1 : -1;
 
   if (dir == last_direction_) {
-    amplifier_ = std::min(amplifier_ + 1, p_.max_amplifier);
+    amplifier_ = std::min(amplifier_ + 1, kMaxAmplifier);
   } else {
     amplifier_ = 1;
   }
   last_direction_ = dir;
 
-  const double step = p_.epsilon * static_cast<double>(amplifier_);
+  const double step = kEpsilon * static_cast<double>(amplifier_);
   rate_bps_ *= (1.0 + static_cast<double>(dir) * step);
-  rate_bps_ = std::clamp(rate_bps_, p_.min_rate_bps, p_.max_rate_bps);
+  rate_bps_ = std::clamp(rate_bps_, kMinRateBps, kMaxRateBps);
 
   start_mi(ctx, now, /*phase=*/0);
 }
@@ -128,7 +139,7 @@ void Vivace::on_loss(sim::CcContext& /*ctx*/, const sim::LossInfo& /*loss*/) {
 }
 
 void Vivace::on_rto(sim::CcContext& ctx) {
-  rate_bps_ = std::max(rate_bps_ / 2.0, p_.min_rate_bps);
+  rate_bps_ = std::max(rate_bps_ / 2.0, kMinRateBps);
   start_mi(ctx, ctx.now(), /*phase=*/0);
 }
 

@@ -33,7 +33,7 @@ void BasicDelayCc::init(sim::CcContext& ctx) {
   // Start around IW/RTT-equivalent pacing; the alpha term ramps quickly.
   core_.init(2e6);
   ctx.set_pacing_rate_bps(core_.rate_bps());
-  ctx.set_cwnd_bytes(10.0 * ctx.mss());
+  ctx.set_cwnd_bytes(10.0 * sim::kMss);
 }
 
 void BasicDelayCc::on_ack(sim::CcContext& /*ctx*/, const sim::AckInfo&) {}
@@ -55,7 +55,7 @@ void BasicDelayCc::on_report(sim::CcContext& ctx,
   // Generous window: pacing governs the rate; the window only bounds the
   // inflight data if ACKs stall.
   const double rtt_sec = std::max(to_sec(report.srtt), 1e-3);
-  ctx.set_cwnd_bytes(std::max(2.0 * rate / 8.0 * rtt_sec, 4.0 * ctx.mss()));
+  ctx.set_cwnd_bytes(std::max(2.0 * rate / 8.0 * rtt_sec, 4.0 * sim::kMss));
 }
 
 }  // namespace nimbus::core

@@ -124,16 +124,16 @@ void Nimbus::init(sim::CcContext& ctx) {
 
   const double iw_rate = ctx.cwnd_bytes() * 8.0 / 0.05;  // IW over 50 ms
   basic_delay_.init(iw_rate);
-  cubic_.init(ctx.cwnd_bytes() / ctx.mss());
-  vegas_.init(ctx.cwnd_bytes() / ctx.mss());
-  copa_.init(ctx.cwnd_bytes() / ctx.mss());
+  cubic_.init(ctx.cwnd_bytes() / sim::kMss);
+  vegas_.init(ctx.cwnd_bytes() / sim::kMss);
+  copa_.init(ctx.cwnd_bytes() / sim::kMss);
   base_rate_bps_ = iw_rate;
   ctx.set_pacing_rate_bps(iw_rate);
 }
 
 void Nimbus::on_ack(sim::CcContext& ctx, const sim::AckInfo& ack) {
   const double acked_pkts =
-      static_cast<double>(ack.newly_acked_bytes) / ctx.mss();
+      static_cast<double>(ack.newly_acked_bytes) / sim::kMss;
   if (mode_ == Mode::kCompetitive) {
     cubic_.on_ack(ack.now, ctx.srtt(), acked_pkts);
   } else {
@@ -177,22 +177,22 @@ void Nimbus::on_rto(sim::CcContext& /*ctx*/) {
   basic_delay_.set_rate_bps(basic_delay_.rate_bps() / 2.0);
 }
 
-double Nimbus::delay_mode_rate(sim::CcContext& ctx) const {
+double Nimbus::delay_mode_rate() const {
   const double srtt_sec = srtt_smooth_s_;
   switch (cfg_.delay_algo) {
     case DelayAlgo::kBasicDelay:
       return basic_delay_.rate_bps();
     case DelayAlgo::kVegas:
-      return vegas_.cwnd_pkts() * ctx.mss() * 8.0 / srtt_sec;
+      return vegas_.cwnd_pkts() * sim::kMss * 8.0 / srtt_sec;
     case DelayAlgo::kCopa:
-      return copa_.cwnd_pkts() * ctx.mss() * 8.0 / srtt_sec;
+      return copa_.cwnd_pkts() * sim::kMss * 8.0 / srtt_sec;
   }
   return basic_delay_.rate_bps();
 }
 
-double Nimbus::competitive_mode_rate(sim::CcContext& ctx) const {
+double Nimbus::competitive_mode_rate() const {
   const double srtt_sec = srtt_smooth_s_;
-  return cubic_.cwnd_pkts() * ctx.mss() * 8.0 / srtt_sec;
+  return cubic_.cwnd_pkts() * sim::kMss * 8.0 / srtt_sec;
 }
 
 void Nimbus::record_rate(TimeNs now, double rate) {
@@ -231,7 +231,7 @@ void Nimbus::switch_mode(sim::CcContext& ctx, Mode to) {
                        base_rate_bps_)
             : base_rate_bps_;
     const double cwnd_pkts =
-        std::max(reset_rate * srtt_sec / 8.0 / ctx.mss(), 2.0);
+        std::max(reset_rate * srtt_sec / 8.0 / sim::kMss, 2.0);
     cubic_.init(cwnd_pkts);
     cubic_.set_cwnd_pkts(cwnd_pkts);
   } else {
@@ -239,7 +239,7 @@ void Nimbus::switch_mode(sim::CcContext& ctx, Mode to) {
     // algorithm converges from there.
     const double rate = std::max(base_rate_bps_, 0.5e6);
     basic_delay_.init(rate);
-    const double cwnd_pkts = std::max(rate * srtt_sec / 8.0 / ctx.mss(), 2.0);
+    const double cwnd_pkts = std::max(rate * srtt_sec / 8.0 / sim::kMss, 2.0);
     vegas_.init(cwnd_pkts);
     copa_.init(cwnd_pkts);
   }
@@ -392,8 +392,8 @@ void Nimbus::pulser_conflict_check(sim::CcContext& ctx) {
 
 void Nimbus::apply_control(sim::CcContext& ctx,
                            const sim::CcReport& report) {
-  base_rate_bps_ = mode_ == Mode::kCompetitive ? competitive_mode_rate(ctx)
-                                               : delay_mode_rate(ctx);
+  base_rate_bps_ = mode_ == Mode::kCompetitive ? competitive_mode_rate()
+                                               : delay_mode_rate();
 
   // A pulser must keep its base rate at or above the asymmetric pulse's
   // trough amplitude (mu/12 at the default pulse size): below that it
@@ -427,7 +427,7 @@ void Nimbus::apply_control(sim::CcContext& ctx,
   const double window_s = std::min(
       srtt_s, 1.0 / (kMeasurementWindowDivisor * pulse_.frequency_hz()));
   ctx.set_rate_window_bytes(
-      std::max(base_rate_bps_ / 8.0 * window_s, 10.0 * ctx.mss()));
+      std::max(base_rate_bps_ / 8.0 * window_s, 10.0 * sim::kMss));
 
   double target = base_rate_bps_;
   if (role_ == Role::kPulser && last_mu_ > 0) {
@@ -468,14 +468,14 @@ void Nimbus::apply_control(sim::CcContext& ctx,
     // (base + pulse)*sRTT keeps inflight honest so overload stalls our
     // sends like a real TCP and we take our share of drops.
     ctx.set_pacing_rate_bps(target);
-    ctx.set_cwnd_bytes(target / 8.0 * srtt_s + 2.0 * ctx.mss());
+    ctx.set_cwnd_bytes(target / 8.0 * srtt_s + 2.0 * sim::kMss);
   } else if (mode_ == Mode::kCompetitive) {
     // Competitive-mode *watcher*: rate-primary at the low-passed rate with
     // a loose window cap.  A binding window would make the watcher
     // ACK-clocked — genuinely elastic — and the pulser could never
     // conclude the link is free of elastic traffic (mode deadlock).
     ctx.set_pacing_rate_bps(target);
-    ctx.set_cwnd_bytes(1.5 * target / 8.0 * srtt_s + 4.0 * ctx.mss());
+    ctx.set_cwnd_bytes(1.5 * target / 8.0 * srtt_s + 4.0 * sim::kMss);
   } else {
     // Rate-primary control: BasicDelay/Vegas/Copa rates act directly; the
     // window is a generous inflight cap (these controllers yield through
@@ -483,7 +483,7 @@ void Nimbus::apply_control(sim::CcContext& ctx,
     // gets burst allowance: the negative half-sine drains inflight,
     // making room the positive quarter then uses.
     ctx.set_pacing_rate_bps(target);
-    double cwnd = 2.0 * base_rate_bps_ / 8.0 * srtt_s + 4.0 * ctx.mss();
+    double cwnd = 2.0 * base_rate_bps_ / 8.0 * srtt_s + 4.0 * sim::kMss;
     if (role_ == Role::kPulser && last_mu_ > 0) {
       cwnd += 1.5 * pulse_.burst_bytes(last_mu_);
     }

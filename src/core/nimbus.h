@@ -119,8 +119,8 @@ class Nimbus final : public sim::CcAlgorithm {
   void switch_mode(sim::CcContext& ctx, Mode to);
   void watcher_logic(sim::CcContext& ctx, const sim::CcReport& report);
   void pulser_conflict_check(sim::CcContext& ctx);
-  double delay_mode_rate(sim::CcContext& ctx) const;
-  double competitive_mode_rate(sim::CcContext& ctx) const;
+  double delay_mode_rate() const;
+  double competitive_mode_rate() const;
   void record_rate(TimeNs now, double rate);
   double rate_at(TimeNs when) const;
   void apply_control(sim::CcContext& ctx, const sim::CcReport& report);

@@ -6,12 +6,14 @@
 // optional pacing rate (0 = pure ACK clocking), or both.  An ACK-clocked
 // window algorithm that reads neither the report nor the Eq. 2 rates opts
 // out of both through CcAlgorithm::reads_reports(), as kernel Cubic and
-// NewReno never see a CCP report.
+// NewReno never see a CCP report.  Every segment is sim::kMss bytes
+// (sim/packet.h), so algorithms convert between bytes and packets with it.
 #pragma once
 
 #include <cstdint>
 #include <string>
 
+#include "sim/packet.h"
 #include "util/rng.h"
 #include "util/time.h"
 
@@ -62,7 +64,6 @@ class CcContext {
   virtual ~CcContext() = default;
 
   virtual TimeNs now() const = 0;
-  virtual std::uint32_t mss() const = 0;
 
   virtual double cwnd_bytes() const = 0;
   virtual void set_cwnd_bytes(double bytes) = 0;

@@ -9,6 +9,10 @@ namespace nimbus::sim {
 
 using FlowId = std::uint32_t;
 
+/// Size of every packet in the simulator: each transport segment (data
+/// and window arithmetic alike) and each CBR/Poisson datagram.
+inline constexpr std::uint32_t kMss = 1500;
+
 struct Packet {
   FlowId flow_id = 0;
   std::uint64_t seq = 0;       // per-flow packet sequence number

@@ -7,8 +7,14 @@
 
 namespace nimbus::sim {
 
-PieQueue::PieQueue(const Config& config)
-    : cfg_(config), burst_left_(config.burst_allowance), rng_(config.seed) {
+namespace {
+constexpr TimeNs kUpdateInterval = from_ms(15);  // T_UPDATE
+// Gains in SI units (1/s), RFC 8033 autotuning off.
+constexpr double kAlpha = 0.125;
+constexpr double kBeta = 1.25;
+}  // namespace
+
+PieQueue::PieQueue(const Config& config) : cfg_(config), rng_(config.seed) {
   NIMBUS_CHECK(cfg_.capacity_bytes > 0);
   NIMBUS_CHECK(cfg_.link_rate_bps > 0);
 }
@@ -20,14 +26,14 @@ TimeNs PieQueue::estimated_delay() const {
 }
 
 void PieQueue::maybe_update(TimeNs now) {
-  if (now - last_update_ < cfg_.update_interval) return;
+  if (now - last_update_ < kUpdateInterval) return;
   const TimeNs qdelay = estimated_delay();
 
   // RFC 8033 section 4.2: p' = alpha*(qdelay - target) + beta*(qdelay -
   // qdelay_old), with alpha/beta in units of 1/second, scaled down when the
   // drop probability is small for gentle ramp-up.
-  double p = cfg_.alpha * to_sec(qdelay - cfg_.target_delay) +
-             cfg_.beta * to_sec(qdelay - prev_delay_);
+  double p = kAlpha * to_sec(qdelay - cfg_.target_delay) +
+             kBeta * to_sec(qdelay - prev_delay_);
   if (drop_prob_ < 0.000001) {
     p /= 2048.0;
   } else if (drop_prob_ < 0.00001) {

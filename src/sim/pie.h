@@ -23,10 +23,6 @@ class PieQueue : public QueueDisc {
     std::int64_t capacity_bytes = 0;   // hard limit (tail drop beyond this)
     double link_rate_bps = 0.0;        // departure rate for delay estimation
     TimeNs target_delay = from_ms(15); // QDELAY_REF
-    TimeNs update_interval = from_ms(15);  // T_UPDATE
-    double alpha = 0.125;              // SI units per RFC 8033 autotuning off
-    double beta = 1.25;
-    TimeNs burst_allowance = from_ms(150);
     std::uint64_t seed = 42;
   };
 
@@ -51,7 +47,9 @@ class PieQueue : public QueueDisc {
   double drop_prob_ = 0.0;
   TimeNs last_update_ = 0;
   TimeNs prev_delay_ = 0;
-  TimeNs burst_left_;
+  // MAX_BURST: early drops stay off for this long after start-up.
+  static constexpr TimeNs kBurstAllowance = from_ms(150);
+  TimeNs burst_left_ = kBurstAllowance;
   util::Rng rng_;
 };
 

@@ -42,11 +42,10 @@ TransportFlow::TransportFlow(EventLoop* loop, BottleneckLink* link,
   static_assert(sizeof(AckArrival) <= EventCallback::kInlineBytes,
                 "ACK delivery must fit the inline callback buffer");
   NIMBUS_CHECK(cc_ != nullptr);
-  NIMBUS_CHECK(cfg_.mss > 0);
   reads_reports_ = cc_->reads_reports();
   backlogged_ = cfg_.app_bytes < 0;
   app_bytes_remaining_ = backlogged_ ? kBackloggedBytes : cfg_.app_bytes;
-  cwnd_bytes_ = kInitialCwndPkts * cfg_.mss;
+  cwnd_bytes_ = kInitialCwndPkts * kMss;
 }
 
 TransportFlow::~TransportFlow() = default;
@@ -70,7 +69,7 @@ TimeNs TransportFlow::now() const { return loop_->now(); }
 
 void TransportFlow::set_cwnd_bytes(double bytes) {
   const double old = cwnd_bytes_;
-  cwnd_bytes_ = std::max<double>(bytes, cfg_.mss);
+  cwnd_bytes_ = std::max<double>(bytes, kMss);
   // A halving-or-worse in one set is a collapse worth a timeline mark.
   if (obs_.trace.active() && started_ && cwnd_bytes_ <= old * 0.5) {
     obs::TraceEvent e;
@@ -94,7 +93,7 @@ void TransportFlow::set_pacing_rate_bps(double bps) {
 }
 
 std::int64_t TransportFlow::bytes_in_flight() const {
-  return static_cast<std::int64_t>(outstanding_.size()) * cfg_.mss;
+  return static_cast<std::int64_t>(outstanding_.size()) * kMss;
 }
 
 bool TransportFlow::is_app_limited() const {
@@ -103,8 +102,8 @@ bool TransportFlow::is_app_limited() const {
 
 std::uint64_t TransportFlow::total_packets() const {
   NIMBUS_CHECK(!backlogged_);
-  return (static_cast<std::uint64_t>(cfg_.app_bytes) + cfg_.mss - 1) /
-         cfg_.mss;
+  return (static_cast<std::uint64_t>(cfg_.app_bytes) + kMss - 1) /
+         kMss;
 }
 
 void TransportFlow::add_app_bytes(std::int64_t bytes) {
@@ -118,7 +117,7 @@ bool TransportFlow::can_send() const {
   if (!started_ || completed_) return false;
   const bool has_data = !retx_queue_.empty() || app_bytes_remaining_ > 0;
   if (!has_data) return false;
-  return static_cast<double>(bytes_in_flight() + cfg_.mss) <=
+  return static_cast<double>(bytes_in_flight() + kMss) <=
          cwnd_bytes_ + 0.5;
 }
 
@@ -132,7 +131,7 @@ void TransportFlow::maybe_send() {
       }
       send_one();
       next_send_time_ = std::max(next_send_time_, t) +
-                        tx_time(cfg_.mss, pacing_rate_bps_);
+                        tx_time(kMss, pacing_rate_bps_);
     } else {
       send_one();
     }
@@ -150,14 +149,14 @@ void TransportFlow::send_one() {
     seq = snd_nxt_++;
     if (!backlogged_) {
       app_bytes_remaining_ =
-          std::max<std::int64_t>(0, app_bytes_remaining_ - cfg_.mss);
+          std::max<std::int64_t>(0, app_bytes_remaining_ - kMss);
     }
   }
 
   Packet p;
   p.flow_id = cfg_.id;
   p.seq = seq;
-  p.size_bytes = cfg_.mss;
+  p.size_bytes = kMss;
   p.sent_at = loop_->now();
   p.is_transport = true;
   p.is_retransmit = retransmit;
@@ -217,10 +216,10 @@ void TransportFlow::handle_ack(const Ack& ack) {
   rto_backoff_ = 0;
 
   std::uint32_t newly_acked = 0;
-  if (outstanding_.erase(ack.seq)) newly_acked += cfg_.mss;
+  if (outstanding_.erase(ack.seq)) newly_acked += kMss;
   if (ack.cum_valid) {
     while (!outstanding_.empty() && outstanding_.lowest() <= ack.cum_ack) {
-      newly_acked += cfg_.mss;
+      newly_acked += kMss;
       outstanding_.erase(outstanding_.lowest());
     }
     // Purge queued retransmissions the cumulative ACK has overtaken (can
@@ -290,7 +289,7 @@ void TransportFlow::declare_lost(std::uint64_t seq) {
   LossInfo loss;
   loss.now = loop_->now();
   loss.seq = seq;
-  loss.lost_bytes = cfg_.mss;
+  loss.lost_bytes = kMss;
   loss.new_congestion_event = seq >= loss_event_end_;
   if (loss.new_congestion_event) loss_event_end_ = snd_nxt_;
   if (loss.new_congestion_event && obs_.trace.active()) {

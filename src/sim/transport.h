@@ -83,7 +83,6 @@ class TransportFlow : public CcContext {
  public:
   struct Config {
     FlowId id = 0;                    // 0 = assigned by Network
-    std::uint32_t mss = 1500;
     TimeNs rtt_prop = from_ms(50);    // two-way propagation delay
     TimeNs start_time = 0;
     /// Total application bytes; -1 = backlogged (infinite).
@@ -143,7 +142,6 @@ class TransportFlow : public CcContext {
 
   // --- CcContext ---
   TimeNs now() const override;
-  std::uint32_t mss() const override { return cfg_.mss; }
   double cwnd_bytes() const override { return cwnd_bytes_; }
   void set_cwnd_bytes(double bytes) override;
   double pacing_rate_bps() const override { return pacing_rate_bps_; }
@@ -194,7 +192,7 @@ class TransportFlow : public CcContext {
     NIMBUS_CHECK_MSG(reads_reports_,
                      "Eq. 2 rates read on a flow whose CC opted out of "
                      "reports (CcAlgorithm::reads_reports)");
-    return sampler_.rates_over_window(rate_window_at_ack_, cfg_.mss);
+    return sampler_.rates_over_window(rate_window_at_ack_, kMss);
   }
   NIMBUS_ALWAYS_INLINE void check_completion();
   std::uint64_t total_packets() const;  // finite flows only

@@ -45,7 +45,7 @@ void FlowWorkload::spawn_flow(std::int64_t size_bytes) {
   a.start = fc.start_time;
   a.size_bytes = size_bytes;
   a.elastic = size_bytes >
-              static_cast<std::int64_t>(kElasticThresholdPkts) * fc.mss;
+              static_cast<std::int64_t>(kElasticThresholdPkts) * sim::kMss;
   arrivals_.push_back(a);
 }
 
@@ -67,15 +67,6 @@ double FlowWorkload::elastic_byte_fraction(const sim::Recorder& rec,
   return total > 0 ? static_cast<double>(elastic) /
                          static_cast<double>(total)
                    : 0.0;
-}
-
-bool FlowWorkload::elastic_active(const sim::Recorder& rec, TimeNs t0,
-                                  TimeNs t1) const {
-  for (const auto& a : arrivals_) {
-    if (!a.elastic) continue;
-    if (rec.delivered(a.id).bytes_in(t0, t1) > 0) return true;
-  }
-  return false;
 }
 
 }  // namespace nimbus::traffic

@@ -51,10 +51,6 @@ class FlowWorkload {
   double elastic_byte_fraction(const sim::Recorder& rec, TimeNs t0,
                                TimeNs t1) const;
 
-  /// True if any elastic-classified flow was actively delivering bytes in
-  /// [t0, t1) (used as binary ground truth for accuracy scoring).
-  bool elastic_active(const sim::Recorder& rec, TimeNs t0, TimeNs t1) const;
-
   double mean_interarrival_sec() const { return mean_interarrival_sec_; }
 
  private:

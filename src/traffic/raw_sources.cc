@@ -7,7 +7,7 @@ namespace nimbus::traffic {
 CbrSource::CbrSource(sim::EventLoop* loop, sim::BottleneckLink* link,
                      Config cfg)
     : loop_(loop), link_(link), cfg_(cfg) {
-  NIMBUS_CHECK(cfg_.rate_bps > 0 && cfg_.pkt_size > 0);
+  NIMBUS_CHECK(cfg_.rate_bps > 0);
   NIMBUS_CHECK(cfg_.id != 0);
 }
 
@@ -22,17 +22,17 @@ void CbrSource::send_next() {
   sim::Packet p;
   p.flow_id = cfg_.id;
   p.seq = seq_++;
-  p.size_bytes = cfg_.pkt_size;
+  p.size_bytes = sim::kMss;
   p.sent_at = now;
   link_->enqueue(p);
-  loop_->schedule_in(tx_time(cfg_.pkt_size, cfg_.rate_bps),
+  loop_->schedule_in(tx_time(sim::kMss, cfg_.rate_bps),
                      [this]() { send_next(); });
 }
 
 PoissonSource::PoissonSource(sim::EventLoop* loop, sim::BottleneckLink* link,
                              Config cfg)
     : loop_(loop), link_(link), cfg_(cfg), rng_(cfg.seed) {
-  NIMBUS_CHECK(cfg_.mean_rate_bps > 0 && cfg_.pkt_size > 0);
+  NIMBUS_CHECK(cfg_.mean_rate_bps > 0);
   NIMBUS_CHECK(cfg_.id != 0);
 }
 
@@ -47,11 +47,11 @@ void PoissonSource::send_next() {
   sim::Packet p;
   p.flow_id = cfg_.id;
   p.seq = seq_++;
-  p.size_bytes = cfg_.pkt_size;
+  p.size_bytes = sim::kMss;
   p.sent_at = now;
   link_->enqueue(p);
   const double mean_gap_sec =
-      static_cast<double>(cfg_.pkt_size) * 8.0 / cfg_.mean_rate_bps;
+      static_cast<double>(sim::kMss) * 8.0 / cfg_.mean_rate_bps;
   loop_->schedule_in(from_sec(rng_.exponential(mean_gap_sec)),
                      [this]() { send_next(); });
 }

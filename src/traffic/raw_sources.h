@@ -13,13 +13,12 @@
 
 namespace nimbus::traffic {
 
-/// Constant bit-rate stream: one packet every pkt_size*8/rate seconds.
+/// Constant bit-rate stream: one sim::kMss packet every kMss*8/rate seconds.
 class CbrSource final : public sim::TrafficSource {
  public:
   struct Config {
     sim::FlowId id = 0;
     double rate_bps = 1e6;
-    std::uint32_t pkt_size = 1500;
     TimeNs start_time = 0;
     TimeNs stop_time = std::numeric_limits<TimeNs>::max();
   };
@@ -37,14 +36,14 @@ class CbrSource final : public sim::TrafficSource {
   std::uint64_t seq_ = 0;
 };
 
-/// Poisson packet arrivals at a mean rate (exponential inter-packet gaps).
+/// Poisson arrivals of sim::kMss packets at a mean rate (exponential
+/// inter-packet gaps).
 /// The paper generates inelastic cross traffic this way (section 5).
 class PoissonSource final : public sim::TrafficSource {
  public:
   struct Config {
     sim::FlowId id = 0;
     double mean_rate_bps = 1e6;
-    std::uint32_t pkt_size = 1500;
     TimeNs start_time = 0;
     TimeNs stop_time = std::numeric_limits<TimeNs>::max();
     std::uint64_t seed = 99;

@@ -11,8 +11,8 @@
 //    faster than the network drains it, the connection stays backlogged —
 //    network-limited, elastic.
 //
-// The model offers chunk_bytes = bitrate * chunk_duration of application
-// data every chunk_duration (with an initial burst to fill the playback
+// The model offers chunk_bytes = bitrate * 4 s of application data every
+// 4 s chunk (with an initial burst of three chunks to fill the playback
 // buffer), exactly reproducing those two regimes.
 #pragma once
 
@@ -28,8 +28,6 @@ class VideoSource final : public sim::TrafficSource {
   struct Config {
     sim::FlowId id = 0;                // transport flow id; 0 = allocated
     double bitrate_bps = 4e6;          // encoding bitrate
-    TimeNs chunk_duration = from_sec(4);
-    int initial_buffer_chunks = 3;     // fetched back-to-back at start
     TimeNs rtt_prop = from_ms(50);
     TimeNs start_time = 0;
     TimeNs stop_time = std::numeric_limits<TimeNs>::max();

@@ -13,16 +13,6 @@ void TimeSeries::add(TimeNs t, double v) {
   values_.push_back(v);
 }
 
-TimeNs TimeSeries::first_time() const {
-  NIMBUS_CHECK(!times_.empty());
-  return times_.front();
-}
-
-TimeNs TimeSeries::last_time() const {
-  NIMBUS_CHECK(!times_.empty());
-  return times_.back();
-}
-
 std::optional<double> TimeSeries::mean_in(TimeNs t0, TimeNs t1) const {
   const auto lo = std::lower_bound(times_.begin(), times_.end(), t0);
   const auto hi = std::lower_bound(times_.begin(), times_.end(), t1);
@@ -88,11 +78,6 @@ std::vector<double> TimeSeries::values_in(TimeNs t0, TimeNs t1) const {
     out.push_back(values_[static_cast<std::size_t>(it - times_.begin())]);
   }
   return out;
-}
-
-void TimeSeries::clear() {
-  times_.clear();
-  values_.clear();
 }
 
 std::int64_t ByteCounter::bytes_in(TimeNs t0, TimeNs t1) const {

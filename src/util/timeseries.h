@@ -28,8 +28,6 @@ class TimeSeries {
 
   const std::vector<TimeNs>& times() const { return times_; }
   const std::vector<double>& values() const { return values_; }
-  TimeNs first_time() const;
-  TimeNs last_time() const;
 
   /// Mean of samples with t in [t0, t1); nullopt if the window holds no
   /// samples.  (The pre-PR-4 contract returned 0.0 for an empty window,
@@ -49,8 +47,6 @@ class TimeSeries {
 
   /// Values with t in [t0, t1).
   std::vector<double> values_in(TimeNs t0, TimeNs t1) const;
-
-  void clear();
 
  private:
   std::vector<TimeNs> times_;   // non-decreasing

@@ -3,6 +3,9 @@
 // the paper's experiments rely on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "cc/bbr.h"
 #include "cc/compound.h"
 #include "cc/copa.h"
@@ -66,9 +69,7 @@ TEST(CubicCoreTest, BetaReductionIsPointSeven) {
 TEST(CubicCoreTest, WindowFollowsCubicCurve) {
   // After a loss at w=100, growth follows C*(t-K)^3 + w_max: flat near K,
   // accelerating beyond.
-  CubicCore::Params p;
-  p.tcp_friendly = false;  // isolate the cubic curve
-  CubicCore c(p);
+  CubicCore c;
   c.init(100);
   TimeNs now = from_sec(10);
   c.on_congestion_event(now);
@@ -109,6 +110,144 @@ TEST(VegasCoreTest, HoldsQueueBetweenAlphaAndBeta) {
   const double diff = v.cwnd_pkts() - bdp_pkts;
   EXPECT_GE(diff, 1.0);
   EXPECT_LE(diff, 6.0);
+}
+
+// ---------- Compound's delay window ----------
+
+// A CcContext that serves a fixed RTT pair and records the window, so the
+// Compound tests can drive on_ack/on_loss off-simulator.
+struct StubCcContext final : sim::CcContext {
+  TimeNs t = 0;
+  TimeNs base_rtt = from_ms(50);
+  double cwnd = 0;
+  double pacing = 0;
+  util::Rng rng_{1};
+
+  TimeNs now() const override { return t; }
+  double cwnd_bytes() const override { return cwnd; }
+  void set_cwnd_bytes(double b) override { cwnd = b; }
+  double pacing_rate_bps() const override { return pacing; }
+  void set_pacing_rate_bps(double b) override { pacing = b; }
+  TimeNs srtt() const override { return base_rtt; }
+  TimeNs latest_rtt() const override { return base_rtt; }
+  TimeNs min_rtt() const override { return base_rtt; }
+  std::int64_t bytes_in_flight() const override { return 0; }
+  bool is_app_limited() const override { return false; }
+  double send_rate_bps() const override { return 0; }
+  double recv_rate_bps() const override { return 0; }
+  bool rates_valid() const override { return false; }
+  void set_rate_window_bytes(double) override {}
+  util::Rng& rng() override { return rng_; }
+};
+
+// Drives a Compound flow one ACK per RTT (each ACK is a delay-window
+// update) and mirrors its loss window with a RenoCore, so dwnd is the
+// pushed window minus the mirrored loss window.
+class CompoundTest : public ::testing::Test {
+ protected:
+  // The published constants (Tan et al.): dwnd grows by
+  // kAlpha * win^kK - 1 per RTT below kGammaPkts of queue, shrinks by
+  // kZeta * diff above it, and keeps win * (1 - kBeta) - loss_window/2
+  // after a loss.
+  static constexpr double kAlpha = 0.125;
+  static constexpr double kK = 0.75;
+  static constexpr double kGammaPkts = 30.0;
+  static constexpr double kZeta = 1.0;
+  static constexpr double kBeta = 0.5;
+
+  void SetUp() override {
+    ctx_.cwnd = 100.0 * sim::kMss;
+    compound_.init(ctx_);
+    reno_.init(100.0);
+  }
+
+  double dwnd() const {
+    return ctx_.cwnd / sim::kMss - reno_.cwnd_pkts();
+  }
+
+  // One ACK of one packet, one RTT after the previous one.
+  void ack(TimeNs rtt) {
+    ctx_.t += ctx_.base_rtt;
+    sim::AckInfo a;
+    a.now = ctx_.t;
+    a.newly_acked_bytes = sim::kMss;
+    a.rtt = rtt;
+    compound_.on_ack(ctx_, a);
+    reno_.on_ack(1.0);
+  }
+
+  void congestion_event() {
+    sim::LossInfo l;
+    l.now = ctx_.t;
+    l.lost_bytes = sim::kMss;
+    l.new_congestion_event = true;
+    compound_.on_loss(ctx_, l);
+    reno_.on_congestion_event();
+  }
+
+  // Queued packets Compound infers at `rtt` for window `win`.
+  double diff_at(double win, TimeNs rtt) const {
+    const double rtt_s = to_sec(rtt);
+    return win * (rtt_s - to_sec(ctx_.base_rtt)) / rtt_s;
+  }
+
+  StubCcContext ctx_;
+  cc::Compound compound_;
+  RenoCore reno_;
+};
+
+TEST_F(CompoundTest, DelayWindowGrowsBinomiallyAtBaseRtt) {
+  EXPECT_DOUBLE_EQ(dwnd(), 0.0);
+  for (int rtt = 0; rtt < 20; ++rtt) {
+    const double before = dwnd();
+    // The update sees the loss window after this ACK's increase.
+    const double win = reno_.cwnd_pkts() + 1.0 + before;
+    ack(ctx_.base_rtt);
+    const double growth = kAlpha * std::pow(win, kK) - 1.0;
+    ASSERT_GT(growth, 0.0);
+    EXPECT_NEAR(dwnd(), before + growth, 1e-9) << "rtt " << rtt;
+  }
+}
+
+TEST_F(CompoundTest, StandingQueueShrinksDelayWindowToZero) {
+  for (int rtt = 0; rtt < 20; ++rtt) ack(ctx_.base_rtt);
+  const TimeNs queued_rtt = ctx_.base_rtt * 14 / 10;
+
+  // First update over the threshold: dwnd loses zeta * diff and stays
+  // positive.
+  double before = dwnd();
+  double win = reno_.cwnd_pkts() + 1.0 + before;
+  double diff = diff_at(win, queued_rtt);
+  ASSERT_GT(diff, kGammaPkts);
+  ASSERT_GT(before - kZeta * diff, 0.0);
+  ack(queued_rtt);
+  EXPECT_NEAR(dwnd(), before - kZeta * diff, 1e-9);
+
+  // Second update: zeta * diff exceeds what is left, so dwnd stops at 0.
+  before = dwnd();
+  win = reno_.cwnd_pkts() + 1.0 + before;
+  diff = diff_at(win, queued_rtt);
+  ASSERT_GT(diff, kGammaPkts);
+  ASSERT_LT(before - kZeta * diff, 0.0);
+  ack(queued_rtt);
+  EXPECT_NEAR(dwnd(), 0.0, 1e-9);
+
+  // The queue drains: growth restarts from 0, not from below it.
+  win = reno_.cwnd_pkts() + 1.0;
+  ack(ctx_.base_rtt);
+  EXPECT_NEAR(dwnd(), kAlpha * std::pow(win, kK) - 1.0, 1e-9);
+}
+
+TEST_F(CompoundTest, CongestionEventKeepsBetaShareOfWindow) {
+  for (int rtt = 0; rtt < 20; ++rtt) ack(ctx_.base_rtt);
+  ASSERT_GT(dwnd(), 0.0);
+  const double loss_window = reno_.cwnd_pkts();
+  const double win = loss_window + dwnd();
+  congestion_event();
+  // dwnd keeps win * (1 - beta) less the halved loss window.
+  const double expected = std::max(win * (1.0 - kBeta) - loss_window / 2, 0.0);
+  ASSERT_GT(expected, 0.0);
+  EXPECT_NEAR(dwnd(), expected, 1e-9);
 }
 
 // ---------- end-to-end single-flow signatures ----------

@@ -631,7 +631,6 @@ struct StubCcContext final : sim::CcContext {
   util::Rng rng_{42};
 
   TimeNs now() const override { return t; }
-  std::uint32_t mss() const override { return 1500; }
   double cwnd_bytes() const override { return cwnd; }
   void set_cwnd_bytes(double b) override { cwnd = b; }
   double pacing_rate_bps() const override { return pacing; }

@@ -181,6 +181,7 @@ TEST(VideoSourceTest, LowBitrateIsAppLimited) {
   auto src = std::make_unique<VideoSource>(&net, cfg);
   const sim::FlowId id = src->id();
   const auto* flow = &src->flow();
+  const std::int64_t chunk_bytes = src->chunk_bytes();
   net.add_source(std::move(src));
   net.run_until(from_sec(40));
   EXPECT_NEAR(net.recorder().delivered(id).rate_bps(from_sec(15),
@@ -188,9 +189,7 @@ TEST(VideoSourceTest, LowBitrateIsAppLimited) {
               6e6, 1.5e6);
   // No backlog accumulates: at most one chunk awaits transmission (the
   // instantaneous app-limited flag flickers right as chunks arrive).
-  EXPECT_LT(flow->app_bytes_remaining(),
-            static_cast<std::int64_t>(cfg.bitrate_bps / 8.0 *
-                                      to_sec(cfg.chunk_duration)));
+  EXPECT_LT(flow->app_bytes_remaining(), chunk_bytes);
 }
 
 TEST(VideoSourceTest, HighBitrateIsNetworkLimited) {

@@ -371,13 +371,13 @@ class RateProbe final : public CcAlgorithm {
 
   std::string name() const override { return "rate-probe"; }
   void init(CcContext& ctx) override {
-    ctx.set_cwnd_bytes(10.0 * ctx.mss());
+    ctx.set_cwnd_bytes(10.0 * sim::kMss);
     ctx.set_pacing_rate_bps(0);
   }
   void on_ack(CcContext& ctx, const AckInfo&) override {
     const std::uint64_t before = read(ctx);
     // Additive increase of four packets per window, reset past 300.
-    const double mss = ctx.mss();
+    const double mss = sim::kMss;
     const double next = ctx.cwnd_bytes() + 4.0 * mss * mss / ctx.cwnd_bytes();
     ctx.set_cwnd_bytes(next > 300.0 * mss ? 10.0 * mss : next);
     if (read(ctx) != before) ++moved_reads;
@@ -385,12 +385,12 @@ class RateProbe final : public CcAlgorithm {
   void on_loss(CcContext& ctx, const LossInfo& loss) override {
     read(ctx);
     if (loss.new_congestion_event) {
-      ctx.set_cwnd_bytes(std::max(ctx.cwnd_bytes() / 2.0, 4.0 * ctx.mss()));
+      ctx.set_cwnd_bytes(std::max(ctx.cwnd_bytes() / 2.0, 4.0 * sim::kMss));
     }
   }
   void on_rto(CcContext& ctx) override {
     read(ctx);
-    ctx.set_cwnd_bytes(2.0 * ctx.mss());
+    ctx.set_cwnd_bytes(2.0 * sim::kMss);
   }
   void on_report(CcContext& ctx, const CcReport& r) override {
     mix(r.send_rate_bps, r.recv_rate_bps, r.rates_valid);
@@ -398,7 +398,7 @@ class RateProbe final : public CcAlgorithm {
     // Cycle the rate window through cwnd (0) and fixed sizes around it.
     ++reports_;
     ctx.set_rate_window_bytes(static_cast<double>(reports_ % 7) * 12.0 *
-                              ctx.mss());
+                              sim::kMss);
     if (read(ctx) != before) ++moved_reads;
   }
 
