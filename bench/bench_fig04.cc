@@ -55,7 +55,8 @@ int main() {
         }
       });
 
-  // Peak-to-peak z swing; NaN for a cell without samples (shard-skipped).
+  // Peak-to-peak z swing; NaN for a cell without samples (one the watchdog
+  // stopped).
   auto swing = [](const exp::CellResult& zs) {
     if (zs.values.empty()) return zs.value();
     double mn = 1e18, mx = -1e18;

@@ -46,10 +46,9 @@ int main() {
   std::printf("fig19,series,scheme,x,cdf\n");
   const std::size_t per_scheme = paths.size() * seeds.size();
   std::map<std::string, util::Percentiles> rates, rtts;
-  // Sharded-out cells never enter the Percentiles (NaN would poison the
-  // sort); a scheme with any missing cell prints no CDF/summary rows.
-  // With a fully merged cache nothing is missing and the output is
-  // byte-identical to an unsharded run.
+  // A cell the watchdog stopped never enters the Percentiles (NaN would
+  // poison the sort): it prints a row naming why, its scheme prints no
+  // CDF/summary rows, and every shape check over that scheme WARNs.
   std::map<std::string, int> missing;
   exp::run_scenarios_cached(
       specs,
@@ -69,6 +68,10 @@ int main() {
           rtts[scheme].add(s.value(1) - to_ms(p.rtt));  // queueing delay
         } else {
           ++missing[scheme];
+          std::printf("fig19,failed_%s,%s,%llu,%s\n", scheme.c_str(),
+                      p.name.c_str(),
+                      static_cast<unsigned long long>(specs[i].seed),
+                      s.fail_label());
         }
         if (i % per_scheme != per_scheme - 1) return;
         if (missing[scheme] > 0) return;
@@ -78,19 +81,22 @@ int main() {
             {rates[scheme].mean(), rtts[scheme].median()});
       });
 
-  // `complete` short-circuits the stat queries (CHECK-fail on empty
-  // collections) when cells are missing; the checks then print SKIP.
-  const bool complete = !results_incomplete();
+  // Each check short-circuits on a scheme with a failed cell, before its
+  // stat queries (which CHECK-fail on an empty collection).
+  const auto complete = [&](const std::string& scheme) {
+    return missing[scheme] == 0;
+  };
   shape_check("fig19",
-              complete &&
+              complete("nimbus") && complete("cubic") &&
                   rates["nimbus"].mean() > 0.7 * rates["cubic"].mean(),
               "nimbus throughput comparable to cubic across paths");
   shape_check("fig19",
-              complete &&
+              complete("nimbus") && complete("cubic") &&
                   rtts["nimbus"].median() < rtts["cubic"].median() - 5,
               "nimbus queueing delay clearly below cubic across paths");
   shape_check("fig19",
-              complete && rates["vegas"].mean() < rates["nimbus"].mean(),
+              complete("vegas") && complete("nimbus") &&
+                  rates["vegas"].mean() < rates["nimbus"].mean(),
               "vegas loses throughput on paths with elastic competition");
   return shape_exit_code();
 }

@@ -174,7 +174,7 @@ int main() {
         return exp::CellResult::scalar(exp::score_accuracy(run, spec));
       },
       [&](std::size_t i, exp::CellResult& r) {
-        if (!r.valid && r.fail != exp::CellResult::Fail::kShardSkip) {
+        if (!r.valid) {
           ++watchdog_cells;
           std::printf("impair,%s_%s,%s,%s\n", cells[i].kind.c_str(),
                       cells[i].cross.c_str(),

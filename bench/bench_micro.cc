@@ -424,7 +424,7 @@ void BM_AckPathRateSamplerRing(benchmark::State& state) {
       sent += 1'000'000;
       acked += 1'000'000;
       s.on_ack(sent, acked, 1500);
-      sink += s.rates_over_window(cwnd_bytes, 1500).send_bps;
+      sink += s.rates_over_window(cwnd_bytes).send_bps;
     }
     benchmark::DoNotOptimize(sink);
   }
@@ -547,7 +547,7 @@ void BM_SweepCellWarmCache(benchmark::State& state) {
   const fs::path dir =
       fs::temp_directory_path() / "nimbus-bench-sweep-cache";
   fs::remove_all(dir);
-  const exp::RunConfig serial;  // one job, no shard
+  const exp::RunConfig serial;  // one job
   {
     exp::ResultCache warmup(dir.string(), exp::ResultCache::Mode::kReadWrite);
     exp::run_scenarios_cached(specs, sweep_cell_collect, nullptr, nullptr,
@@ -571,7 +571,7 @@ BENCHMARK(BM_SweepCellWarmCache);
 void BM_SweepCellColdCompute(benchmark::State& state) {
   const auto specs = sweep_cell_specs();
   exp::ResultCache off("", exp::ResultCache::Mode::kOff);
-  const exp::RunConfig serial;  // one job, no shard
+  const exp::RunConfig serial;  // one job
   for (auto _ : state) {
     const auto cells = exp::run_scenarios_cached(
         specs, sweep_cell_collect, nullptr, nullptr, serial, off);

@@ -50,7 +50,7 @@ exp::CellResult collect(const exp::ScenarioSpec& spec,
   return err;
 }
 
-// The q-quantile, or NaN for no samples (a shard-skipped cell).
+// The q-quantile, or NaN for no samples (a cell the watchdog stopped).
 double quantile(const util::Percentiles& p, double q) {
   return p.empty() ? std::numeric_limits<double>::quiet_NaN()
                    : p.percentile(q);

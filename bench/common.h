@@ -60,19 +60,8 @@ inline void print_shape_row(const std::string& fig, bool ok,
               claim.c_str());
 }
 
-/// True when this process ran under an active NIMBUS_SHARD and at least
-/// one cell fell outside its shard with no cache entry to serve it: rows
-/// derived from those cells print nan, and shape checks over the sweep
-/// are meaningless.  With a fully merged cache nothing is skipped and
-/// sharded output is byte-identical to an unsharded run.
-inline bool results_incomplete() { return exp::shard_skipped_count() > 0; }
-
 inline void shape_check(const std::string& fig, bool ok,
                         const std::string& claim) {
-  if (results_incomplete()) {
-    std::printf("%s,SHAPE-CHECK,SKIP,%s\n", fig.c_str(), claim.c_str());
-    return;
-  }
   print_shape_row(fig, ok, claim);
   if (!ok) ++shape_warn_count();
 }
@@ -83,16 +72,12 @@ inline void shape_check(const std::string& fig, bool ok,
 /// justification in a comment next to the call.
 inline void shape_check_known_warn(const std::string& fig, bool ok,
                                    const std::string& claim) {
-  if (results_incomplete()) {
-    std::printf("%s,SHAPE-CHECK,SKIP,%s\n", fig.c_str(), claim.c_str());
-    return;
-  }
   print_shape_row(fig, ok, claim);
 }
 
 /// Process exit code for a finished bench: nonzero iff strict mode is on
 /// and a non-known-warn shape check WARNed.  Also the one place every
-/// bench passes through on exit, so the cache/shard stats line prints
+/// bench passes through on exit, so the cache stats line prints
 /// here — to stderr, keeping stdout byte-identical cold vs warm.
 inline int shape_exit_code() {
   exp::print_cache_stats_if_active(stderr);

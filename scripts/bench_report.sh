@@ -63,13 +63,13 @@ echo "== bench_micro (min_time=${MIN_TIME}s, median of 3) =="
   --benchmark_report_aggregates_only=true \
   --benchmark_format=json > "$MICRO_JSON"
 
-# All wall-clock timing passes pin NIMBUS_CACHE=off (and no sharding):
+# All wall-clock timing passes pin NIMBUS_CACHE=off:
 # the report's cold numbers must measure the simulator, not whatever
 # result cache the environment happens to carry.  The warm suite pass
 # below opts back in explicitly.
 echo "== bench_fig08 quick mode (wall clock) =="
 FIG08_START=$(date +%s.%N)
-NIMBUS_CACHE=off NIMBUS_SHARD= "$FIG08" > /dev/null
+NIMBUS_CACHE=off "$FIG08" > /dev/null
 FIG08_END=$(date +%s.%N)
 FIG08_SECS=$(echo "$FIG08_END $FIG08_START" | awk '{printf "%.2f", $1 - $2}')
 echo "bench_fig08 quick: ${FIG08_SECS}s"
@@ -79,7 +79,7 @@ VARLINK_SECS=""
 if [ -x "$VARLINK" ]; then
   echo "== bench_varlink quick mode (wall clock) =="
   VARLINK_START=$(date +%s.%N)
-  NIMBUS_CACHE=off NIMBUS_SHARD= "$VARLINK" > /dev/null
+  NIMBUS_CACHE=off "$VARLINK" > /dev/null
   VARLINK_END=$(date +%s.%N)
   VARLINK_SECS=$(echo "$VARLINK_END $VARLINK_START" | awk '{printf "%.2f", $1 - $2}')
   echo "bench_varlink quick: ${VARLINK_SECS}s"
@@ -93,7 +93,7 @@ echo "== bench_suite quick mode (strict shape checks, cold, total wall clock) ==
 SUITE_LOG=$(mktemp)
 trap 'rm -f "$MICRO_JSON" "$SUITE_LOG"' EXIT
 SUITE_START=$(date +%s.%N)
-NIMBUS_CACHE=off NIMBUS_SHARD= scripts/bench_suite.sh | tee "$SUITE_LOG"
+NIMBUS_CACHE=off scripts/bench_suite.sh | tee "$SUITE_LOG"
 SUITE_END=$(date +%s.%N)
 SUITE_SECS=$(echo "$SUITE_END $SUITE_START" | awk '{printf "%.2f", $1 - $2}')
 echo "bench_suite quick total (cold): ${SUITE_SECS}s"
@@ -107,10 +107,10 @@ CACHE_DIR=$(mktemp -d)
 WARM_LOG=$(mktemp)
 trap 'rm -f "$MICRO_JSON" "$SUITE_LOG" "$WARM_LOG"; rm -rf "$CACHE_DIR"' EXIT
 echo "== bench_suite warm pass (populate + reread from result cache) =="
-NIMBUS_CACHE=readwrite NIMBUS_CACHE_DIR="$CACHE_DIR" NIMBUS_SHARD= \
+NIMBUS_CACHE=readwrite NIMBUS_CACHE_DIR="$CACHE_DIR" \
   scripts/bench_suite.sh > /dev/null
 WARM_START=$(date +%s.%N)
-NIMBUS_CACHE=read NIMBUS_CACHE_DIR="$CACHE_DIR" NIMBUS_SHARD= \
+NIMBUS_CACHE=read NIMBUS_CACHE_DIR="$CACHE_DIR" \
   scripts/bench_suite.sh > "$WARM_LOG"
 WARM_END=$(date +%s.%N)
 WARM_SECS=$(echo "$WARM_END $WARM_START" | awk '{printf "%.2f", $1 - $2}')

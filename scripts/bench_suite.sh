@@ -6,23 +6,19 @@
 # google-benchmark perf harness) is excluded — scripts/bench_report.sh owns
 # it.
 #
-# Usage: scripts/bench_suite.sh [--shard k/n] [bench...]
+# Usage: scripts/bench_suite.sh [bench...]
 #        (default: all build/bench/*)
 #
 # Each bench gets one "ok|FAIL  <bench> (<wall>s, ...)" row; the wall time
 # is in seconds with two decimals (scripts/bench_report.sh reads it).
 #
-#   --shard k/n   export NIMBUS_SHARD=k/n: each bench computes only its
-#                 shard's cells; out-of-shard cells are served from the
-#                 result cache when present and otherwise SKIP their shape
-#                 checks (see exp/result_cache.h).  Pair with
-#                 NIMBUS_CACHE=readwrite + a shared NIMBUS_CACHE_DIR to
-#                 fan the suite out across processes/CI jobs.
-#
 # Environment:
 #   NIMBUS_CACHE / NIMBUS_CACHE_DIR   forwarded to the benches (result
 #                 cache; off by default).  Per-bench cache stats lines
-#                 (stderr) are surfaced as "cache <bench> ..." rows.
+#                 (stderr) are surfaced as "cache <bench> ..." rows.  A
+#                 readwrite run into a fresh NIMBUS_CACHE_DIR, then a read
+#                 run over it, replays the suite from the cache: its stdout
+#                 must match a NIMBUS_CACHE=off run byte for byte.
 #   NIMBUS_BENCH_TIMEOUT   per-bench wall-clock limit in seconds (default
 #                 600).  A bench that exceeds it is killed, prints a
 #                 "TIMEOUT <bench>" row, and fails the suite — a hung
@@ -35,18 +31,9 @@
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
-SHARD=""
-while [ $# -gt 0 ]; do
-  case "$1" in
-    --shard)
-      shift
-      SHARD="${1:?--shard needs k/n}"
-      ;;
-    -*) echo "usage: $0 [--shard k/n] [bench...]" >&2; exit 2 ;;
-    *) break ;;
-  esac
-  shift
-done
+case "${1:-}" in
+  -*) echo "usage: $0 [bench...]" >&2; exit 2 ;;
+esac
 
 BUILD="${BUILD_DIR:-build}"
 if [ $# -gt 0 ]; then
@@ -80,12 +67,10 @@ for b in "${BENCHES[@]}"; do
   name=$(basename "$b")
   start=$(date +%s.%N)
   if [ "$TIMEOUT_SEC" != 0 ]; then
-    NIMBUS_SHAPE_STRICT=1 NIMBUS_SHARD="${SHARD}" \
-      timeout -k 10 "$TIMEOUT_SEC" "$b" \
+    NIMBUS_SHAPE_STRICT=1 timeout -k 10 "$TIMEOUT_SEC" "$b" \
       >"$STDOUT_TMP" 2>"$STDERR_TMP"
   else
-    NIMBUS_SHAPE_STRICT=1 NIMBUS_SHARD="${SHARD}" "$b" \
-      >"$STDOUT_TMP" 2>"$STDERR_TMP"
+    NIMBUS_SHAPE_STRICT=1 "$b" >"$STDOUT_TMP" 2>"$STDERR_TMP"
   fi
   rc=$?
   secs=$(awk -v a="$start" -v b="$(date +%s.%N)" 'BEGIN {printf "%.2f", b - a}')
@@ -97,14 +82,11 @@ for b in "${BENCHES[@]}"; do
   fi
   checks=$(grep -c "SHAPE-CHECK" "$STDOUT_TMP" || true)
   warns=$(grep -c "SHAPE-CHECK,WARN" "$STDOUT_TMP" || true)
-  skips=$(grep -c "SHAPE-CHECK,SKIP" "$STDOUT_TMP" || true)
   if [ -n "${NIMBUS_SUITE_OUTDIR:-}" ]; then
     cp "$STDOUT_TMP" "$NIMBUS_SUITE_OUTDIR/$name.out"
   fi
-  skipnote=""
-  if [ "$skips" != 0 ]; then skipnote=", $skips SKIP"; fi
   if [ $rc -ne 0 ]; then
-    echo "FAIL  $name (rc=$rc, ${secs}s, $warns/$checks WARN$skipnote)"
+    echo "FAIL  $name (rc=$rc, ${secs}s, $warns/$checks WARN)"
     grep "SHAPE-CHECK,WARN" "$STDOUT_TMP" | sed 's/^/      /'
     if [ "$warns" = 0 ]; then
       # Crashed rather than WARNed (e.g. a NIMBUS_CHECK abort): surface
@@ -113,7 +95,7 @@ for b in "${BENCHES[@]}"; do
     fi
     FAILED+=("$name")
   else
-    echo "ok    $name (${secs}s, $warns/$checks WARN$skipnote)"
+    echo "ok    $name (${secs}s, $warns/$checks WARN)"
   fi
   grep "^nimbus-cache:" "$STDERR_TMP" | sed "s/^/cache $name /"
 done

@@ -42,7 +42,7 @@ class Bbr final : public sim::CcAlgorithm {
   State state_ = State::kStartup;
   util::WindowedMax btl_bw_{0};   // window set from RTT at runtime
   util::WindowedMin rt_prop_{0};
-  double pacing_gain_ = 2.885;
+  double pacing_gain_ = 0;  // init() sets the startup gain
   int cycle_index_ = 0;
   TimeNs cycle_stamp_ = 0;
 

@@ -26,7 +26,6 @@ double CellResult::value(std::size_t i) const {
 const char* CellResult::fail_label() const {
   switch (fail) {
     case Fail::kNone: return "";
-    case Fail::kShardSkip: return "SKIP";
     case Fail::kTimeout: return "TIMEOUT";
     case Fail::kEventBudget: return "EVENT-BUDGET";
   }
@@ -218,41 +217,15 @@ Hash128 code_fingerprint() {
   return fp;
 }
 
-// ---------------------------------------------------------------------------
-// Sharding.
-// ---------------------------------------------------------------------------
-
-bool cell_in_shard(const Hash128& spec_hash, std::uint64_t seed,
-                   const ShardConfig& shard) {
-  if (!shard.active()) return true;
-  // Mix both hash halves with the seed so the partition is uncorrelated
-  // with either alone; k is 1-based.
-  const std::uint64_t mixed =
-      mix_seed(spec_hash.lo ^ mix_seed(spec_hash.hi ^ mix_seed(seed)));
-  return mixed % static_cast<std::uint64_t>(shard.n) ==
-         static_cast<std::uint64_t>(shard.k - 1);
-}
-
-namespace {
-std::atomic<long> g_shard_skipped{0};
-}  // namespace
-
-long shard_skipped_count() { return g_shard_skipped.load(); }
-void note_shard_skip() { g_shard_skipped.fetch_add(1); }
-
 void print_cache_stats_if_active(std::FILE* out) {
   const ResultCache& cache = process_cache();
-  const ShardConfig& shard = process_config().shard;
-  if (!cache.enabled() && !shard.active()) return;
+  if (!cache.enabled()) return;
   const ResultCache::Stats s = cache.stats();
   std::fprintf(out,
                "nimbus-cache: mode=%s dir=%s hits=%ld misses=%ld "
-               "corrupt=%ld stores=%ld shard=%d/%d shard_skipped=%ld\n",
-               cache.mode() == ResultCache::Mode::kOff
-                   ? "off"
-                   : (cache.writable() ? "readwrite" : "read"),
-               cache.dir().c_str(), s.hits, s.misses, s.corrupt, s.stores,
-               shard.k, shard.n, shard_skipped_count());
+               "corrupt=%ld stores=%ld\n",
+               cache.writable() ? "readwrite" : "read", cache.dir().c_str(),
+               s.hits, s.misses, s.corrupt, s.stores);
 }
 
 }  // namespace nimbus::exp

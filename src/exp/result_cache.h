@@ -1,5 +1,4 @@
-// Disk-backed memoisation of scored sweep cells, plus the process-level
-// shard partition.
+// Disk-backed memoisation of scored sweep cells.
 //
 // A cell is one (ScenarioSpec, seed) pair reduced to a scored summary — a
 // flat vector of doubles (CellResult), NOT raw logs: the cacheable unit is
@@ -19,12 +18,6 @@
 // Entries are written atomically (temp file + rename) and are
 // self-checking: a truncated or corrupted entry fails its checksum and is
 // treated as a miss (recomputed, then rewritten when the mode allows).
-//
-// Sharding (RunConfig::shard, "k/n"): a process computes only the cells
-// whose hash lands in shard k of n.  Cells outside the shard still *read*
-// the cache (a fully warmed cache yields complete output under any shard),
-// but are never computed; their results come back with valid=false and NaN
-// values, and benches downgrade shape checks to SKIP (bench/common.h).
 #pragma once
 
 #include <cstdint>
@@ -49,15 +42,13 @@ struct CellResult {
   /// never stored to disk, so the entry format is unchanged.
   enum class Fail : std::uint8_t {
     kNone = 0,     // valid result
-    kShardSkip,    // outside this process's shard and not in the cache
     kTimeout,      // per-cell wall-clock watchdog tripped mid-run
     kEventBudget,  // per-cell simulated-event budget tripped mid-run
   };
 
   std::vector<double> values;
-  /// False for sharded-out cells that were not in the cache and for cells
-  /// whose run budget tripped: values are empty, value(i) reads NaN, and
-  /// `fail` says which of those happened.
+  /// False for cells whose run budget tripped: values are empty, value(i)
+  /// reads NaN, and `fail` says which budget it was.
   bool valid = true;
   /// True when this result came from the disk cache (informational).
   bool from_cache = false;
@@ -90,9 +81,9 @@ struct CellResult {
     return r;
   }
   /// values[i], or quiet NaN when invalid/out of range (deterministic
-  /// poison: a sharded-out or failed cell prints "nan", never garbage).
+  /// poison: a failed cell prints "nan", never garbage).
   double value(std::size_t i = 0) const;
-  /// Short printable reason: "" (ok), "SKIP", "TIMEOUT", "EVENT-BUDGET".
+  /// Short printable reason: "" (ok), "TIMEOUT", "EVENT-BUDGET".
   const char* fail_label() const;
 };
 
@@ -111,7 +102,6 @@ class ResultCache {
 
   bool enabled() const { return mode_ != Mode::kOff; }
   bool writable() const { return mode_ == Mode::kReadWrite; }
-  Mode mode() const { return mode_; }
   const std::string& dir() const { return dir_; }
 
   /// Returns the cached cell, or nullopt on miss (absent or corrupt).
@@ -144,23 +134,9 @@ ResultCache& process_cache();
 /// cache must never run with an unverifiable fingerprint.
 Hash128 code_fingerprint();
 
-// ---------------------------------------------------------------------------
-// Sharding.
-// ---------------------------------------------------------------------------
-
-/// Deterministic partition: for a fixed n, every cell belongs to exactly
-/// one shard (tests assert the disjoint exact cover).
-bool cell_in_shard(const Hash128& spec_hash, std::uint64_t seed,
-                   const ShardConfig& shard);
-
-/// Cells skipped by this process because they fell outside its shard and
-/// were not in the cache (drives the bench-level SKIP downgrade).
-long shard_skipped_count();
-void note_shard_skip();
-
 /// One summary line to `out` (benches pass stderr, keeping stdout
-/// byte-identical between cold and warm runs) when the process cache or
-/// the process shard is active; silent otherwise.
+/// byte-identical between cold and warm runs) when the process cache is
+/// active; silent otherwise.
 void print_cache_stats_if_active(std::FILE* out);
 
 }  // namespace nimbus::exp

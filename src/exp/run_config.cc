@@ -46,10 +46,6 @@ double positive_decimal(const std::string& s) {
   return *end == '\0' && std::isfinite(x) && x > 0.0 ? x : kBad;
 }
 
-bool whole_up_to(double x, double max) {  // false for NaN
-  return x == std::floor(x) && x <= max;
-}
-
 double positive(const Entry& e) {
   const double x = positive_decimal(e.value);
   if (!(x > 0.0)) reject(e, "a positive number");
@@ -58,7 +54,7 @@ double positive(const Entry& e) {
 
 double whole(const Entry& e, double max) {
   const double x = positive_decimal(e.value);
-  if (!whole_up_to(x, max)) {
+  if (!(x == std::floor(x) && x <= max)) {  // NaN fails, so rejects
     reject(e, "a positive whole number no larger than " +
                   std::to_string(static_cast<std::uint64_t>(max)));
   }
@@ -68,17 +64,6 @@ double whole(const Entry& e, double max) {
 bool boolean(const Entry& e) {
   if (e.value != "0" && e.value != "1") reject(e, "0 or 1");
   return e.value == "1";
-}
-
-ShardConfig shard(const Entry& e) {
-  const std::size_t slash = e.value.find('/');
-  const bool split = slash != std::string::npos;
-  const double k = split ? positive_decimal(e.value.substr(0, slash)) : kBad;
-  const double n = split ? positive_decimal(e.value.substr(slash + 1)) : kBad;
-  if (!whole_up_to(k, kIntMax) || !whole_up_to(n, kIntMax) || k > n) {
-    reject(e, "k/n with whole numbers 1 <= k <= n <= 2147483647");
-  }
-  return {static_cast<int>(k), static_cast<int>(n)};
 }
 
 CacheMode cache_mode(const Entry& e) {
@@ -124,7 +109,6 @@ RunConfig parse_run_config(const char* const* envp) {
   if (take("NIMBUS_JOBS", &e)) c.jobs = static_cast<int>(whole(e, kIntMax));
   if (take("NIMBUS_CACHE", &e)) c.cache = cache_mode(e);
   if (take("NIMBUS_CACHE_DIR", &e)) c.cache_dir = e.value;
-  if (take("NIMBUS_SHARD", &e)) c.shard = shard(e);
   if (take("NIMBUS_CELL_MAX_EVENTS", &e)) {
     c.budget.max_events = static_cast<std::uint64_t>(whole(e, kExactMax));
   }

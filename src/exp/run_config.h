@@ -22,14 +22,6 @@ namespace nimbus::exp {
 /// Result-cache mode (exp/result_cache.h).
 enum class CacheMode { kOff, kRead, kReadWrite };
 
-/// NIMBUS_SHARD: this process computes only the cells whose hash lands in
-/// shard k of n (see result_cache.h).  1/1 is inactive.
-struct ShardConfig {
-  int k = 1;  // 1-based shard index
-  int n = 1;  // shard count
-  bool active() const { return n > 1; }
-};
-
 /// Watchdog limits for one scenario run (EventLoop::set_run_budget): stop
 /// the event loop after `max_events` simulated events or `max_wall_seconds`
 /// of real time, whichever trips first; 0 = unlimited.  A tripped run
@@ -48,7 +40,6 @@ struct RunConfig {
   int jobs = 1;  // NIMBUS_JOBS sweep workers (hardware concurrency)
   CacheMode cache = CacheMode::kOff;        // NIMBUS_CACHE off|read|readwrite
   std::string cache_dir = ".nimbus-cache";  // NIMBUS_CACHE_DIR
-  ShardConfig shard;                        // NIMBUS_SHARD k/n
   RunBudget budget;  // NIMBUS_CELL_MAX_EVENTS, NIMBUS_CELL_WALL_SEC (seconds)
   obs::Mode obs = obs::Mode::kOff;  // NIMBUS_OBS off|counters|trace
   std::string obs_dir;  // NIMBUS_OBS_DIR trace/manifest artifacts (none)

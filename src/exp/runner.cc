@@ -266,9 +266,6 @@ void write_sweep_manifest(const std::vector<ScenarioSpec>& specs,
   summary += ",\"computed\":" + std::to_string(computed);
   summary += ",\"from_cache\":" + std::to_string(cached);
   summary += ",\"failed\":" + std::to_string(failed);
-  summary += ",\"shard\":\"" + std::to_string(cfg.shard.k) + "/" +
-             std::to_string(cfg.shard.n) + "\"";
-  summary += ",\"shard_skipped\":" + std::to_string(shard_skipped_count());
   summary += ",\"cache\":{\"hits\":" + std::to_string(st.hits);
   summary += ",\"misses\":" + std::to_string(st.misses);
   summary += ",\"corrupt\":" + std::to_string(st.corrupt);
@@ -283,18 +280,12 @@ std::vector<CellResult> run_scenarios_cached(
     const std::vector<ScenarioSpec>& specs, const CellCollect& collect,
     const std::function<void(std::size_t, CellResult&)>& on_result,
     const ScenarioSetup& setup, const RunConfig& cfg, ResultCache& c) {
-  const ShardConfig& s = cfg.shard;
   const auto run_cell = [&](const ScenarioSpec& spec) -> CellResult {
     const bool cacheable = c.enabled() && spec_cacheable(spec);
     Hash128 h;
-    if (cacheable || s.active()) h = spec_hash(spec);
     if (cacheable) {
+      h = spec_hash(spec);
       if (auto hit = c.load(h, spec.seed)) return *hit;
-    }
-    if (s.active() && !cell_in_shard(h, spec.seed, s)) {
-      // Out-of-shard and not in the cache: deterministically skipped.
-      note_shard_skip();
-      return CellResult::failed(CellResult::Fail::kShardSkip);
     }
     ScenarioRun run = run_scenario(spec, setup, cfg);
     if (run.budget_stop() != sim::EventLoop::BudgetStop::kNone) {

@@ -56,7 +56,7 @@ using CellCollect =
 /// from it without interleaving.  `setup` (if given) runs per scenario on
 /// the worker after assembly, before the loop starts; it must only touch
 /// the BuiltScenario it is handed (and thread-safe captures).  `cfg` gives
-/// the worker count, shard, watchdog budget and telemetry.
+/// the worker count, watchdog budget and telemetry.
 ///
 /// Memoisation: a cell is keyed by (spec_hash, spec.seed,
 /// code_fingerprint); a hit returns the stored CellResult without building
@@ -67,12 +67,11 @@ using CellCollect =
 /// one collect/setup pair.  Specs that cannot be canonicalized
 /// (spec_cacheable false) always compute.
 ///
-/// Missing values: out-of-shard cells not in the cache (result_cache.h)
-/// and cells whose event loop trips cfg.budget come back valid=false, with
-/// fail = kShardSkip, kTimeout (wall) or kEventBudget (events).  Failed
-/// cells are never cached and `collect` never sees a truncated run.  Read
-/// results through value(i) (NaN when missing), never values[i], and guard
-/// anything built from a variable-length result against an empty one.
+/// Missing values: cells whose event loop trips cfg.budget come back
+/// valid=false, with fail = kTimeout (wall) or kEventBudget (events).
+/// Failed cells are never cached and `collect` never sees a truncated run.
+/// Read results through value(i) (NaN when missing), never values[i], and
+/// guard anything built from a variable-length result against an empty one.
 std::vector<CellResult> run_scenarios_cached(
     const std::vector<ScenarioSpec>& specs, const CellCollect& collect,
     const std::function<void(std::size_t, CellResult&)>& on_result = nullptr,

@@ -15,8 +15,7 @@
 //     locale); trace-file link specs embed a hash of the trace *content*,
 //     so editing a trace invalidates specs that reference it.
 //   * spec_hash(spec) — a 128-bit FNV-1a hash of the canonical text, the
-//     key the disk result cache (exp/result_cache.h) and the NIMBUS_SHARD
-//     cell partition are built on.
+//     key the disk result cache (exp/result_cache.h) is built on.
 //
 // Field-coverage guard: spec_canon.cc static_asserts the sizeof of every
 // serialized struct against the kCanonSizeof* constants below (on the

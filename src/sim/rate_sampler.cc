@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "sim/packet.h"
+
 namespace nimbus::sim {
 
 void RateSampler::next_chunk() {
@@ -34,10 +36,9 @@ RateSampler::Rates RateSampler::rates(std::size_t n_packets) const {
   return out;
 }
 
-RateSampler::Rates RateSampler::rates_over_window(double cwnd_bytes,
-                                                  std::uint32_t mss) const {
+RateSampler::Rates RateSampler::rates_over_window(double cwnd_bytes) const {
   const auto window_pkts = static_cast<std::size_t>(
-      std::max(8.0, cwnd_bytes / static_cast<double>(mss)));
+      std::max(8.0, cwnd_bytes / static_cast<double>(kMss)));
   return rates(window_pkts);
 }
 // NIMBUS_HOT_PATH end

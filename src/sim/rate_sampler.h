@@ -57,8 +57,9 @@ class RateSampler {
   /// is available; invalid until at least kMinPackets have been seen).
   Rates rates(std::size_t n_packets) const;
 
-  /// Convenience: rates over roughly one window (cwnd_bytes / mss packets).
-  Rates rates_over_window(double cwnd_bytes, std::uint32_t mss) const;
+  /// Convenience: rates over roughly one window (cwnd_bytes / kMss
+  /// packets, at least 8).
+  Rates rates_over_window(double cwnd_bytes) const;
 
   std::size_t history_size() const {
     return next_ < kMaxHistory ? static_cast<std::size_t>(next_)

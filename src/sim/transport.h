@@ -192,7 +192,7 @@ class TransportFlow : public CcContext {
     NIMBUS_CHECK_MSG(reads_reports_,
                      "Eq. 2 rates read on a flow whose CC opted out of "
                      "reports (CcAlgorithm::reads_reports)");
-    return sampler_.rates_over_window(rate_window_at_ack_, kMss);
+    return sampler_.rates_over_window(rate_window_at_ack_);
   }
   NIMBUS_ALWAYS_INLINE void check_completion();
   std::uint64_t total_packets() const;  // finite flows only

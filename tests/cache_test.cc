@@ -1,13 +1,12 @@
 // Tests for the content-addressed sweep engine: the ScenarioSpec
-// canonicalizer + hash (exp/spec_canon.h), the disk result cache, and the
-// NIMBUS_SHARD cell partition (exp/result_cache.h).
+// canonicalizer + hash (exp/spec_canon.h) and the disk result cache
+// (exp/result_cache.h).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -314,9 +313,9 @@ TEST(ResultCacheTest, OversizedValueCountIsCorrupt) {
 TEST(ResultCacheTest, InvalidCellsAreNeverStored) {
   TempDir tmp;
   ResultCache cache(tmp.str(), ResultCache::Mode::kReadWrite);
-  CellResult skipped;
-  skipped.valid = false;  // a sharded-out cell must not poison the cache
-  cache.store(spec_hash(small_spec(7)), 7, skipped);
+  // A cell the watchdog stopped must not poison the cache.
+  const CellResult stopped = CellResult::failed(CellResult::Fail::kTimeout);
+  cache.store(spec_hash(small_spec(7)), 7, stopped);
   EXPECT_EQ(cache.stats().stores, 0);
 }
 
@@ -330,7 +329,7 @@ std::vector<CellResult> run_grid(ResultCache& cache) {
     specs.push_back(small_spec(derive_seed(/*base=*/7, i)));
     specs.back().protagonist.record_rtt = true;  // collect reads the RTTs
   }
-  RunConfig cfg;  // 1/1 shard regardless of the test environment
+  RunConfig cfg;  // uncached defaults regardless of the test environment
   cfg.jobs = 2;
   return run_scenarios_cached(
       specs,
@@ -360,13 +359,23 @@ TEST(ResultCacheTest, WarmCacheIsBitIdenticalToUncached) {
   EXPECT_EQ(rw.stats().stores, 4);
   EXPECT_EQ(rw.stats().hits, 4);
 
+  // A read-only cache over the same directory (a later process with
+  // NIMBUS_CACHE=read) serves every cell and computes none.
+  ResultCache rd(tmp.str(), ResultCache::Mode::kRead);
+  const auto read = run_grid(rd);
+  EXPECT_EQ(rd.stats().hits, 4);
+  EXPECT_EQ(rd.stats().misses, 0);
+  EXPECT_EQ(rd.stats().stores, 0);
+
   ASSERT_EQ(uncached.size(), 4u);
   for (std::size_t i = 0; i < uncached.size(); ++i) {
     ASSERT_FALSE(uncached[i].values.empty());
     EXPECT_EQ(uncached[i].values, cold[i].values) << "cell " << i;
     EXPECT_EQ(uncached[i].values, warm[i].values) << "cell " << i;
+    EXPECT_EQ(uncached[i].values, read[i].values) << "cell " << i;
     EXPECT_FALSE(cold[i].from_cache);
     EXPECT_TRUE(warm[i].from_cache);
+    EXPECT_TRUE(read[i].from_cache);
   }
 }
 
@@ -376,7 +385,7 @@ TEST(ResultCacheTest, SetupHookCellsCacheLikeAnyOther) {
   // stored on a miss and served on a hit without running the hook.
   TempDir tmp;
   ResultCache rw(tmp.str(), ResultCache::Mode::kReadWrite);
-  RunConfig cfg;  // 1/1 shard
+  RunConfig cfg;
   cfg.jobs = 2;
   std::vector<ScenarioSpec> specs;
   for (std::uint64_t i = 0; i < 3; ++i) {
@@ -407,119 +416,6 @@ TEST(ResultCacheTest, SetupHookCellsCacheLikeAnyOther) {
     EXPECT_GT(cold[i].value(), 0.0) << "cell " << i;
     EXPECT_EQ(cold[i].values, warm[i].values) << "cell " << i;
   }
-}
-
-// ---------------------------------------------------------------------------
-// Sharding.
-// ---------------------------------------------------------------------------
-
-TEST(ShardTest, PartitionIsADisjointExactCover) {
-  // Every cell lands in exactly one shard, for several shard counts.
-  std::vector<std::pair<Hash128, std::uint64_t>> cells;
-  for (std::uint64_t i = 0; i < 200; ++i) {
-    cells.emplace_back(fnv128("cell" + std::to_string(i)),
-                       derive_seed(1, i));
-  }
-  for (int n : {2, 3, 5, 8}) {
-    std::vector<int> owners(cells.size(), 0);
-    for (int k = 1; k <= n; ++k) {
-      const ShardConfig shard{k, n};
-      for (std::size_t i = 0; i < cells.size(); ++i) {
-        if (cell_in_shard(cells[i].first, cells[i].second, shard)) {
-          ++owners[i];
-        }
-      }
-    }
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      EXPECT_EQ(owners[i], 1) << "cell " << i << " with n=" << n;
-    }
-  }
-}
-
-TEST(ShardTest, PartitionSpreadsCells) {
-  // Not a distribution test, just an anti-degeneracy check: with 200
-  // cells and 3 shards, no shard is empty and no shard owns everything.
-  const int n = 3;
-  std::vector<int> count(n + 1, 0);
-  for (std::uint64_t i = 0; i < 200; ++i) {
-    const Hash128 h = fnv128("spread" + std::to_string(i));
-    for (int k = 1; k <= n; ++k) {
-      if (cell_in_shard(h, i, {k, n})) ++count[k];
-    }
-  }
-  for (int k = 1; k <= n; ++k) {
-    EXPECT_GT(count[k], 0);
-    EXPECT_LT(count[k], 200);
-  }
-}
-
-TEST(ShardTest, ShardedRunsMergeToTheFullGrid) {
-  // Two half-shards against a shared cache: each computes its own cells;
-  // a final full read-run serves everything from the merged cache.
-  TempDir tmp;
-  std::vector<ScenarioSpec> specs;
-  for (std::uint64_t i = 0; i < 4; ++i) {
-    specs.push_back(small_spec(derive_seed(/*base=*/9, i)));
-  }
-  const CellCollect collect = [](const ScenarioSpec&, ScenarioRun& run) {
-    return CellResult::scalar(static_cast<double>(
-        run.built.net->recorder().delivered(1).total()));
-  };
-
-  ResultCache rw(tmp.str(), ResultCache::Mode::kReadWrite);
-  int computed = 0;
-  RunConfig cfg;
-  for (int k = 1; k <= 2; ++k) {
-    cfg.shard = {k, 2};
-    const auto part =
-        run_scenarios_cached(specs, collect, nullptr, nullptr, cfg, rw);
-    for (const auto& r : part) {
-      if (r.valid && !r.from_cache) ++computed;
-    }
-  }
-  EXPECT_EQ(computed, 4);  // each cell computed exactly once overall
-
-  ResultCache rd(tmp.str(), ResultCache::Mode::kRead);
-  cfg.shard = {1, 1};
-  const auto merged =
-      run_scenarios_cached(specs, collect, nullptr, nullptr, cfg, rd);
-  ResultCache off(tmp.str(), ResultCache::Mode::kOff);
-  const auto direct =
-      run_scenarios_cached(specs, collect, nullptr, nullptr, cfg, off);
-  ASSERT_EQ(merged.size(), direct.size());
-  for (std::size_t i = 0; i < merged.size(); ++i) {
-    EXPECT_TRUE(merged[i].valid);
-    EXPECT_TRUE(merged[i].from_cache);
-    EXPECT_EQ(merged[i].values, direct[i].values) << "cell " << i;
-  }
-}
-
-TEST(ShardTest, OutOfShardCellsReadNaNPoison) {
-  TempDir tmp;
-  ResultCache off(tmp.str(), ResultCache::Mode::kOff);
-  const std::vector<ScenarioSpec> specs = {small_spec(1), small_spec(2),
-                                           small_spec(3), small_spec(4)};
-  const CellCollect collect = [](const ScenarioSpec&, ScenarioRun& run) {
-    return CellResult::scalar(static_cast<double>(
-        run.built.net->recorder().delivered(1).total()));
-  };
-  RunConfig cfg;
-  cfg.shard = {1, 2};
-  const auto part =
-      run_scenarios_cached(specs, collect, nullptr, nullptr, cfg, off);
-  int valid = 0, skipped = 0;
-  for (const auto& r : part) {
-    if (r.valid) {
-      ++valid;
-      EXPECT_GT(r.value(), 0.0);
-    } else {
-      ++skipped;
-      EXPECT_TRUE(std::isnan(r.value()));
-      EXPECT_TRUE(std::isnan(r.value(3)));
-    }
-  }
-  EXPECT_EQ(valid + skipped, 4);
-  EXPECT_GT(skipped, 0);  // this grid does split under 1/2 (fixed hashes)
 }
 
 }  // namespace

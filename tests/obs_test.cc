@@ -259,7 +259,7 @@ TEST(ObsSweepTest, ParallelManifestMatchesSerial) {
     return exp::CellResult::scalar(exp::score_accuracy(run, spec));
   };
   const auto sweep = [&](const std::string& dir, int jobs) {
-    exp::RunConfig cfg;  // no shard, unlimited budget
+    exp::RunConfig cfg;  // unlimited budget
     cfg.jobs = jobs;
     cfg.obs = obs::Mode::kCounters;
     cfg.obs_dir = dir;

@@ -25,8 +25,6 @@ void expect_defaults(const RunConfig& c) {
   const RunConfig d;
   EXPECT_EQ(c.cache, d.cache);
   EXPECT_EQ(c.cache_dir, d.cache_dir);
-  EXPECT_EQ(c.shard.k, d.shard.k);
-  EXPECT_EQ(c.shard.n, d.shard.n);
   EXPECT_EQ(c.budget.max_events, d.budget.max_events);
   EXPECT_EQ(c.budget.max_wall_seconds, d.budget.max_wall_seconds);
   EXPECT_EQ(c.obs, d.obs);
@@ -49,8 +47,6 @@ const Accept kAccepts[] = {
      [](const RunConfig& c) { return c.cache == CacheMode::kReadWrite; }},
     {"NIMBUS_CACHE_DIR=/var/tmp/cells",
      [](const RunConfig& c) { return c.cache_dir == "/var/tmp/cells"; }},
-    {"NIMBUS_SHARD=2/5",
-     [](const RunConfig& c) { return c.shard.k == 2 && c.shard.n == 5; }},
     {"NIMBUS_CELL_MAX_EVENTS=1e6",
      [](const RunConfig& c) { return c.budget.max_events == 1000000u; }},
     {"NIMBUS_CELL_WALL_SEC=2.5",
@@ -78,7 +74,6 @@ struct Reject {
 const Reject kRejects[] = {
     {"NIMBUS_JOBS=four", "NIMBUS_JOBS=\"four\": expected a positive whole"},
     {"NIMBUS_CACHE=on", "NIMBUS_CACHE=\"on\": expected off\\|read\\|readwrite"},
-    {"NIMBUS_SHARD=3/2", "NIMBUS_SHARD=\"3/2\""},
     {"NIMBUS_CELL_MAX_EVENTS=1e6x", "NIMBUS_CELL_MAX_EVENTS=\"1e6x\""},
     {"NIMBUS_CELL_WALL_SEC=nan", "NIMBUS_CELL_WALL_SEC=\"nan\": expected a "
                                  "positive number"},
@@ -108,11 +103,9 @@ TEST(RunConfigTest, EmptyEnvironmentGivesDefaults) {
 }
 
 TEST(RunConfigTest, EmptyValueMeansUnset) {
-  // For every knob: NIMBUS_CACHE_DIR= must not put the cache under "/",
-  // and NIMBUS_SHARD= (scripts/bench_report.sh) must not fail.
+  // For every knob: NIMBUS_CACHE_DIR= must not put the cache under "/".
   const RunConfig c = parse({"NIMBUS_JOBS=", "NIMBUS_CACHE=",
-                             "NIMBUS_CACHE_DIR=", "NIMBUS_SHARD=",
-                             "NIMBUS_CELL_MAX_EVENTS=",
+                             "NIMBUS_CACHE_DIR=", "NIMBUS_CELL_MAX_EVENTS=",
                              "NIMBUS_CELL_WALL_SEC=", "NIMBUS_OBS=",
                              "NIMBUS_OBS_DIR=", "NIMBUS_OBS_RING=",
                              "NIMBUS_BENCH_FULL=", "NIMBUS_SHAPE_STRICT=",
@@ -125,8 +118,7 @@ TEST(RunConfigTest, EmptyValueMeansUnset) {
 
 TEST(RunConfigTest, OffAndZeroSpellTheDefaults) {
   const RunConfig c = parse({"NIMBUS_CACHE=off", "NIMBUS_OBS=off",
-                             "NIMBUS_BENCH_FULL=0", "NIMBUS_SHAPE_STRICT=0",
-                             "NIMBUS_SHARD=1/1"});
+                             "NIMBUS_BENCH_FULL=0", "NIMBUS_SHAPE_STRICT=0"});
   expect_defaults(c);
 }
 
@@ -148,7 +140,14 @@ TEST(RunConfigDeathTest, UnknownNimbusNameIsFatal) {
   EXPECT_DEATH(parse({"NIMBUS_JOB=4"}), "NIMBUS_JOB: unknown");
   EXPECT_DEATH(parse({"NIMBUS_JOBS=2", "NIMBUS_CACHEDIR=d"}),
                "NIMBUS_CACHEDIR: unknown");
-  EXPECT_DEATH(parse({"NIMBUS_SHARDS="}), "NIMBUS_SHARDS: unknown");
+  EXPECT_DEATH(parse({"NIMBUS_OBS_RINGS="}), "NIMBUS_OBS_RINGS: unknown");
+}
+
+TEST(RunConfigDeathTest, RetiredShardKnobIsUnknown) {
+  // The sweep-sharding knob is gone: a stale export, even an empty one,
+  // must stop the run rather than silently compute every cell.
+  EXPECT_DEATH(parse({"NIMBUS_SHARD=2/3"}), "NIMBUS_SHARD: unknown");
+  EXPECT_DEATH(parse({"NIMBUS_SHARD="}), "NIMBUS_SHARD: unknown");
 }
 
 // ---------------------------------------------------------------------------
@@ -189,41 +188,6 @@ TEST(EnvKnobDeathTest, GarbageNumbersFailNamingTheVariable) {
   EXPECT_DEATH(parse({"NIMBUS_CELL_WALL_SEC=nan"}), "positive number");
   EXPECT_DEATH(parse({"NIMBUS_CELL_WALL_SEC=.5"}), "NIMBUS_CELL_WALL_SEC");
   EXPECT_DEATH(parse({"NIMBUS_OBS_RING=64k"}), "NIMBUS_OBS_RING");
-}
-
-// ---------------------------------------------------------------------------
-// NIMBUS_SHARD: k and n follow the NIMBUS_JOBS whole-number rule.
-// ---------------------------------------------------------------------------
-
-TEST(ShardParseTest, ParsesKOfN) {
-  EXPECT_FALSE(parse({"NIMBUS_SHARD=1/1"}).shard.active());
-  const ShardConfig s = parse({"NIMBUS_SHARD=3/3"}).shard;
-  EXPECT_EQ(s.k, 3);
-  EXPECT_EQ(s.n, 3);
-  EXPECT_TRUE(s.active());
-  const ShardConfig big = parse({"NIMBUS_SHARD=1/2147483647"}).shard;
-  EXPECT_EQ(big.n, 2147483647);
-}
-
-TEST(ShardParseDeathTest, RejectsOverflowSignsAndWhitespace) {
-  // Overflow: "%d" once read 4294967298 as 2, silently running shard 1/2.
-  EXPECT_DEATH(parse({"NIMBUS_SHARD=1/4294967298"}), "NIMBUS_SHARD");
-  EXPECT_DEATH(parse({"NIMBUS_SHARD=1/2147483648"}), "NIMBUS_SHARD");
-  // Signs.
-  EXPECT_DEATH(parse({"NIMBUS_SHARD=+1/2"}), "NIMBUS_SHARD");
-  EXPECT_DEATH(parse({"NIMBUS_SHARD=1/+2"}), "NIMBUS_SHARD");
-  EXPECT_DEATH(parse({"NIMBUS_SHARD=-1/2"}), "NIMBUS_SHARD");
-  // Whitespace.
-  EXPECT_DEATH(parse({"NIMBUS_SHARD=1/ 2"}), "NIMBUS_SHARD");
-  EXPECT_DEATH(parse({"NIMBUS_SHARD= 1/2"}), "NIMBUS_SHARD");
-  EXPECT_DEATH(parse({"NIMBUS_SHARD=1 /2"}), "NIMBUS_SHARD");
-  EXPECT_DEATH(parse({"NIMBUS_SHARD=1/2 "}), "NIMBUS_SHARD");
-  // Shape and range.
-  EXPECT_DEATH(parse({"NIMBUS_SHARD=2"}), "NIMBUS_SHARD");
-  EXPECT_DEATH(parse({"NIMBUS_SHARD=0/2"}), "NIMBUS_SHARD");
-  EXPECT_DEATH(parse({"NIMBUS_SHARD=1.5/2"}), "NIMBUS_SHARD");
-  EXPECT_DEATH(parse({"NIMBUS_SHARD=1/2/3"}), "NIMBUS_SHARD");
-  EXPECT_DEATH(parse({"NIMBUS_SHARD=1/2x"}), "NIMBUS_SHARD");
 }
 
 TEST(RunConfigTest, ProcessConfigIsParsedOnce) {

@@ -375,8 +375,8 @@ TEST(ScenarioDeathTest, NonFiniteBufferSizingFailsBeforeTheLink) {
 // Parallel == serial.
 // ---------------------------------------------------------------------------
 
-// The cache is pinned off and sharding to 1/1, so every cell computes
-// here whatever the test environment sets.
+// The cache is pinned off, so every cell computes here whatever the test
+// environment sets.
 std::vector<CellResult> run_uncached(
     const std::vector<ScenarioSpec>& specs, const CellCollect& collect,
     int jobs,

@@ -231,10 +231,9 @@ class ReferenceRateSampler {
     return out;
   }
 
-  RateSampler::Rates rates_over_window(double cwnd_bytes,
-                                       std::uint32_t mss) const {
+  RateSampler::Rates rates_over_window(double cwnd_bytes) const {
     const auto window_pkts = static_cast<std::size_t>(
-        std::max(8.0, cwnd_bytes / static_cast<double>(mss)));
+        std::max(8.0, cwnd_bytes / static_cast<double>(kMss)));
     return rates(window_pkts);
   }
 
@@ -271,8 +270,8 @@ TEST(RateSamplerEquivalenceTest, RandomizedBitIdenticalToDeque) {
     ASSERT_EQ(a.send_bps, b.send_bps) << "ack " << i << " n " << n;
     ASSERT_EQ(a.recv_bps, b.recv_bps) << "ack " << i << " n " << n;
     const double cwnd = rng.uniform(0, 1e6);
-    const auto aw = ring.rates_over_window(cwnd, 1500);
-    const auto bw = deque.rates_over_window(cwnd, 1500);
+    const auto aw = ring.rates_over_window(cwnd);
+    const auto bw = deque.rates_over_window(cwnd);
     ASSERT_EQ(aw.valid, bw.valid);
     ASSERT_EQ(aw.send_bps, bw.send_bps);
   }

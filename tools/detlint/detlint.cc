@@ -1,11 +1,11 @@
 // detlint — determinism/hot-path invariant linter for this repository.
 //
 // Every guarantee the bench suite sells (byte-identical goldens, the
-// content-addressed result cache, shard-merge byte-diffs, parallel==serial
-// runner equivalence) rests on bit-determinism of the simulation core.  The
-// compiler cannot see that invariant; this tool makes the obvious ways of
-// breaking it fail CI with a file:line message instead of poisoning goldens
-// three PRs later.
+// content-addressed result cache, cached == recomputed byte-diffs,
+// parallel==serial runner equivalence) rests on bit-determinism of the
+// simulation core.  The compiler cannot see that invariant; this tool makes
+// the obvious ways of breaking it fail CI with a file:line message instead
+// of poisoning goldens three PRs later.
 //
 // It is deliberately token-level, not a real C++ front end: no headers are
 // resolved, no templates instantiated.  The rules are written so that the
