@@ -6,6 +6,7 @@
 //   *EventLoop*/*Timer* benches -> events processed (or scheduled) per sec
 //   *AckPath*/*Delivery* benches -> ACK or delivery operations per second
 //   *SweepCell* benches          -> sweep cells per second
+//   *TraceIngest* benches        -> trace lines loaded per second
 //   *SimulatedSecond* benches    -> simulated seconds per wall second
 //
 // Every benchmark measures current code only.  scripts/bench_ab.sh builds
@@ -14,6 +15,7 @@
 // the two same-binary pairs (warm vs cold sweep cell, counters on vs off).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <filesystem>
@@ -24,6 +26,7 @@
 #include "exp/scenario.h"
 #include "obs/metrics.h"
 #include "sim/event_loop.h"
+#include "sim/link_schedule.h"
 #include "sim/loss_detector.h"
 #include "sim/network.h"
 #include "sim/rate_sampler.h"
@@ -476,7 +479,6 @@ void BM_DeliveryPathRecorderFlat(benchmark::State& state) {
     for (int i = 0; i < kDeliveries; ++i) {
       t += 10000;
       p.flow_id = static_cast<sim::FlowId>(1 + (i & 7));
-      p.enqueued_at = t - 5000;
       rec.on_delivery(p, t);
       if (util::TimeSeries* s = rtt[p.flow_id]) s->add(t, 50.0);  // ms
     }
@@ -510,6 +512,44 @@ void BM_DeliveryByteCounterBucketed(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kAdds);
 }
 BENCHMARK(BM_DeliveryByteCounterBucketed);
+
+// --- trace ingest --------------------------------------------------------
+
+// Mahimahi trace ingest, the set-up cost of every trace-driven link: a
+// seeded 60 s trace at 48 Mbit/s (~240k lines, ~1.4 MB) whose rate
+// follows a mean-reverting log-rate walk within +/-25%, shaped like
+// perfbench's varlink traces, is written to a temp file once and loaded
+// by RateSchedule::from_trace_file at 1 s buckets.  Items = trace lines.
+void BM_TraceIngest(benchmark::State& state) {
+  namespace fs = std::filesystem;
+  constexpr double kMu = 48e6, kPktBits = 1504 * 8;
+  constexpr int kLenMs = 60'000, kStepMs = 100;
+  util::Rng rng(29);
+  std::vector<std::int64_t> ms;
+  double x = 0.0, credit = 0.0, rate = kMu;
+  for (int t = 0; t < kLenMs; ++t) {
+    if (t % kStepMs == 0) {
+      x = std::clamp(0.95 * x + 0.1 * std::sqrt(0.1) * rng.normal(), -0.25,
+                     0.25);
+      rate = kMu * std::exp(x);
+    }
+    credit += rate / kPktBits / 1000.0;
+    for (; credit >= 1.0; credit -= 1.0) ms.push_back(t);
+  }
+  const fs::path path =
+      fs::temp_directory_path() / "nimbus-bench-trace-ingest.trace";
+  sim::write_trace_file(path.string(), ms);
+  sim::RateSchedule::TraceConfig cfg;
+  cfg.bucket = from_sec(1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        sim::RateSchedule::from_trace_file(path.string(), cfg));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(ms.size()));
+  fs::remove(path);
+}
+BENCHMARK(BM_TraceIngest)->Unit(benchmark::kMicrosecond);
 
 // --- sweep cells: warm disk cache vs cold compute -----------------------
 

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Perf measurement layer: runs the event-loop, ACK-path, loss-detection,
-# delivery-path, spectral-detector, sweep-cache, telemetry-overhead, and
-# end-to-end microbenchmarks, times the full strict-shape quick bench suite
-# cold (NIMBUS_CACHE=off; in total and bench by bench) and warm (result
-# cache pre-populated), and emits a BENCH_*.json snapshot so every later
-# PR can be compared against this one.
+# delivery-path, spectral-detector, sweep-cache, telemetry-overhead,
+# trace-ingest and end-to-end microbenchmarks, times the full strict-shape
+# quick bench suite cold (NIMBUS_CACHE=off; in total and bench by bench)
+# and warm (result cache pre-populated), and emits a BENCH_*.json
+# snapshot so every later PR can be compared against this one.
 #
 # Usage: scripts/bench_report.sh [--quick] [--compare BASELINE.json] [output.json]
 #
@@ -19,14 +19,14 @@
 #               the cross-file table is printed for trajectory only; the
 #               gate uses same-run, same-process pairs.  Kernel regressions
 #               against an earlier commit are scripts/bench_ab.sh's job.)
-#   output      defaults to BENCH_PR25.json in the repo root
+#   output      defaults to BENCH_PR29.json in the repo root
 #
 # All micro numbers are medians of 3 repetitions.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 QUICK=0
-OUT=BENCH_PR25.json
+OUT=BENCH_PR29.json
 COMPARE=""
 while [ $# -gt 0 ]; do
   case "$1" in
@@ -57,7 +57,7 @@ trap 'rm -f "$MICRO_JSON"' EXIT
 
 echo "== bench_micro (min_time=${MIN_TIME}s, median of 3) =="
 "$MICRO" \
-  --benchmark_filter='EventLoop|Timer|SimulatedSecond|AckPath|LossDetect|Delivery|Spectral|SweepCell' \
+  --benchmark_filter='EventLoop|Timer|SimulatedSecond|AckPath|LossDetect|Delivery|Spectral|SweepCell|TraceIngest' \
   --benchmark_min_time="$MIN_TIME" \
   --benchmark_repetitions=3 \
   --benchmark_report_aggregates_only=true \
@@ -167,7 +167,7 @@ cubic = by_name.get("BM_SimulatedSecondCubic")
 scenario = by_name.get("BM_SimulatedSecondScenario")
 
 report = {
-    "pr": 25,
+    "pr": 29,
     "generated_by": "scripts/bench_report.sh"
                     + (" --quick" if os.environ["QUICK"] == "1" else ""),
     "host": micro.get("context", {}),

@@ -3,8 +3,10 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
+#include <memory>
+#include <vector>
 
+#include "sim/link_schedule.h"
 #include "util/check.h"
 
 namespace nimbus::exp {
@@ -49,11 +51,16 @@ std::string Hash128::hex() const {
   return std::string(buf);
 }
 
-Hash128 fnv128(const void* data, std::size_t len) {
-  // FNV-1a 128-bit offset basis and prime.
-  unsigned __int128 h = (static_cast<unsigned __int128>(0x6c62272e07bb0142ULL)
-                         << 64) |
-                        0x62b821756295c58dULL;
+namespace {
+
+// FNV-1a 128-bit offset basis.
+constexpr unsigned __int128 kFnvBasis =
+    (static_cast<unsigned __int128>(0x6c62272e07bb0142ULL) << 64) |
+    0x62b821756295c58dULL;
+
+// Folds `len` more bytes into the running FNV-1a state `h`.
+unsigned __int128 fnv128_update(unsigned __int128 h, const void* data,
+                                std::size_t len) {
   const unsigned __int128 prime =
       (static_cast<unsigned __int128>(0x0000000001000000ULL) << 64) |
       0x000000000000013bULL;
@@ -62,7 +69,17 @@ Hash128 fnv128(const void* data, std::size_t len) {
     h ^= p[i];
     h *= prime;
   }
+  return h;
+}
+
+Hash128 to_hash(unsigned __int128 h) {
   return {static_cast<std::uint64_t>(h >> 64), static_cast<std::uint64_t>(h)};
+}
+
+}  // namespace
+
+Hash128 fnv128(const void* data, std::size_t len) {
+  return to_hash(fnv128_update(kFnvBasis, data, len));
 }
 
 // ---------------------------------------------------------------------------
@@ -125,14 +142,21 @@ void emit_nimbus(Canon& c, const std::string& p,
 }
 
 /// Content hash of a kTrace link's trace file: the canonical spec must
-/// change when the trace's *bytes* change, not just its path.
+/// change when the trace's *bytes* change, not just its path.  fnv128 of
+/// the bytes, streamed through one kTraceReadChunk buffer.
 Hash128 trace_content_hash(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  NIMBUS_CHECK_MSG(in.good(), "canonical_spec: trace file unreadable");
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  const std::string bytes = ss.str();
-  return fnv128(bytes.data(), bytes.size());
+  const std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(
+      std::fopen(path.c_str(), "rb"), &std::fclose);
+  NIMBUS_CHECK_MSG(f != nullptr, "canonical_spec: trace file unreadable");
+  std::vector<unsigned char> buf(sim::kTraceReadChunk);
+  unsigned __int128 h = kFnvBasis;
+  std::size_t n;
+  while ((n = std::fread(buf.data(), 1, buf.size(), f.get())) > 0) {
+    h = fnv128_update(h, buf.data(), n);
+  }
+  NIMBUS_CHECK_MSG(std::ferror(f.get()) == 0,
+                   "canonical_spec: trace file unreadable");
+  return to_hash(h);
 }
 
 void emit_link(Canon& c, const std::string& p, const LinkSpec& l) {

@@ -52,13 +52,12 @@ void BottleneckLink::enqueue(Packet p) {
   admit(p);
 }
 
-void BottleneckLink::admit(Packet p) {
+void BottleneckLink::admit(const Packet& p) {
   if (loss_prob_ > 0.0 && loss_rng_.bernoulli(loss_prob_)) {
     obs_drop_random_.inc();
     drop(p);
     return;
   }
-  p.enqueued_at = loop_->now();
   if (!qdisc_->enqueue(p, loop_->now())) {
     obs_drop_queue_.inc();
     drop(p);

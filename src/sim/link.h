@@ -106,8 +106,8 @@ class BottleneckLink {
   };
 
   // Delayed admission of a jittered/duplicated copy released by the
-  // impairment stage.  Carries the packet by value: at 56 bytes it
-  // exactly fits the event loop's inline callback buffer.
+  // impairment stage.  Carries the packet by value: at 48 bytes it fits
+  // the event loop's 56-byte inline callback buffer.
   struct Admit {
     BottleneckLink* link;
     Packet p;
@@ -116,7 +116,7 @@ class BottleneckLink {
   static_assert(sizeof(Admit) <= EventCallback::kInlineBytes,
                 "delayed-admit events must stay allocation-free");
 
-  void admit(Packet p);
+  void admit(const Packet& p);
   void start_transmission();
   void finish_transmission();
   void drop(const Packet& p);

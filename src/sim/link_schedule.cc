@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <limits>
 
@@ -94,52 +95,57 @@ class RandomWalkSchedule final : public RateSchedule {
 };
 
 // Bins non-decreasing opportunity timestamps into per-bucket counts in
-// one incremental pass.  A running bucket boundary replaces the per-
-// opportunity `(t % period) / bucket`: only opening a new bucket divides.
+// one incremental pass.  Only opening a new bucket divides: the fold
+// keeps the first timestamp past the open bucket, in ms, so the common
+// opportunity costs its order and range checks, one compare and an
+// increment.  The open bucket's count reaches the vector only when the
+// next bucket opens, so the fold is a few scalars plus a pointer to the
+// counts, which the trace scanner keeps in registers for the whole pass.
 // finish() rounds the looping period up to whole buckets and folds the
-// one bucket that can lie past it (opportunities at exactly a bucket-
-// aligned final timestamp) onto bucket 0 — the counts the modulo gives.
+// one bucket that can lie past it (opportunities at exactly a
+// bucket-aligned final timestamp) onto bucket 0 — the counts
+// `(t % period) / bucket` gives.
 class TraceFold {
  public:
-  TraceFold(const RateSchedule::TraceConfig& cfg, const std::string& origin)
-      : bucket_(cfg.bucket), origin_(origin) {
+  TraceFold(const RateSchedule::TraceConfig& cfg, const std::string& origin,
+            std::vector<std::int64_t>* counts)
+      : bucket_(cfg.bucket), origin_(&origin), counts_(counts) {
     NIMBUS_CHECK_MSG(cfg.bucket > 0, "trace config: bucket must be > 0");
   }
 
   void add(std::int64_t ms) {
     NIMBUS_CHECK_MSG(ms >= last_ms_,
-                     ("trace timestamps must be non-decreasing: " + origin_)
+                     ("trace timestamps must be non-decreasing: " + *origin_)
                          .c_str());
     NIMBUS_CHECK_MSG(ms <= kMaxMs,
-                     ("trace timestamp out of range: " + origin_).c_str());
+                     ("trace timestamp out of range: " + *origin_).c_str());
     last_ms_ = ms;
-    const TimeNs t = ms * kNanosPerMs;
-    if (t >= boundary_) {
-      const TimeNs index = t / bucket_;
-      counts_.resize(static_cast<std::size_t>(index) + 1, 0);
-      boundary_ = (index + 1) * bucket_;
+    if (ms >= open_end_ms_) {
+      open_end_ms_ = open_bucket(counts_, open_count_, ms, bucket_);
+      open_count_ = 0;
     }
-    ++counts_.back();
+    ++open_count_;
   }
 
-  /// Moves out the counts, one per bucket across the looping period, and
-  /// sets `*period`.
-  std::vector<std::int64_t> finish(TimeNs* period) {
-    NIMBUS_CHECK_MSG(!counts_.empty(), ("empty trace: " + origin_).c_str());
+  /// Completes the counts, one per bucket across the looping period, and
+  /// returns the period.
+  TimeNs finish() {
+    NIMBUS_CHECK_MSG(!counts_->empty(), ("empty trace: " + *origin_).c_str());
     NIMBUS_CHECK_MSG(last_ms_ > 0,
                      ("trace looping period is zero (last timestamp must "
-                      "be > 0): " + origin_).c_str());
+                      "be > 0): " + *origin_).c_str());
+    counts_->back() = open_count_;
     // Mahimahi semantics: the final timestamp is the looping period,
     // rounded up to whole buckets; an opportunity at exactly the period
     // lands at the start of the next cycle.
     const TimeNs last = last_ms_ * kNanosPerMs;
-    *period = ((last + bucket_ - 1) / bucket_) * bucket_;
-    const auto n = static_cast<std::size_t>(*period / bucket_);
-    if (counts_.size() > n) {
-      counts_[0] += counts_[n];
-      counts_.pop_back();
+    const TimeNs period = ((last + bucket_ - 1) / bucket_) * bucket_;
+    const auto n = static_cast<std::size_t>(period / bucket_);
+    if (counts_->size() > n) {
+      (*counts_)[0] += (*counts_)[n];
+      counts_->pop_back();
     }
-    return std::move(counts_);
+    return period;
   }
 
  private:
@@ -147,11 +153,26 @@ class TraceFold {
   static constexpr std::int64_t kMaxMs =
       std::numeric_limits<TimeNs>::max() / kNanosPerMs;
 
+  // Stores the closing bucket's count, opens the bucket holding `ms` and
+  // returns the first timestamp past it (kMaxMs + 1 if none fits).
+  // Static and passed values, so the fold's own address never escapes.
+  __attribute__((noinline)) static std::int64_t open_bucket(
+      std::vector<std::int64_t>* counts, std::int64_t closing_count,
+      std::int64_t ms, TimeNs bucket) {
+    if (!counts->empty()) counts->back() = closing_count;
+    const TimeNs index = ms * kNanosPerMs / bucket;
+    counts->resize(static_cast<std::size_t>(index) + 1, 0);
+    TimeNs end = 0;  // the next bucket's start, in ns
+    if (__builtin_mul_overflow(index + 1, bucket, &end)) return kMaxMs + 1;
+    return end / kNanosPerMs + (end % kNanosPerMs != 0);
+  }
+
   TimeNs bucket_;
-  const std::string& origin_;
+  const std::string* origin_;
+  std::vector<std::int64_t>* counts_;
   std::int64_t last_ms_ = 0;
-  TimeNs boundary_ = 0;  // end of the last opened bucket
-  std::vector<std::int64_t> counts_;
+  std::int64_t open_end_ms_ = 0;  // first timestamp past the open bucket
+  std::int64_t open_count_ = 0;   // opportunities in the open bucket
 };
 
 /// Bytes one trace delivery opportunity carries (Mahimahi's default MTU).
@@ -159,9 +180,9 @@ constexpr std::int64_t kTraceOpportunityBytes = 1504;
 
 class TraceSchedule final : public RateSchedule {
  public:
-  TraceSchedule(TraceFold& fold, const RateSchedule::TraceConfig& cfg)
-      : bucket_(cfg.bucket) {
-    const std::vector<std::int64_t> counts = fold.finish(&period_);
+  TraceSchedule(const std::vector<std::int64_t>& counts, TimeNs period,
+                const RateSchedule::TraceConfig& cfg)
+      : bucket_(cfg.bucket), period_(period) {
     const double opp_bits =
         static_cast<double>(kTraceOpportunityBytes) * 8.0;
     const double bucket_sec = to_sec(bucket_);
@@ -193,7 +214,7 @@ class TraceSchedule final : public RateSchedule {
 
  private:
   TimeNs bucket_;
-  TimeNs period_ = 0;
+  TimeNs period_;
   std::vector<double> rates_;  // one per bucket across the loop period
   double mean_ = 0.0;
 };
@@ -212,61 +233,45 @@ inline bool is_blank(unsigned char c) {
   NIMBUS_CHECK_MSG(false, msg);
 }
 
-// Streams a Mahimahi trace file through `on_ms` in one pass over fixed
-// chunks read into one buffer.  A per-line state machine carries across
-// chunk boundaries: leading blanks, then either a '#' comment, digits
-// (overflow-guarded before each multiply) and trailing blanks, or
-// nothing.  Anything else on a line is malformed.
-//
-// Out of line and 64-byte aligned: the per-byte loop's speed depends on
-// where it falls relative to cache-line boundaries, and inlined into its
-// caller it moved with every unrelated code-size change elsewhere in the
-// binary (~20% of perfbench varlink set-up from layout alone).
-template <typename Sink>
-__attribute__((noinline, aligned(64))) void scan_trace_file(
-    const std::string& path, Sink&& on_ms) {
-  const std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(
-      std::fopen(path.c_str(), "rb"), &std::fclose);
-  NIMBUS_CHECK_MSG(f != nullptr, ("cannot open trace file: " + path).c_str());
-  enum class State { kLead, kDigits, kTrail, kComment };
-  State state = State::kLead;
-  std::int64_t ms = 0;
-  std::size_t lineno = 1;  // the line being scanned
-  std::vector<unsigned char> buf(kTraceReadChunk);
-  std::size_t n;
-  while ((n = std::fread(buf.data(), 1, buf.size(), f.get())) > 0) {
-    for (const unsigned char* p = buf.data(); p != buf.data() + n; ++p) {
+// The one definition of a trace line: leading blanks, then either a '#'
+// comment, digits (overflow-guarded before each multiply) and trailing
+// blanks, or nothing.  Anything else on a line is malformed.  Fed byte by
+// byte, its state carries across read chunks, so a line may straddle any
+// number of them.
+class LineMachine {
+ public:
+  /// True while no byte but blanks has been fed since the last line end.
+  bool at_line_start() const { return state_ == State::kLead; }
+
+  /// Feeds bytes [p, end) of line `lineno`; none of them is '\n'.
+  __attribute__((noinline)) void feed(const unsigned char* p,
+                                      const unsigned char* end,
+                                      std::size_t lineno,
+                                      const std::string& path) {
+    for (; p != end; ++p) {
       const unsigned char c = *p;
       const unsigned digit = c - static_cast<unsigned>('0');
-      if (state == State::kDigits && digit <= 9) {
-        // Overflow guard before the multiply (post-hoc sign checks are UB
-        // and can wrap back to an accepted positive value).
-        if (ms > (std::numeric_limits<std::int64_t>::max() - 9) / 10) {
-          malformed_line(lineno, path);
-        }
-        ms = ms * 10 + digit;
-        continue;
-      }
-      if (c == '\n') {
-        if (state == State::kDigits || state == State::kTrail) on_ms(ms);
-        state = State::kLead;
-        ++lineno;
-        continue;
-      }
-      switch (state) {
+      switch (state_) {
         case State::kLead:
           if (digit <= 9) {
-            ms = digit;
-            state = State::kDigits;
+            ms_ = digit;
+            state_ = State::kDigits;
           } else if (c == '#') {
-            state = State::kComment;
+            state_ = State::kComment;
           } else if (!is_blank(c)) {
             malformed_line(lineno, path);
           }
           break;
         case State::kDigits:
-          if (is_blank(c)) {
-            state = State::kTrail;
+          if (digit <= 9) {
+            // Overflow guard before the multiply (post-hoc sign checks are
+            // UB and can wrap back to an accepted positive value).
+            if (ms_ > (std::numeric_limits<std::int64_t>::max() - 9) / 10) {
+              malformed_line(lineno, path);
+            }
+            ms_ = ms_ * 10 + digit;
+          } else if (is_blank(c)) {
+            state_ = State::kTrail;
           } else {
             malformed_line(lineno, path);
           }
@@ -279,11 +284,148 @@ __attribute__((noinline, aligned(64))) void scan_trace_file(
       }
     }
   }
+
+  /// Ends the current line: true, with `*ms` set, if it held a timestamp.
+  bool end_line(std::int64_t* ms) {
+    const bool held = state_ == State::kDigits || state_ == State::kTrail;
+    *ms = ms_;
+    state_ = State::kLead;
+    return held;
+  }
+
+ private:
+  enum class State { kLead, kDigits, kTrail, kComment };
+  State state_ = State::kLead;
+  std::int64_t ms_ = 0;
+};
+
+// The word-at-a-time code below reads byte i of a loaded word as bits
+// 8i..8i+7.
+static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
+              "the trace scanner's word-at-a-time paths need little-endian");
+
+constexpr std::uint64_t kEachByte = 0x0101010101010101ULL;
+
+// Bit i set iff p[i] == '\n', for the 64 bytes at p.  One vector compare
+// (a generic GCC/Clang vector type: each target lowers it to its own
+// compare instructions) leaves 0x01 in every newline byte, and one
+// multiply per 8-byte word gathers its 8 flags into a byte.
+inline std::uint64_t newline_mask(const unsigned char* p) {
+  typedef unsigned char Bytes __attribute__((vector_size(16)));
+  std::uint64_t words[8];
+  for (int i = 0; i < 4; ++i) {
+    Bytes v;
+    std::memcpy(&v, p + 16 * i, sizeof(v));
+    const Bytes flags = reinterpret_cast<Bytes>(v == '\n') & 1;
+    std::memcpy(words + 2 * i, &flags, sizeof(flags));
+  }
+  std::uint64_t mask = 0;
+  for (int i = 0; i < 8; ++i) {
+    mask |= ((words[i] * 0x0102040810204080ULL) >> 56) << (8 * i);
+  }
+  return mask;
+}
+
+// The common trace line, 1-8 decimal digits ending at `eol` (the '\n'),
+// converted word at a time: false, and the line left to LineMachine, for
+// any other shape.  Reads the 8 bytes from `line` on, so at least 8 bytes
+// must be addressable there.
+inline bool short_digit_line(const unsigned char* line,
+                             const unsigned char* eol, std::int64_t* ms) {
+  const std::size_t len = static_cast<std::size_t>(eol - line);
+  if (len - 1 >= 8) return false;  // len == 0 wraps
+  std::uint64_t d;
+  std::memcpy(&d, line, sizeof(d));
+  // A digit byte XOR '0' is its value, 0..9.  Little-endian: shifting the
+  // line to the top `len` bytes drops the bytes past it and leaves leading
+  // zero digits below it (the shift is 64 - 8·len, taken mod 64).
+  d = (d ^ ('0' * kEachByte)) << ((0 - 8 * len) & 63);
+  // Every byte a digit: high nibble 0, and still 0 after adding 6 (no
+  // carry crosses a byte unless some high nibble is already set).
+  if (((d | (d + 6 * kEachByte)) & (0xf0 * kEachByte)) != 0) return false;
+  // Pairwise digit merges, most significant digit in the lowest byte:
+  // 8 digits -> 4 two-digit -> 2 four-digit -> 1 eight-digit value.
+  d = (d * 2561) >> 8;
+  d = ((d & 0x00ff00ff00ff00ffULL) * 6553601) >> 16;
+  *ms = static_cast<std::int64_t>(
+      ((d & 0x0000ffff0000ffffULL) * 42949672960001ULL) >> 32);
+  return true;
+}
+
+// Streams a Mahimahi trace file through `sink.add(ms)` in one pass over
+// fixed chunks read into one buffer.  Each chunk's newlines are found
+// first, as a 64-bit bitmap per 64-byte block, so locating the next line
+// never waits on parsing this one.  A line of 1-8 digits is converted
+// word at a time; every other line (blanks, CR, comments, NUL, longer
+// numbers) and each line that straddles a chunk goes through
+// LineMachine, which alone decides what the format accepts — both paths
+// give the same values, errors and line numbers.  The sink is copied into
+// locals for the pass, so its state stays in registers.
+//
+// Out of line and 64-byte aligned: the loop's speed depends on where it
+// falls relative to cache-line boundaries, and inlined into its caller it
+// moved with every unrelated code-size change elsewhere in the binary
+// (~20% of perfbench varlink set-up from layout alone).
+template <typename Sink>
+__attribute__((noinline, aligned(64))) void scan_trace_file(
+    const std::string& path, Sink* sink_out) {
+  static_assert(kTraceReadChunk % 64 == 0, "whole bitmap blocks per chunk");
+  const std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(
+      std::fopen(path.c_str(), "rb"), &std::fclose);
+  NIMBUS_CHECK_MSG(f != nullptr, ("cannot open trace file: " + path).c_str());
+  // 8 bytes past the chunk keep short_digit_line's load in the buffer.
+  std::vector<unsigned char> buf(kTraceReadChunk + 8);
+  unsigned char* const chunk = buf.data();
+  Sink sink = *sink_out;
+  LineMachine machine;
+  std::size_t lineno = 1;  // the line being scanned
+  std::size_t n;
+  while ((n = std::fread(chunk, 1, kTraceReadChunk, f.get())) > 0) {
+    const unsigned char* line = chunk;
+    for (std::size_t block = 0; block < n; block += 64) {
+      const unsigned char* const base = chunk + block;
+      std::uint64_t nl = newline_mask(base);
+      if (n - block < 64) nl &= (std::uint64_t{1} << (n - block)) - 1;
+      for (; nl != 0; nl &= nl - 1) {
+        const unsigned char* const eol =
+            base + static_cast<unsigned>(__builtin_ctzll(nl));
+        std::int64_t ms = 0;
+        // Only a chunk's first line can continue one the machine began.
+        bool held = short_digit_line(line, eol, &ms) &&
+                    (line != chunk || machine.at_line_start());
+        if (__builtin_expect(!held, 0)) {
+          machine.feed(line, eol, lineno, path);
+          held = machine.end_line(&ms);
+        }
+        if (held) sink.add(ms);
+        line = eol + 1;
+        ++lineno;
+      }
+    }
+    machine.feed(line, chunk + n, lineno, path);
+  }
   NIMBUS_CHECK_MSG(std::ferror(f.get()) == 0,
                    ("cannot read trace file: " + path).c_str());
   // A final line without a trailing newline.
-  if (state == State::kDigits || state == State::kTrail) on_ms(ms);
+  std::int64_t ms = 0;
+  if (machine.end_line(&ms)) sink.add(ms);
+  *sink_out = sink;
 }
+
+// parse_trace_file's sink: appends, checking order.
+struct TimestampList {
+  void add(std::int64_t ms) {
+    NIMBUS_CHECK_MSG(ms >= last_ms,
+                     ("trace timestamps must be non-decreasing: " + *path)
+                         .c_str());
+    last_ms = ms;
+    out->push_back(ms);
+  }
+
+  std::vector<std::int64_t>* out;
+  const std::string* path;
+  std::int64_t last_ms = 0;
+};
 
 }  // namespace
 
@@ -305,26 +447,26 @@ std::unique_ptr<RateSchedule> RateSchedule::random_walk(
 std::unique_ptr<RateSchedule> RateSchedule::from_trace_ms(
     const std::vector<std::int64_t>& opportunities_ms, const TraceConfig& cfg,
     const std::string& origin) {
-  TraceFold fold(cfg, origin);
+  std::vector<std::int64_t> counts;
+  TraceFold fold(cfg, origin, &counts);
   for (std::int64_t ms : opportunities_ms) fold.add(ms);
-  return std::make_unique<TraceSchedule>(fold, cfg);
+  const TimeNs period = fold.finish();
+  return std::make_unique<TraceSchedule>(counts, period, cfg);
 }
 
 std::unique_ptr<RateSchedule> RateSchedule::from_trace_file(
     const std::string& path, const TraceConfig& cfg) {
-  TraceFold fold(cfg, path);
-  scan_trace_file(path, [&](std::int64_t ms) { fold.add(ms); });
-  return std::make_unique<TraceSchedule>(fold, cfg);
+  std::vector<std::int64_t> counts;
+  TraceFold fold(cfg, path, &counts);
+  scan_trace_file(path, &fold);
+  const TimeNs period = fold.finish();
+  return std::make_unique<TraceSchedule>(counts, period, cfg);
 }
 
 std::vector<std::int64_t> parse_trace_file(const std::string& path) {
   std::vector<std::int64_t> out;
-  scan_trace_file(path, [&](std::int64_t ms) {
-    NIMBUS_CHECK_MSG(out.empty() || ms >= out.back(),
-                     ("trace timestamps must be non-decreasing: " + path)
-                         .c_str());
-    out.push_back(ms);
-  });
+  TimestampList list{&out, &path};
+  scan_trace_file(path, &list);
   NIMBUS_CHECK_MSG(!out.empty(), ("empty trace: " + path).c_str());
   return out;
 }

@@ -100,11 +100,12 @@ class RateSchedule {
   using TraceConfig = TraceScheduleConfig;
 
   /// Loads a Mahimahi .trace file (see the header comment for the format
-  /// and bucketing semantics) in a single chunked pass: the parse_trace_file
-  /// scanner feeds each timestamp straight into the bucket counts, with no
-  /// intermediate timestamp vector.  CHECK-fails exactly as parse_trace_file
-  /// does, and on a decreasing, zero-length or out-of-range (timestamp
-  /// past the TimeNs range) trace or a bad config.
+  /// and bucketing semantics) in one streamed pass: the parse_trace_file
+  /// scanner folds each timestamp straight into the bucket counts, whose
+  /// running state it keeps in locals, with no intermediate timestamp
+  /// vector.  CHECK-fails exactly as parse_trace_file does, and on a
+  /// decreasing, zero-length or out-of-range (timestamp past the TimeNs
+  /// range) trace or a bad config.
   static std::unique_ptr<RateSchedule> from_trace_file(
       const std::string& path, const TraceConfig& cfg = TraceConfig());
 
@@ -118,18 +119,25 @@ class RateSchedule {
 };
 
 /// Read size of the trace scanner: files are read in chunks of this many
-/// bytes into one reused buffer, and lines may straddle chunks.
+/// bytes into one reused buffer (never the whole file), and lines may
+/// straddle chunks.  A whole number of the scanner's 64-byte newline-
+/// bitmap blocks.
 inline constexpr std::size_t kTraceReadChunk = 64 * 1024;
 
 /// Parses a Mahimahi trace file into opportunity timestamps (ms) in one
-/// chunked byte pass.  Each line is trimmed of C-locale whitespace (space
-/// and \t \n \v \f \r, so CRLF files load); blank lines and lines whose
-/// first non-blank byte is '#' are skipped.  CHECK-fails with
-/// "cannot open trace file" if the file cannot be opened, "cannot read
-/// trace file" on a read error (a directory, an I/O error mid-file),
-/// "malformed trace line N" on any other line that is not a non-negative
-/// decimal integer fitting int64, "non-decreasing" if timestamps decrease,
-/// and "empty trace" if no timestamp remains.
+/// streamed pass.  Each chunk's newlines are found first, as a bitmap per
+/// 64-byte block; a line of 1-8 digits then converts word at a time, and
+/// every other line (and each line straddling a chunk) goes through a
+/// byte-at-a-time state machine, the one definition of the format — both
+/// give the same values, errors and line numbers.  Each line is trimmed
+/// of C-locale whitespace (space and \t \n \v \f \r, so CRLF files
+/// load); blank lines and lines whose first non-blank byte is '#' are
+/// skipped.  CHECK-fails with "cannot open trace file" if the file cannot
+/// be opened, "cannot read trace file" on a read error (a directory, an
+/// I/O error mid-file), "malformed trace line N" on any other line that
+/// is not a non-negative decimal integer of at most 9223372036854775799
+/// (the overflow guard refuses the top 8 int64 values), "non-decreasing"
+/// if timestamps decrease, and "empty trace" if no timestamp remains.
 std::vector<std::int64_t> parse_trace_file(const std::string& path);
 
 /// Writes opportunity timestamps in Mahimahi format (one ms per line) —

@@ -18,7 +18,6 @@ struct Packet {
   std::uint64_t seq = 0;       // per-flow packet sequence number
   std::uint32_t size_bytes = 0;
   TimeNs sent_at = 0;          // transport send timestamp (echoed in the ACK)
-  TimeNs enqueued_at = 0;      // stamped by the bottleneck on arrival
   bool is_transport = false;   // participates in the reliable/ACK path
   bool is_retransmit = false;
 };

@@ -14,6 +14,7 @@
 #include "exp/runner.h"
 #include "exp/scenario.h"
 #include "exp/spec_canon.h"
+#include "sim/link_schedule.h"
 
 namespace nimbus::exp {
 namespace {
@@ -174,6 +175,16 @@ TEST(SpecCanonTest, TraceLinkHashesTraceContent) {
   // Same path, different bytes: the spec must hash differently.
   std::ofstream(trace) << "1\n2\n4\n";
   EXPECT_NE(spec_hash(spec), h1);
+  // The content hash is fnv128 of the whole file, however many read
+  // chunks the file spans.
+  std::string bytes;
+  for (int i = 0; bytes.size() < 2 * sim::kTraceReadChunk + 99; ++i) {
+    bytes += std::to_string(i) + "\n";
+  }
+  std::ofstream(trace) << bytes;
+  EXPECT_NE(canonical_spec(spec).find(".trace_content=" +
+                                      fnv128(bytes).hex() + "\n"),
+            std::string::npos);
   // Unreadable trace: not cacheable (and build_network would fail too).
   spec.link.trace_path = (tmp.path / "missing.trace").string();
   EXPECT_FALSE(spec_cacheable(spec));

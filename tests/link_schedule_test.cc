@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -31,6 +32,7 @@
 #include "exp/scenario.h"
 #include "sim/link_schedule.h"
 #include "sim/network.h"
+#include "util/rng.h"
 
 namespace nimbus {
 namespace {
@@ -258,6 +260,227 @@ TEST(TraceParseTest, MalformedLineNumbers) {
   EXPECT_DEATH(
       RateSchedule::from_trace_file(write_raw("late2.trace", many + "\n-1")),
       "malformed trace line 20002 in");
+}
+
+// --- differential: the scanner against a byte-at-a-time oracle ----------
+
+// A reference trace scanner: one state machine fed every byte, with no
+// newline bitmap and no word-at-a-time path, plus parse_trace_file's
+// order and emptiness checks.  `error` is the regex
+// the scanner's CHECK must match, or empty when the bytes parse.
+struct OracleParse {
+  std::vector<std::int64_t> ms;
+  std::string error;
+};
+
+OracleParse oracle_parse(const std::string& bytes) {
+  OracleParse out;
+  enum class State { kLead, kDigits, kTrail, kComment };
+  const auto blank = [](unsigned char c) {
+    return c == ' ' || (c >= '\t' && c <= '\r' && c != '\n');
+  };
+  State state = State::kLead;
+  std::int64_t ms = 0;
+  std::size_t lineno = 1;
+  const auto malformed = [&] {
+    out.error = "malformed trace line " + std::to_string(lineno) + " in";
+  };
+  const auto emit = [&] {
+    if (!out.ms.empty() && ms < out.ms.back()) {
+      out.error = "trace timestamps must be non-decreasing";
+      return false;
+    }
+    out.ms.push_back(ms);
+    return true;
+  };
+  for (const char ch : bytes) {
+    const auto c = static_cast<unsigned char>(ch);
+    const unsigned digit = c - static_cast<unsigned>('0');
+    if (state == State::kDigits && digit <= 9) {
+      if (ms > (std::numeric_limits<std::int64_t>::max() - 9) / 10) {
+        malformed();
+        return out;
+      }
+      ms = ms * 10 + digit;
+      continue;
+    }
+    if (c == '\n') {
+      if ((state == State::kDigits || state == State::kTrail) && !emit()) {
+        return out;
+      }
+      state = State::kLead;
+      ++lineno;
+      continue;
+    }
+    switch (state) {
+      case State::kLead:
+        if (digit <= 9) {
+          ms = digit;
+          state = State::kDigits;
+        } else if (c == '#') {
+          state = State::kComment;
+        } else if (!blank(c)) {
+          malformed();
+          return out;
+        }
+        break;
+      case State::kDigits:
+        if (!blank(c)) {
+          malformed();
+          return out;
+        }
+        state = State::kTrail;
+        break;
+      case State::kTrail:
+        if (!blank(c)) {
+          malformed();
+          return out;
+        }
+        break;
+      case State::kComment:
+        break;
+    }
+  }
+  if ((state == State::kDigits || state == State::kTrail) && !emit()) {
+    return out;
+  }
+  if (out.ms.empty()) out.error = "empty trace";
+  return out;
+}
+
+// Random trace bytes in the shapes the scanner's two paths split on:
+// 1-20-digit numbers (leading zeros, the 8/9/18/19-digit edges and the
+// largest accepted value), \t \v \f \r and space blanks, CRLF, blank
+// lines, '#' lines holding a NUL, and no final newline.  Filler comments put a random line across each of
+// the first `chunks` kTraceReadChunk boundaries; 64-byte block
+// boundaries fall wherever the random lines put them.  Timestamps never
+// decrease, and unless `large`, stay below 10^6 ms.
+std::string random_trace_bytes(util::Rng& rng, int chunks, bool large) {
+  static const char kBlanks[] = {' ', '\t', '\v', '\f', '\r'};
+  const auto blanks = [&](int max) {
+    std::string b;
+    for (std::int64_t n = rng.uniform_int(0, max); n > 0; --n) {
+      b += kBlanks[rng.uniform_int(0, 4)];
+    }
+    return b;
+  };
+  // The largest timestamp the format accepts: its overflow guard rejects
+  // any value above (INT64_MAX - 9) / 10 before a last digit.
+  constexpr std::int64_t kMax = 9223372036854775799;
+  std::int64_t cur = 0;
+  std::string out;
+  const auto digits_line = [&] {
+    cur += std::min(rng.uniform_int(0, 3), kMax - cur);
+    std::string num = std::to_string(cur);
+    const std::int64_t pick = rng.uniform_int(0, 9);
+    if (pick == 0) {
+      // Leading zeros up to 20 digits (9+ go through the state machine).
+      num.insert(0, static_cast<std::size_t>(std::max<std::int64_t>(
+                        0, rng.uniform_int(1, 20) -
+                               static_cast<std::int64_t>(num.size()))),
+                 '0');
+    } else if (pick == 1 && large) {
+      // Length and range edges; the walk continues from the new value.
+      static const std::int64_t kEdges[] = {99999999, 100000000,
+                                            999999999999999999,
+                                            1000000000000000000, kMax};
+      cur = std::max(cur, kEdges[rng.uniform_int(0, 4)]);
+      num = std::to_string(cur);
+    }
+    return num;
+  };
+  const auto line = [&] {
+    const std::int64_t kind = rng.uniform_int(0, 19);
+    if (kind == 0) return blanks(3);
+    if (kind == 1) return blanks(2) + std::string("# 1\0 x\r\t", 8);
+    if (kind <= 4) return blanks(2) + digits_line() + blanks(2);
+    return digits_line();  // the common line
+  };
+  const auto add_line = [&] {
+    out += line();
+    out += rng.bernoulli(0.05) ? "\r\n" : "\n";
+  };
+  for (int c = 1; c <= chunks; ++c) {
+    const std::size_t boundary = static_cast<std::size_t>(c) *
+                                 sim::kTraceReadChunk;
+    // Some random lines, then a comment ending just before the boundary,
+    // then random lines through it.
+    for (int i = 0; i < 200; ++i) add_line();
+    const std::size_t gap = static_cast<std::size_t>(rng.uniform_int(0, 24));
+    const std::size_t filler = boundary - gap - out.size();
+    out += "#" + std::string(filler - 2, 'z') + "\n";
+    while (out.size() < boundary + 64) add_line();
+  }
+  for (std::int64_t i = rng.uniform_int(0, 300); i > 0; --i) add_line();
+  if (rng.bernoulli(0.5)) out += digits_line();  // no final newline
+  return out;
+}
+
+// Bytes that make one random line of `valid` malformed or out of order:
+// a NUL, a letter, an interior blank, a sign, a 20-digit number,
+// INT64_MAX (refused by the overflow guard) and past it, a trailing '#'
+// or a smaller timestamp.  The oracle, not this function, decides which
+// error (if any) comes first.
+std::string inject_fault(util::Rng& rng, std::string valid) {
+  std::size_t at = static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<std::int64_t>(valid.size()) - 1));
+  at = valid.rfind('\n', at);
+  at = at == std::string::npos ? 0 : at + 1;
+  static const std::string kFaults[] = {
+      std::string("1\0" "2", 3), "x",   "5 6", "-1", "99999999999999999999",
+      "9223372036854775807",       "9223372036854775808",
+      "0",                         "7#"};
+  valid.insert(at, kFaults[rng.uniform_int(0, 8)] + "\n");
+  return valid;
+}
+
+// Both scanner entry points reproduce the oracle on random bytes: the
+// same timestamps, and from_trace_file the same rates as folding them,
+// bit for bit.
+TEST(TraceScannerDifferentialTest, ValidBytesMatchTheOracle) {
+  util::Rng rng(20240829);
+  for (int i = 0; i < 48; ++i) {
+    const bool large = i % 4 == 3;
+    const std::string bytes = random_trace_bytes(rng, 1 + i % 2, large);
+    const OracleParse want = oracle_parse(bytes);
+    ASSERT_EQ(want.error, "") << "case " << i;
+    const std::string path = write_raw("diff-valid.trace", bytes);
+    ASSERT_EQ(sim::parse_trace_file(path), want.ms) << "case " << i;
+    if (want.ms.back() == 0 || want.ms.back() >= 1'000'000'000) continue;
+    for (const TimeNs bucket : {from_sec(1), from_ms(7)}) {
+      if (want.ms.back() / to_ms(bucket) > 1'000'000) continue;
+      RateSchedule::TraceConfig cfg;
+      cfg.bucket = bucket;
+      const auto streamed = RateSchedule::from_trace_file(path, cfg);
+      const auto folded = RateSchedule::from_trace_ms(want.ms, cfg);
+      ASSERT_EQ(bits(streamed->mean_rate_bps()),
+                bits(folded->mean_rate_bps()))
+          << "case " << i;
+      for (TimeNs t = 0; t <= want.ms.back() * kNanosPerMs; t += bucket) {
+        ASSERT_EQ(bits(streamed->rate_at(t)), bits(folded->rate_at(t)))
+            << "case " << i << " t " << t;
+      }
+    }
+  }
+}
+
+// On bytes with one injected fault, both entry points die with the
+// oracle's message: the same error kind and line number.
+TEST(TraceScannerDifferentialTest, FaultyBytesDieLikeTheOracle) {
+  util::Rng rng(777);
+  for (int i = 0; i < 24; ++i) {
+    const std::string bytes =
+        inject_fault(rng, random_trace_bytes(rng, 1 + i % 2, false));
+    const OracleParse want = oracle_parse(bytes);
+    const std::string path = write_raw("diff-fault.trace", bytes);
+    if (want.error.empty()) {
+      EXPECT_EQ(sim::parse_trace_file(path), want.ms) << "case " << i;
+      continue;
+    }
+    EXPECT_DEATH(sim::parse_trace_file(path), want.error) << "case " << i;
+    EXPECT_DEATH(RateSchedule::from_trace_file(path), want.error)
+        << "case " << i;
+  }
 }
 
 TEST(TraceScheduleTest, BucketedRatesAndLooping) {
